@@ -58,7 +58,7 @@ def phase_metrics(trace: Sequence[TraceRecord],
         metrics.avg_vl = sum(r.vl for r in records) / len(records)
         metrics.vl_histogram = dict(sorted(Counter(r.vl for r in records).items()))
         metrics.category_histogram = dict(sorted(
-            Counter(r.category.value for r in records).items()))
+            Counter(r.instr.category.value for r in records).items()))
         if timeline is not None:
             entries = [timeline[i] for i in idxs]
             begin = min(e.issue_cycle for e in entries)

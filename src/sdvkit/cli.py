@@ -35,8 +35,11 @@ def _write_file(path: str, text: str) -> None:
     """Write-then-rename: never leaves a partial output file behind."""
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, target)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_manifest(output: str, entries: dict) -> None:
@@ -105,13 +108,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_to_prv(args) -> int:
+    pcf_path = str(Path(args.output).with_suffix(".pcf"))
+    if pcf_path == str(Path(args.output)):
+        print(f"error: {args.output} is also the .pcf output", file=sys.stderr)
+        return 2
     trace = read_trace(Path(args.input).read_text())
     timeline = None
     if args.timing:
         timeline, _ = simulate(trace, load_timing_params(args.timing))
     doc = to_prv(trace, timeline)
     prv_text, pcf_text = emit_prv(doc)
-    pcf_path = str(Path(args.output).with_suffix(".pcf"))
     _write_file(args.output, prv_text)
     _write_file(pcf_path, pcf_text)
     _write_manifest(args.output, _base_manifest(
@@ -146,15 +152,11 @@ def _cmd_schedule(args) -> int:
     config = _load_config(args)
     params = _load_timing(args)
     items = parse_vstream(Path(args.input).read_text())
-    scheduled = schedule_stream(items, params, config)
+    scheduled, cycles_before, cycles_after = schedule_stream(items, params, config)
     if not verify_equivalence(config, items, scheduled):
         print("error: rescheduled stream is not equivalent to the input",
               file=sys.stderr)
         return 1
-    _, before = run(config, items)
-    _, after = run(config, scheduled)
-    cycles_before = simulate(before, params)[1].total_cycles
-    cycles_after = simulate(after, params)[1].total_cycles
     _write_file(args.output, write_vstream(scheduled))
     _write_manifest(args.output, _base_manifest(
         args, input=args.input, timing=args.timing or "<defaults>",
@@ -216,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana = sub.add_parser("analyze", help="per-phase metrics report")
     ana.add_argument("input", help="input .trace file")
     ana.add_argument("--timing", help="timing params file (adds cycles/IPC)")
-    fmt = ana.add_mutually_exclusive_group()
-    fmt.add_argument("--csv", action="store_true", help="CSV report")
-    fmt.add_argument("--text", action="store_true", help="plain-text report (default)")
+    ana.add_argument("--csv", action="store_true",
+                     help="CSV report (default: plain text)")
     ana.add_argument("-o", "--output", help="write report to a file")
     ana.set_defaults(func=_cmd_analyze)
 

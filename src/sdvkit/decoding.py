@@ -31,8 +31,9 @@ _ALU_TABLE = {
     (0b001100, _F3_IVV): "vrgather.vv",
 }
 
-_SEW_CODES = {0b000: 8, 0b001: 16, 0b010: 32, 0b011: 64}
-_LMUL_CODES = {0b000: 1, 0b001: 2, 0b010: 4, 0b011: 8}
+# vtype vsew/vlmul field encodings; the emulator's vsetvl decodes with them too.
+SEW_CODES = {0b000: 8, 0b001: 16, 0b010: 32, 0b011: 64}
+LMUL_CODES = {0b000: 1, 0b001: 2, 0b010: 4, 0b011: 8}
 
 
 def _fields(word: int):
@@ -49,8 +50,8 @@ def _fields(word: int):
 def _decode_vtype(word: int, zimm: int, rd: int, rs1: int) -> Instruction:
     if zimm >> 8:
         raise UnsupportedInstruction(word, "reserved vtype bits set")
-    sew = _SEW_CODES.get((zimm >> 3) & 0x7)
-    lmul = _LMUL_CODES.get(zimm & 0x7)
+    sew = SEW_CODES.get((zimm >> 3) & 0x7)
+    lmul = LMUL_CODES.get(zimm & 0x7)
     if sew is None:
         raise UnsupportedInstruction(word, "reserved element width")
     if lmul is None:

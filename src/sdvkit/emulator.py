@@ -8,14 +8,14 @@ vectors for 64-bit data must be pre-scaled by 8.  Destination tail elements
 bit-comparable.
 
 All FP arithmetic is IEEE-754 double, round-to-nearest-even.  The multiply-
-accumulate op is a true fused multiply-add (single rounding); on interpreters
-without a native fma this is done with exact rational arithmetic.
+accumulate op is a true fused multiply-add (single rounding), computed per
+element with exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -24,13 +24,16 @@ import numpy as np
 from .config import MachineConfig, Vtype
 from .errors import (EmulationError, OutOfBoundsAccess, SdvError,
                      UnsupportedVtype)
-from .isa import Instruction, disassemble
+from .decoding import LMUL_CODES, SEW_CODES
+from .isa import Category, Instruction
 from .tracefile import TraceRecord
 from .vstream import ItemKind, StreamItem, parse_vstream
 
 _U64 = np.uint64
 _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
+_INT_VX_OPS = {"vadd.vx": np.add, "vmul.vx": np.multiply, "vand.vx": np.bitwise_and}
+_FP_VV_OPS = {"vfadd.vv": np.add, "vfsub.vv": np.subtract, "vfmul.vv": np.multiply}
 
 
 def fused_madd(a: float, b: float, c: float) -> float:
@@ -108,12 +111,6 @@ class Memory:
         else:
             self.write_bytes(addr, data, element)
 
-    def read_f64(self, addr: int) -> float:
-        return float(np.frombuffer(self.read_bytes(addr, 8), dtype="<f8")[0])
-
-    def write_f64(self, addr: int, value: float) -> None:
-        self.write_bytes(addr, np.float64(value).astype("<f8").tobytes())
-
     def touched_pages(self) -> dict[int, bytes]:
         """Snapshot of every page ever written (page index -> contents)."""
         return {index: bytes(page) for index, page in self._pages.items()}
@@ -152,10 +149,6 @@ class MachineState:
         return self.vregs[reg, :vl].view(np.float64)
 
 
-_VSEW_CODES = {0b000: 8, 0b001: 16, 0b010: 32, 0b011: 64}
-_VLMUL_CODES = {0b000: 1, 0b001: 2, 0b010: 4, 0b011: 8}
-
-
 def apply_vsetvli(state: MachineState, avl: int, req: Vtype) -> int:
     """Set vl = min(avl, VLMAX) for the requested type; only e64/m1 is
     accepted here, anything else marks the type ill-formed and raises."""
@@ -170,8 +163,8 @@ def apply_vsetvli(state: MachineState, avl: int, req: Vtype) -> int:
 
 
 def _vtype_from_bits(bits: int) -> Vtype:
-    sew = _VSEW_CODES.get((bits >> 3) & 0x7)
-    lmul = _VLMUL_CODES.get(bits & 0x7)
+    sew = SEW_CODES.get((bits >> 3) & 0x7)
+    lmul = LMUL_CODES.get(bits & 0x7)
     if sew is None or lmul is None or (bits >> 8) & 0x7FFFFFFFFFFFFF:
         return Vtype(sew_bits=0, lmul=0, vill=True)
     return Vtype(sew_bits=sew, lmul=lmul, vill=bool(bits >> 63))
@@ -203,15 +196,11 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
     vl = state.vl
     m = instr.mnemonic
 
-    if m == "vsetvli":
+    if m == "vsetvli" or m == "vsetvl":
         avl = _config_avl(state, instr)
-        new_vl = apply_vsetvli(state, avl, Vtype(sew_bits=instr.sew, lmul=instr.lmul))
-        state.write_xreg(instr.rd, new_vl)
-        return ()
-    if m == "vsetvl":
-        avl = _config_avl(state, instr)
-        new_vl = apply_vsetvli(state, avl, _vtype_from_bits(state.read_xreg(instr.rs2)))
-        state.write_xreg(instr.rd, new_vl)
+        req = Vtype(sew_bits=instr.sew, lmul=instr.lmul) if m == "vsetvli" \
+            else _vtype_from_bits(state.read_xreg(instr.rs2))
+        state.write_xreg(instr.rd, apply_vsetvli(state, avl, req))
         return ()
 
     if m == "vle64.v" or m == "vse64.v":
@@ -224,30 +213,19 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
             mem.write_bytes(base, state.velems(instr.vs3, vl).astype("<u8").tobytes())
         return ((base, nbytes),)
 
-    if m == "vlse64.v" or m == "vsse64.v":
+    category = instr.category
+    if category == Category.MEM_STRIDED or category == Category.MEM_INDEXED:
         base = state.read_xreg(instr.rs1)
-        stride = state.read_xreg(instr.rs2)
-        if stride >= 1 << 63:
-            stride -= 1 << 64  # stride register is signed
-        addrs = [base + i * stride for i in range(vl)]
-        for i, addr in enumerate(addrs):
-            mem.check(addr, 8, i)
-        if m == "vlse64.v":
-            values = [mem.read_u64(addr, i) for i, addr in enumerate(addrs)]
-            state.vregs[instr.vd, :vl] = np.array(values, dtype=_U64).reshape(vl)
+        if category == Category.MEM_STRIDED:
+            stride = state.read_xreg(instr.rs2)
+            if stride >= 1 << 63:
+                stride -= 1 << 64  # stride register is signed
+            addrs = [base + i * stride for i in range(vl)]
         else:
-            src = state.velems(instr.vs3, vl)
-            for i, addr in enumerate(addrs):
-                mem.write_u64(addr, int(src[i]), i)
-        return _coalesce(addrs, 8) if vl else ((base, 0),)
-
-    if m == "vluxei64.v" or m == "vsuxei64.v":
-        base = state.read_xreg(instr.rs1)
-        offsets = state.velems(instr.vs2, vl)
-        addrs = [base + int(off) for off in offsets]
+            addrs = [base + int(off) for off in state.velems(instr.vs2, vl)]
         for i, addr in enumerate(addrs):
             mem.check(addr, 8, i)
-        if m == "vluxei64.v":
+        if instr.is_load:
             values = [mem.read_u64(addr, i) for i, addr in enumerate(addrs)]
             state.vregs[instr.vd, :vl] = np.array(values, dtype=_U64).reshape(vl)
         else:
@@ -261,24 +239,15 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
 
     if m == "vadd.vv":
         state.vregs[instr.vd, :vl] = state.velems(instr.vs2, vl) + state.velems(instr.vs1, vl)
-    elif m == "vadd.vx":
-        state.vregs[instr.vd, :vl] = state.velems(instr.vs2, vl) + _U64(state.read_xreg(instr.rs1))
-    elif m == "vmul.vx":
-        state.vregs[instr.vd, :vl] = state.velems(instr.vs2, vl) * _U64(state.read_xreg(instr.rs1))
+    elif m in _INT_VX_OPS:
+        state.vregs[instr.vd, :vl] = _INT_VX_OPS[m](state.velems(instr.vs2, vl),
+                                                    _U64(state.read_xreg(instr.rs1)))
     elif m == "vsll.vi":
         state.vregs[instr.vd, :vl] = state.velems(instr.vs2, vl) << _U64(instr.imm)
-    elif m == "vand.vx":
-        state.vregs[instr.vd, :vl] = state.velems(instr.vs2, vl) & _U64(state.read_xreg(instr.rs1))
     elif m == "vid.v":
         state.vregs[instr.vd, :vl] = np.arange(vl, dtype=_U64)
-    elif m == "vfadd.vv":
-        result = state.vfloats(instr.vs2, vl) + state.vfloats(instr.vs1, vl)
-        state.vregs[instr.vd, :vl] = result.view(_U64)
-    elif m == "vfsub.vv":
-        result = state.vfloats(instr.vs2, vl) - state.vfloats(instr.vs1, vl)
-        state.vregs[instr.vd, :vl] = result.view(_U64)
-    elif m == "vfmul.vv":
-        result = state.vfloats(instr.vs2, vl) * state.vfloats(instr.vs1, vl)
+    elif m in _FP_VV_OPS:
+        result = _FP_VV_OPS[m](state.vfloats(instr.vs2, vl), state.vfloats(instr.vs1, vl))
         state.vregs[instr.vd, :vl] = result.view(_U64)
     elif m == "vfmacc.vv":
         acc = state.vfloats(instr.vd, vl)
@@ -329,8 +298,7 @@ def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
         pc=item.pc,
         phase=item.phase,
         scalar_before=item.scalar_before,
-        mnemonic_text=disassemble(instr),
-        category=instr.category,
+        instr=instr,
         vl=state.vl,
         sew_bits=state.vtype.sew_bits,
         addresses=addresses,

@@ -169,10 +169,6 @@ class Instruction:
     def is_store(self) -> bool:
         return self.mnemonic in _STORES
 
-    @property
-    def is_memory(self) -> bool:
-        return self.mnemonic in _LOADS or self.mnemonic in _STORES
-
     # Register def/use sets drive both hazard tracking and dependence edges.
 
     def vreg_defs(self) -> frozenset[int]:

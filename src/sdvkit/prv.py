@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .errors import EmptyTrace, PrvFormatError, SdvError
-from .isa import MNEMONIC_IDS, MNEMONICS, Category
+from .isa import MNEMONIC_IDS, Category
 from .tracefile import TraceRecord
 from .timing import TimelineEntry
 
@@ -94,12 +94,11 @@ def to_prv(trace: Sequence[TraceRecord],
         duration = len(trace)
     records: list[EventRecord] = []
     for rec, time in zip(trace, times):
-        mnemonic = rec.mnemonic_text.split()[0]
         records.append(EventRecord(time, TYPE_PHASE, rec.phase))
         records.append(EventRecord(time, TYPE_PC, rec.pc))
         records.append(EventRecord(time, TYPE_VL, rec.vl))
-        records.append(EventRecord(time, TYPE_CATEGORY, CATEGORY_IDS[rec.category]))
-        records.append(EventRecord(time, TYPE_MNEMONIC, MNEMONIC_IDS[mnemonic]))
+        records.append(EventRecord(time, TYPE_CATEGORY, CATEGORY_IDS[rec.instr.category]))
+        records.append(EventRecord(time, TYPE_MNEMONIC, MNEMONIC_IDS[rec.instr.mnemonic]))
     return PrvDocument(duration=duration, records=records)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .config import MachineConfig
 from .emulator import run
 from .errors import SdvError
-from .isa import Category, parse_instruction
+from .isa import Category
 from .timing import Pipeline, TimingParams, occupancy, pipeline_of, simulate
 from .tracefile import TraceRecord
 from .vstream import ItemKind, StreamItem, parse_vstream
@@ -60,7 +60,7 @@ def _ranges_overlap(ranges_a, ranges_b) -> bool:
 def build_dependences(window: Sequence[TraceRecord]) -> DependenceGraph:
     """Dependence graph over one contiguous window of trace records."""
     graph = DependenceGraph(count=len(window))
-    instrs = [parse_instruction(r.mnemonic_text) for r in window]
+    instrs = [r.instr for r in window]
 
     vreg_writer: dict[int, int] = {}
     vreg_readers: dict[int, list[int]] = {}
@@ -130,7 +130,7 @@ def reschedule_order(window: Sequence[TraceRecord],
         return list(range(n))
     params = params or TimingParams()
     graph = build_dependences(window)
-    pipes = [pipeline_of(Category(window[i].category)) for i in range(n)]
+    pipes = [pipeline_of(r.instr.category) for r in window]
 
     weight = [occupancy(window[i], params) + params.latency_of(pipes[i]) for i in range(n)]
     critical = [0] * n
@@ -178,16 +178,24 @@ def reschedule(window: Sequence[TraceRecord],
 
 def schedule_stream(items: Union[str, Sequence[StreamItem]],
                     params: Optional[TimingParams] = None,
-                    config: Optional[MachineConfig] = None) -> list[StreamItem]:
+                    config: Optional[MachineConfig] = None
+                    ) -> tuple[list[StreamItem], int, int]:
     """Reorder instructions window-by-window inside a stream.
 
     The stream is first executed to recover concrete addresses and vector
     lengths.  Only contiguous instruction runs that share a window id and are
     not interrupted by directives are reordered; directives stay in place and
-    act as barriers."""
+    act as barriers.
+
+    Returns ``(items, cycles_before, cycles_after)``: the scheduled stream and
+    the modeled total cycles of the input and of that stream.  The counts come
+    from the emulations made here; when nothing moved, or the whole stream got
+    slower and the input is returned, ``cycles_after == cycles_before``."""
     items = list(parse_vstream(items) if isinstance(items, str) else items)
     config = config or MachineConfig()
+    params = params or TimingParams()
     _, records = run(config, items)
+    before = simulate(records, params)[1].total_cycles
 
     positions = [i for i, item in enumerate(items) if item.kind == ItemKind.INSTRUCTION]
     units: list[list[int]] = []
@@ -216,16 +224,14 @@ def schedule_stream(items: Union[str, Sequence[StreamItem]],
         for slot, source in enumerate(order):
             new_items[base + slot] = items[base + source]
     if not changed:
-        return new_items
+        return new_items, before, before
     # window-local gains may not compose across window boundaries; keep the
     # original stream if the model says the whole thing got slower
-    params = params or TimingParams()
     _, scheduled_records = run(config, new_items)
-    before = simulate(records, params)[1].total_cycles
     after = simulate(scheduled_records, params)[1].total_cycles
     if after > before:
-        return list(items)
-    return new_items
+        return list(items), before, before
+    return new_items, before, after
 
 
 def _same_float(a: float, b: float) -> bool:

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import SdvError
-from .isa import Category, parse_instruction
+from .isa import Category
 
 
 class Pipeline(enum.Enum):
@@ -124,7 +124,7 @@ class CounterSet:
 
 def occupancy(record, params: TimingParams) -> int:
     """Busy cycles an instruction holds its pipeline before latency is added."""
-    category = record.category if isinstance(record.category, Category) else Category(record.category)
+    category = record.instr.category
     if category == Category.CONFIG:
         return 1
     rate = params.rate_of(category)
@@ -153,7 +153,7 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
 
     scalar_total = 0
     for rec in trace:
-        instr = parse_instruction(rec.mnemonic_text)
+        instr = rec.instr
         pipe = pipeline_of(instr.category)
         scalar_total += rec.scalar_before
         scalar_time += rec.scalar_before * params.scalar_cycles_per_instr
@@ -183,7 +183,7 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
 
         complete = start + occ + latency
         entries.append(TimelineEntry(rec.seq, pipe, issue, start, complete,
-                                     rec.mnemonic_text.split()[0]))
+                                     instr.mnemonic))
         pipe_free[pipe] = complete
         for reg in instr.vreg_uses():
             reader_complete[reg] = max(reader_complete.get(reg, 0), complete)

@@ -5,18 +5,21 @@ Header line ``#sdvkit-trace v1``, then::
     seq:pc:phase:scalar_before:vl:sew:category:mnemonic_text:addr_ranges:window
 
 with pc in hex, addr_ranges as comma-separated ``base+length`` hex pairs
-(empty for non-memory instructions).  Single-line records keep downstream
-tools line-parallel; writing is deterministic so identical runs produce
+(empty for non-memory instructions).  The mnemonic field is the instruction's
+canonical ``disassemble`` text; the category column is derived from its
+mnemonic, and reading checks both, so a record carries one instruction and
+nothing that can contradict it.  Single-line records keep downstream tools
+line-parallel; writing is deterministic so identical runs produce
 byte-identical files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import TraceFormatError
-from .isa import Category
+from .errors import SdvError, TraceFormatError
+from .isa import Category, Instruction, disassemble, parse_instruction
 
 HEADER = "#sdvkit-trace v1"
 
@@ -27,12 +30,19 @@ class TraceRecord:
     pc: int
     phase: int
     scalar_before: int
-    mnemonic_text: str
-    category: Category
+    instr: Instruction
     vl: int
     sew_bits: int
     addresses: tuple[tuple[int, int], ...] = ()
     window_id: int = 0
+
+    @property
+    def mnemonic_text(self) -> str:
+        return disassemble(self.instr)
+
+    @property
+    def category(self) -> Category:
+        return self.instr.category
 
 
 def write_trace(records: Sequence[TraceRecord]) -> str:
@@ -41,7 +51,7 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
         ranges = ",".join(f"0x{base:x}+0x{length:x}" for base, length in r.addresses)
         lines.append(
             f"{r.seq}:0x{r.pc:x}:{r.phase}:{r.scalar_before}:{r.vl}:{r.sew_bits}:"
-            f"{r.category.value}:{r.mnemonic_text}:{ranges}:{r.window_id}"
+            f"{r.instr.category.value}:{disassemble(r.instr)}:{ranges}:{r.window_id}"
         )
     return "\n".join(lines) + "\n"
 
@@ -50,6 +60,7 @@ def read_trace(text: str) -> list[TraceRecord]:
     lines = text.splitlines()
     if not lines or lines[0] != HEADER:
         raise TraceFormatError(f"missing header {HEADER!r}", 1)
+    instrs: dict[str, Instruction] = {}  # each distinct mnemonic field parsed once
     records: list[TraceRecord] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -57,6 +68,20 @@ def read_trace(text: str) -> list[TraceRecord]:
         parts = line.split(":")
         if len(parts) != 10:
             raise TraceFormatError(f"expected 10 fields, got {len(parts)}", line_no)
+        instr = instrs.get(parts[7])
+        if instr is None:
+            try:
+                instr = parse_instruction(parts[7])
+            except (SdvError, ValueError) as err:
+                raise TraceFormatError(str(err), line_no) from err
+            if disassemble(instr) != parts[7]:
+                raise TraceFormatError(f"mnemonic field {parts[7]!r} is not canonical "
+                                       f"(expected {disassemble(instr)!r})", line_no)
+            instrs[parts[7]] = instr
+        if parts[6] != instr.category.value:
+            raise TraceFormatError(
+                f"category {parts[6]!r} contradicts {instr.mnemonic} "
+                f"({instr.category.value})", line_no)
         try:
             seq = int(parts[0])
             pc = int(parts[1], 16)
@@ -64,16 +89,14 @@ def read_trace(text: str) -> list[TraceRecord]:
             scalar_before = int(parts[3])
             vl = int(parts[4])
             sew = int(parts[5])
-            category = Category(parts[6])
-            mnemonic_text = parts[7]
             addresses = []
             if parts[8]:
                 for chunk in parts[8].split(","):
                     base, length = chunk.split("+")
                     addresses.append((int(base, 16), int(length, 16)))
             window = int(parts[9])
-        except (ValueError, KeyError) as err:
+        except ValueError as err:
             raise TraceFormatError(str(err), line_no) from err
-        records.append(TraceRecord(seq, pc, phase, scalar_before, mnemonic_text,
-                                   category, vl, sew, tuple(addresses), window))
+        records.append(TraceRecord(seq, pc, phase, scalar_before, instr, vl, sew,
+                                   tuple(addresses), window))
     return records

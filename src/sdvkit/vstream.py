@@ -24,7 +24,7 @@ standard vector assembly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (MalformedNumber, SdvError, StreamSyntaxError,
@@ -92,6 +92,7 @@ def parse_vstream(text: str) -> list[StreamItem]:
     phase = 0
     window = 0
     pending_scalar = 0
+    instrs: dict[str, Instruction] = {}  # each distinct instruction text parsed once
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -153,10 +154,12 @@ def parse_vstream(text: str) -> list[StreamItem]:
                 raise UnknownDirective(f"unknown directive {directive!r}", line_no)
             continue
 
-        try:
-            instr = parse_instruction(line)
-        except SdvError as err:
-            raise StreamSyntaxError(str(err), line_no) from err
+        instr = instrs.get(line)
+        if instr is None:
+            try:
+                instr = instrs[line] = parse_instruction(line)
+            except SdvError as err:
+                raise StreamSyntaxError(str(err), line_no) from err
         items.append(StreamItem(ItemKind.INSTRUCTION, pc, phase, window,
                                 scalar_before=pending_scalar, instr=instr))
         pending_scalar = 0

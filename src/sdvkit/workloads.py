@@ -29,7 +29,6 @@ with each other and match the brute-force DFT oracle to rounding error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,9 +36,7 @@ import numpy as np
 
 from .errors import InvalidSize
 from .vstream import ItemKind, StreamItem, write_vstream
-from .isa import parse_instruction
-
-_MB = 1 << 20
+from .isa import Instruction, parse_instruction
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,7 @@ class _Emitter:
         self.phase = 0
         self.window = 0
         self._scalar = 0
+        self._instrs: dict[str, Instruction] = {}  # each distinct text parsed once
 
     def phase_mark(self, phase: int):
         self.phase = phase
@@ -135,9 +133,12 @@ class _Emitter:
                                          uvalues=part))
 
     def instr(self, text: str):
+        instr = self._instrs.get(text)
+        if instr is None:
+            instr = self._instrs[text] = parse_instruction(text)
         self.items.append(StreamItem(ItemKind.INSTRUCTION, self.pc, self.phase,
                                      self.window, scalar_before=self._scalar,
-                                     instr=parse_instruction(text)))
+                                     instr=instr))
         self._scalar = 0
         self.pc += 4
 

@@ -15,7 +15,7 @@ from sdvkit.config import Vtype
 from sdvkit.decoding import decode_word
 from sdvkit.emulator import MachineState, apply_vsetvli, run
 from sdvkit.errors import UnsupportedInstruction
-from sdvkit.isa import Category, parse_instruction
+from sdvkit.isa import parse_instruction
 from sdvkit.prv import EventRecord, emit_prv, parse_prv, to_prv
 from sdvkit.scheduler import (reschedule, schedule_stream, trace_windows,
                               verify_equivalence)
@@ -112,9 +112,9 @@ def test_criterion_5_roundtrips():
 
 def test_criterion_6_timing_sanity():
     params = TimingParams()
-    unit = TraceRecord(0, 0, 0, 0, "vle64.v v1, (x10)", Category.MEM_UNIT, 256, 64)
-    indexed = TraceRecord(0, 0, 0, 0, "vluxei64.v v1, (x10), v2",
-                          Category.MEM_INDEXED, 256, 64)
+    unit = TraceRecord(0, 0, 0, 0, parse_instruction("vle64.v v1, (x10)"), 256, 64)
+    indexed = TraceRecord(0, 0, 0, 0, parse_instruction("vluxei64.v v1, (x10), v2"),
+                          256, 64)
     ok = occupancy(unit, params) == 32 and occupancy(indexed, params) == 256
     rng = random.Random(31337)
     for _ in range(100):
@@ -150,7 +150,7 @@ def test_criterion_8_scheduler(reference_runs):
     for _ in range(100):
         text = random_window_stream(rng)
         items = parse_vstream(text)
-        scheduled = schedule_stream(items, params)
+        scheduled, _, _ = schedule_stream(items, params)
         ok = ok and verify_equivalence(None, items, scheduled)
         _, before = run(None, items)
         _, after = run(None, scheduled)

@@ -3,7 +3,7 @@ import pytest
 from sdvkit.analysis import (compare, metrics_to_csv, metrics_to_text,
                              pc_profile, phase_metrics)
 from sdvkit.errors import EmptyTrace, PhaseSetMismatch
-from sdvkit.isa import Category
+from sdvkit.isa import Category, parse_instruction
 from sdvkit.prv import TYPE_VL, EventRecord, to_prv
 from sdvkit.timing import TimingParams
 from sdvkit.tracefile import TraceRecord, read_trace, write_trace
@@ -11,9 +11,10 @@ from sdvkit.tracefile import TraceRecord, read_trace, write_trace
 
 def _rec(seq, phase=0, vl=8, pc=None, scalar=0, category=Category.ARITH_FP,
          mnemonic="vfadd.vv v1, v2, v3"):
+    instr = parse_instruction(mnemonic)
+    assert instr.category == category, mnemonic
     return TraceRecord(seq=seq, pc=pc if pc is not None else 4 * seq,
-                       phase=phase, scalar_before=scalar,
-                       mnemonic_text=mnemonic, category=category, vl=vl,
+                       phase=phase, scalar_before=scalar, instr=instr, vl=vl,
                        sew_bits=64)
 
 

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from sdvkit.cli import build_parser, main
+from sdvkit.tracefile import HEADER
 from sdvkit.vstream import parse_vstream
+from test_tracefile import BAD_MNEMONIC_LINES
 
 
 def run_cli(*args):
@@ -44,6 +46,16 @@ def test_to_prv_outputs(tmp_path):
     assert run_cli("to-prv", trace, "-o", prv) == 0
     assert prv.read_text().startswith("#Paraver (01/01/00 at 00:00):")
     assert (tmp_path / "a.pcf").exists()
+
+
+def test_to_prv_refuses_output_that_is_its_own_pcf(tmp_path, capsys):
+    vs, trace, out = tmp_path / "a.vs", tmp_path / "a.trace", tmp_path / "x.pcf"
+    run_cli("gen", "axpy", "--n", 64, "-o", vs)
+    run_cli("emulate", vs, "-o", trace)
+    capsys.readouterr()
+    assert run_cli("to-prv", trace, "-o", out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_outputs(tmp_path, capsys):
@@ -110,6 +122,24 @@ def test_no_partial_output_on_failure(tmp_path):
     assert run_cli("to-prv", bad, "-o", out) == 1
     assert not out.exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    vs, out = tmp_path / "a.vs", tmp_path / "out"
+    run_cli("gen", "axpy", "--n", 64, "-o", vs)
+    out.mkdir()
+    assert run_cli("emulate", vs, "-o", out) == 2
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["to-prv", "simulate", "analyze"])
+@pytest.mark.parametrize("line", BAD_MNEMONIC_LINES)
+def test_bad_mnemonic_field_is_exit_1(tmp_path, capsys, command, line):
+    bad = tmp_path / "bad.trace"
+    bad.write_text(f"{HEADER}\n{line}\n")
+    outputs = [] if command == "analyze" else ["-o", tmp_path / "out"]
+    assert run_cli(command, bad, *outputs) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
 def test_config_file_is_honored(tmp_path):

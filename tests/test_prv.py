@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sdvkit.errors import EmptyTrace, PrvFormatError, SdvError
-from sdvkit.isa import Category
+from sdvkit.isa import Category, parse_instruction
 from sdvkit.prv import (EventRecord, PrvDocument, StateRecord, emit_prv,
                         parse_prv, to_prv)
 from sdvkit.timing import TimingParams, simulate
@@ -12,9 +12,11 @@ from sdvkit.tracefile import TraceRecord
 
 def _rec(seq, phase=0, vl=8, pc=None, mnemonic="vfadd.vv v1, v2, v3",
          category=Category.ARITH_FP):
+    instr = parse_instruction(mnemonic)
+    assert instr.category == category, mnemonic
     return TraceRecord(seq=seq, pc=pc if pc is not None else 4 * seq,
-                       phase=phase, scalar_before=0, mnemonic_text=mnemonic,
-                       category=category, vl=vl, sew_bits=64)
+                       phase=phase, scalar_before=0, instr=instr, vl=vl,
+                       sew_bits=64)
 
 
 def test_sequence_time_axis():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_window_stream
-from sdvkit.isa import Category
+from sdvkit.isa import Category, parse_instruction
 from sdvkit.scheduler import (MEM_ORDER, RAW, WAR, WAW, build_dependences,
                               reschedule, reschedule_order, schedule_stream,
                               trace_windows, verify_equivalence)
@@ -15,9 +15,11 @@ from sdvkit.emulator import run
 
 
 def _rec(seq, mnemonic, category, vl=8, addresses=(), window=1):
+    instr = parse_instruction(mnemonic)
+    assert instr.category == category, mnemonic
     return TraceRecord(seq=seq, pc=4 * seq, phase=0, scalar_before=0,
-                       mnemonic_text=mnemonic, category=category, vl=vl,
-                       sew_bits=64, addresses=addresses, window_id=window)
+                       instr=instr, vl=vl, sew_bits=64, addresses=addresses,
+                       window_id=window)
 
 
 def test_raw_edge_on_vector_register():
@@ -115,12 +117,22 @@ def test_random_windows_equivalence_and_never_worse():
     for _ in range(25):
         text = random_window_stream(rng)
         items = parse_vstream(text)
-        scheduled = schedule_stream(items, params)
+        scheduled, _, _ = schedule_stream(items, params)
         assert verify_equivalence(None, items, scheduled)
         _, before = run(None, items)
         _, after = run(None, scheduled)
         assert simulate(after, params)[1].total_cycles <= \
             simulate(before, params)[1].total_cycles
+
+
+def test_schedule_stream_reports_modeled_cycles():
+    params = TimingParams()
+    rng = np.random.default_rng(77)
+    for _ in range(5):
+        items = parse_vstream(random_window_stream(rng))
+        scheduled, before, after = schedule_stream(items, params)
+        assert before == simulate(run(None, items)[1], params)[1].total_cycles
+        assert after == simulate(run(None, scheduled)[1], params)[1].total_cycles
 
 
 def test_swapped_raw_pair_is_not_equivalent():
@@ -140,7 +152,7 @@ def test_directives_split_windows():
             ".xreg x10 0x2000\n"
             "vle64.v v2, (x10)\n")
     items = parse_vstream(text)
-    scheduled = schedule_stream(items, TimingParams())
+    scheduled, _, _ = schedule_stream(items, TimingParams())
     assert verify_equivalence(None, items, scheduled)
     ordered = [i.instr.vd for i in scheduled if i.kind == ItemKind.INSTRUCTION
                and i.instr.mnemonic == "vle64.v"]

@@ -4,16 +4,17 @@ import random
 import pytest
 
 from sdvkit.errors import SdvError
-from sdvkit.isa import Category
+from sdvkit.isa import Category, parse_instruction
 from sdvkit.timing import (CounterSet, Pipeline, TimelineEntry, TimingParams,
                            emit_timeline, occupancy, pipeline_of, simulate)
 from sdvkit.tracefile import TraceRecord
 
 
 def _rec(seq, mnemonic, category, vl=256, scalar=0, addresses=()):
+    instr = parse_instruction(mnemonic)
+    assert instr.category == category, mnemonic
     return TraceRecord(seq=seq, pc=4 * seq, phase=0, scalar_before=scalar,
-                       mnemonic_text=mnemonic, category=category, vl=vl,
-                       sew_bits=64, addresses=addresses)
+                       instr=instr, vl=vl, sew_bits=64, addresses=addresses)
 
 
 def test_occupancy_defaults():
@@ -167,13 +168,12 @@ def test_rate_monotonicity_random():
 
 def test_dependence_safety_random():
     rng = random.Random(5)
-    from sdvkit.isa import parse_instruction
     for _ in range(50):
         trace = _random_trace(rng)
         entries, _ = simulate(trace, TimingParams())
         writer = {}
         for rec, entry in zip(trace, entries):
-            instr = parse_instruction(rec.mnemonic_text)
+            instr = rec.instr
             for reg in instr.vreg_uses():
                 if reg in writer:
                     assert entry.start_cycle >= writer[reg]

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdvkit.errors import TraceFormatError
-from sdvkit.isa import Category
+from sdvkit.isa import Category, parse_instruction
 from sdvkit.tracefile import HEADER, TraceRecord, read_trace, write_trace
 
 
@@ -15,8 +15,8 @@ def test_empty_roundtrip():
 
 def test_single_record_roundtrip():
     record = TraceRecord(seq=0, pc=0x80000000, phase=2, scalar_before=17,
-                         mnemonic_text="vfadd.vv v1, v2, v3",
-                         category=Category.ARITH_FP, vl=256, sew_bits=64)
+                         instr=parse_instruction("vfadd.vv v1, v2, v3"),
+                         vl=256, sew_bits=64)
     text = write_trace([record])
     assert len(text.splitlines()) == 2
     assert read_trace(text) == [record]
@@ -24,13 +24,17 @@ def test_single_record_roundtrip():
 
 def test_memory_record_roundtrip():
     record = TraceRecord(seq=3, pc=0x1000, phase=0, scalar_before=0,
-                         mnemonic_text="vluxei64.v v1, (x10), v2",
-                         category=Category.MEM_INDEXED, vl=3, sew_bits=64,
+                         instr=parse_instruction("vluxei64.v v1, (x10), v2"),
+                         vl=3, sew_bits=64,
                          addresses=((0x1010, 8), (0x1000, 16)), window_id=7)
     assert read_trace(write_trace([record])) == [record]
 
 
-_categories = st.sampled_from(list(Category))
+# One instruction text per category, so every category column is exercised.
+_TEXTS = ["vsetvli x1, x2, e64, m1", "vle64.v v4, (x10)", "vlse64.v v5, (x11), x3",
+          "vsuxei64.v v8, (x16), v9", "vid.v v1", "vfadd.vv v1, v2, v3",
+          "vrgather.vv v6, v7, v2"]
+assert {parse_instruction(t).category for t in _TEXTS} == set(Category)
 _ranges = st.tuples(st.integers(0, 1 << 40), st.integers(0, 1 << 16))
 
 
@@ -44,10 +48,7 @@ def records(draw):
             pc=draw(st.integers(0, (1 << 64) - 1)),
             phase=draw(st.integers(0, 7)),
             scalar_before=draw(st.integers(0, 1000)),
-            mnemonic_text=draw(st.sampled_from(
-                ["vfadd.vv v1, v2, v3", "vle64.v v4, (x10)",
-                 "vsetvli x1, x2, e64, m1", "vsuxei64.v v8, (x16), v9"])),
-            category=draw(_categories),
+            instr=parse_instruction(draw(st.sampled_from(_TEXTS))),
             vl=draw(st.integers(0, 256)),
             sew_bits=64,
             addresses=tuple(draw(st.lists(_ranges, max_size=4))),
@@ -63,8 +64,8 @@ def test_roundtrip_property(recs):
 
 def test_rewrite_is_byte_identical():
     recs = [TraceRecord(seq=i, pc=4 * i, phase=0, scalar_before=0,
-                        mnemonic_text="vid.v v1", category=Category.ARITH_INT,
-                        vl=8, sew_bits=64) for i in range(50)]
+                        instr=parse_instruction("vid.v v1"), vl=8, sew_bits=64)
+            for i in range(50)]
     text = write_trace(recs)
     assert write_trace(read_trace(text)) == text
 
@@ -84,3 +85,17 @@ def test_bad_field_count():
 def test_bad_category():
     with pytest.raises(TraceFormatError):
         read_trace(HEADER + "\n0:0x0:0:0:8:64:NOPE:vid.v v1::0\n")
+
+
+# A mnemonic field that does not parse, one that is not canonical text, and
+# one that its category column contradicts.
+BAD_MNEMONIC_LINES = ["0:0x0:0:0:8:64:ARITH_INT:vfoo v1::0",
+                      "0:0x0:0:0:8:64:ARITH_INT:VID.V v1::0",
+                      "0:0x0:0:0:8:64:MEM_INDEXED:vid.v v1::0"]
+
+
+@pytest.mark.parametrize("line", BAD_MNEMONIC_LINES)
+def test_bad_mnemonic_field(line):
+    with pytest.raises(TraceFormatError) as excinfo:
+        read_trace(HEADER + "\n" + line + "\n")
+    assert excinfo.value.line == 2
