@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import EmptyTrace, PhaseSetMismatch
-from .timing import Pipeline, TimelineEntry, TimingParams, simulate
+from .timing import Pipeline, TimelineEntry
 from .tracefile import TraceRecord
 
 
@@ -31,14 +31,11 @@ class PhaseMetrics:
 
 
 def phase_metrics(trace: Sequence[TraceRecord],
-                  timeline: Optional[Sequence[TimelineEntry]] = None,
-                  params: Optional[TimingParams] = None) -> list[PhaseMetrics]:
+                  timeline: Optional[Sequence[TimelineEntry]] = None) -> list[PhaseMetrics]:
     """One entry per distinct phase id, in first-appearance order.  Cycle
-    metrics are filled when a timeline is supplied (or params to model one)."""
+    metrics are filled when the trace's modeled timeline is supplied."""
     if not trace:
         raise EmptyTrace("cannot analyze an empty trace")
-    if timeline is None and params is not None:
-        timeline, _ = simulate(trace, params)
 
     order: list[int] = []
     groups: dict[int, list[int]] = {}

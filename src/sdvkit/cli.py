@@ -14,6 +14,8 @@ Exit codes: 0 success, 1 domain error (bad input data, failed equivalence),
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -38,8 +40,12 @@ def _write_file(path: str, text: str) -> None:
     try:
         tmp.write_text(text)
         os.replace(tmp, target)
+    except OSError as err:
+        err.filename, err.filename2 = path, None  # name the output, not the temp file
+        raise
     finally:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # absent, or its parent is not a directory
+            tmp.unlink()
 
 
 def _write_manifest(output: str, entries: dict) -> None:
@@ -51,18 +57,6 @@ def _base_manifest(args, **extra) -> dict:
     entries = {"tool": f"sdvkit {__version__}", "command": args.command}
     entries.update(extra)
     return entries
-
-
-def _load_timing(args) -> TimingParams:
-    if getattr(args, "timing", None):
-        return load_timing_params(args.timing)
-    return TimingParams()
-
-
-def _load_config(args) -> MachineConfig:
-    if getattr(args, "config", None):
-        return load_machine_config(args.config)
-    return MachineConfig()
 
 
 def _cmd_gen(args) -> int:
@@ -80,7 +74,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_emulate(args) -> int:
-    config = _load_config(args)
+    config = load_machine_config(args.config)
     stream = Path(args.input).read_text()
     _, records = run(config, stream)
     _write_file(args.output, write_trace(records))
@@ -93,8 +87,8 @@ def _cmd_emulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     trace = read_trace(Path(args.input).read_text())
-    params = _load_timing(args) if args.timing else None
-    metrics = phase_metrics(trace, params=params)
+    timeline = simulate(trace, load_timing_params(args.timing))[0] if args.timing else None
+    metrics = phase_metrics(trace, timeline)
     text = metrics_to_csv(metrics) if args.csv else metrics_to_text(metrics)
     if args.output:
         _write_file(args.output, text)
@@ -113,9 +107,7 @@ def _cmd_to_prv(args) -> int:
         print(f"error: {args.output} is also the .pcf output", file=sys.stderr)
         return 2
     trace = read_trace(Path(args.input).read_text())
-    timeline = None
-    if args.timing:
-        timeline, _ = simulate(trace, load_timing_params(args.timing))
+    timeline = simulate(trace, load_timing_params(args.timing))[0] if args.timing else None
     doc = to_prv(trace, timeline)
     prv_text, pcf_text = emit_prv(doc)
     _write_file(args.output, prv_text)
@@ -129,7 +121,7 @@ def _cmd_to_prv(args) -> int:
 
 def _cmd_simulate(args) -> int:
     trace = read_trace(Path(args.input).read_text())
-    params = _load_timing(args)
+    params = load_timing_params(args.timing)
     entries, counters = simulate(trace, params)
     _write_file(args.output, emit_timeline(entries, "CSV"))
     outputs = {"output": args.output}
@@ -149,8 +141,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    config = _load_config(args)
-    params = _load_timing(args)
+    config = load_machine_config(args.config)
+    params = load_timing_params(args.timing)
     items = parse_vstream(Path(args.input).read_text())
     scheduled, cycles_before, cycles_after = schedule_stream(items, params, config)
     if not verify_equivalence(config, items, scheduled):
@@ -168,11 +160,11 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    params = _load_timing(args)
+    params = load_timing_params(args.timing)
     trace_a = read_trace(Path(args.input_a).read_text())
     trace_b = read_trace(Path(args.input_b).read_text())
-    report = compare(phase_metrics(trace_a, params=params),
-                     phase_metrics(trace_b, params=params))
+    report = compare(phase_metrics(trace_a, simulate(trace_a, params)[0]),
+                     phase_metrics(trace_b, simulate(trace_b, params)[0]))
     text = report.to_csv() if args.csv else report.to_text()
     if args.output:
         _write_file(args.output, text)
@@ -183,6 +175,14 @@ def _cmd_compare(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
+
+
+def _keys_help(what: str, cls) -> str:
+    return f"{what} file (keys: {', '.join(f.name for f in dataclasses.fields(cls))})"
+
+
+_MACHINE_HELP = _keys_help("machine config", MachineConfig)
+_TIMING_HELP = _keys_help("timing params", TimingParams)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     emu = sub.add_parser("emulate", help="run a stream, write the trace")
     emu.add_argument("input", help="input .vs stream")
     emu.add_argument("-o", "--output", required=True, help="output .trace path")
-    emu.add_argument("--config", help="machine config (key = value file)")
+    emu.add_argument("--config", help=_MACHINE_HELP)
     emu.set_defaults(func=_cmd_emulate)
 
     ana = sub.add_parser("analyze", help="per-phase metrics report")
     ana.add_argument("input", help="input .trace file")
-    ana.add_argument("--timing", help="timing params file (adds cycles/IPC)")
+    ana.add_argument("--timing", help=_TIMING_HELP + "; adds cycles/IPC")
     ana.add_argument("--csv", action="store_true",
                      help="CSV report (default: plain text)")
     ana.add_argument("-o", "--output", help="write report to a file")
@@ -225,13 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     prv = sub.add_parser("to-prv", help="export Paraver .prv/.pcf")
     prv.add_argument("input", help="input .trace file")
-    prv.add_argument("--timing", help="timing params: use modeled cycles as time")
+    prv.add_argument("--timing", help=_TIMING_HELP + "; modeled cycles become time")
     prv.add_argument("-o", "--output", required=True, help="output .prv path")
     prv.set_defaults(func=_cmd_to_prv)
 
     sim = sub.add_parser("simulate", help="cycle model: counters + timeline")
     sim.add_argument("input", help="input .trace file")
-    sim.add_argument("--timing", help="timing params file")
+    sim.add_argument("--timing", help=_TIMING_HELP)
     sim.add_argument("-o", "--output", required=True, help="timeline CSV path")
     sim.add_argument("--svg", help="also write an SVG timeline")
     sim.set_defaults(func=_cmd_simulate)
@@ -239,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     sch = sub.add_parser("schedule", help="reschedule windows to overlap pipelines")
     sch.add_argument("input", help="input .vs stream")
     sch.add_argument("-o", "--output", required=True, help="output .vs path")
-    sch.add_argument("--timing", help="timing params file")
-    sch.add_argument("--config", help="machine config file")
+    sch.add_argument("--timing", help=_TIMING_HELP)
+    sch.add_argument("--config", help=_MACHINE_HELP)
     sch.set_defaults(func=_cmd_schedule)
 
     cmp_p = sub.add_parser("compare", help="A/B report between two traces")
     cmp_p.add_argument("input_a", help="baseline .trace")
     cmp_p.add_argument("input_b", help="candidate .trace")
-    cmp_p.add_argument("--timing", help="timing params file")
+    cmp_p.add_argument("--timing", help=_TIMING_HELP)
     cmp_p.add_argument("--csv", action="store_true", help="CSV report")
     cmp_p.add_argument("-o", "--output", help="write report to a file")
     cmp_p.set_defaults(func=_cmd_compare)
@@ -258,11 +258,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
-        print(f"error: no such file: {err.filename}", file=sys.stderr)
-        return 2
-    except IsADirectoryError as err:
-        print(f"error: is a directory: {err.filename}", file=sys.stderr)
+    except OSError as err:
+        reason = (err.strerror or "I/O error").lower()
+        print(f"error: {reason}: {err.filename}", file=sys.stderr)
         return 2
     except SdvError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,9 +1,20 @@
-"""Machine configuration and the key=value config-file loaders."""
+"""Machine configuration and the strict key = value config-file loader.
+
+Both file kinds share one syntax (``key = value`` lines, ``#`` comments,
+ignored ``[section]`` headers) and take only the fields of their dataclass;
+unset keys keep their defaults.  A machine file (``--config``) takes the
+`MachineConfig` keys ``vlen_bits`` and ``memory_bytes``.  A timing file
+(``--timing``) takes the `TimingParams` keys: the four ``*_elems_per_cycle``
+rates, ``mem_latency_cycles``, ``arith_latency_cycles``,
+``scalar_cycles_per_instr``, ``vector_queue_depth`` and ``chaining``.  An
+unknown key, a value that is not of its field's type (integer; boolean for
+``chaining``) or outside its field's domain raises an `SdvError`.
+"""
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import SdvError
@@ -21,28 +32,16 @@ class Vtype:
 @dataclass
 class MachineConfig:
     vlen_bits: int = 16384
-    lanes: int = 8
-    elen_bits: int = 64
     memory_bytes: int = 2 ** 28
-    timing: TimingParams = field(default_factory=TimingParams)
 
     def __post_init__(self):
         if self.vlen_bits < 128 or self.vlen_bits & (self.vlen_bits - 1):
             raise ValueError("vlen_bits must be a power of two >= 128")
-        if self.elen_bits not in (32, 64):
-            raise ValueError("elen_bits must be 32 or 64")
-        regs_elems = self.vlen_bits // self.elen_bits
-        if self.lanes < 1 or regs_elems % self.lanes:
-            raise ValueError("lanes must divide vlen_bits/elen_bits")
         if self.memory_bytes < 1:
             raise ValueError("memory_bytes must be positive")
 
     def vlmax(self, sew_bits: int = 64, lmul: int = 1) -> int:
         return (self.vlen_bits // sew_bits) * lmul
-
-
-_TIMING_KEYS = {f.name for f in dataclasses.fields(TimingParams)}
-_MACHINE_KEYS = {"vlen_bits", "lanes", "elen_bits", "memory_bytes"}
 
 
 def _parse_kv(text: str) -> dict[str, str]:
@@ -58,42 +57,40 @@ def _parse_kv(text: str) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, value: str):
-    if key == "chaining":
-        lowered = value.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise SdvError(f"config key {key}: expected boolean, got {value!r}")
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def _coerce(key: str, value: str, kind: type):
     try:
-        return int(value, 0)
-    except ValueError:
-        raise SdvError(f"config key {key}: expected integer, got {value!r}") from None
+        return _BOOLEANS[value.lower()] if kind is bool else int(value, 0)
+    except (KeyError, ValueError):
+        expected = "boolean" if kind is bool else "integer"
+        raise SdvError(f"config key {key}: expected {expected}, got {value!r}") from None
 
 
-def load_timing_params(path: str | Path) -> TimingParams:
-    """Load timing parameters from a key=value file; unset keys keep defaults."""
-    values = _parse_kv(Path(path).read_text())
+def _load(path: str | Path | None, cls: type, kind: str):
+    """Build `cls` from the file's keys, each coerced by its field's type;
+    no file gives the defaults."""
+    if not path:
+        return cls()
+    types = typing.get_type_hints(cls)
     kwargs = {}
-    for key, value in values.items():
-        if key in _TIMING_KEYS:
-            kwargs[key] = _coerce(key, value)
-        elif key not in _MACHINE_KEYS:
-            raise SdvError(f"unknown timing parameter {key!r}")
-    return TimingParams(**kwargs)
+    for key, value in _parse_kv(Path(path).read_text()).items():
+        if key not in types:
+            raise SdvError(f"unknown {kind} parameter {key!r}")
+        kwargs[key] = _coerce(key, value, types[key])
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise SdvError(f"{path}: {err}") from None
 
 
-def load_machine_config(path: str | Path) -> MachineConfig:
-    """Load a machine configuration; timing keys may live in the same file."""
-    values = _parse_kv(Path(path).read_text())
-    machine_kwargs = {}
-    timing_kwargs = {}
-    for key, value in values.items():
-        if key in _MACHINE_KEYS:
-            machine_kwargs[key] = _coerce(key, value)
-        elif key in _TIMING_KEYS:
-            timing_kwargs[key] = _coerce(key, value)
-        else:
-            raise SdvError(f"unknown machine parameter {key!r}")
-    return MachineConfig(timing=TimingParams(**timing_kwargs), **machine_kwargs)
+def load_timing_params(path: str | Path | None) -> TimingParams:
+    """Load timing parameters from a key = value file."""
+    return _load(path, TimingParams, "timing")
+
+
+def load_machine_config(path: str | Path | None) -> MachineConfig:
+    """Load a machine configuration from a key = value file."""
+    return _load(path, MachineConfig, "machine")

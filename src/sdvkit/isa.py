@@ -193,12 +193,13 @@ class Instruction:
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _parse_reg(token: str, prefix: str, line: str) -> int:
-    column = line.find(token)
+def parse_register(token: str, prefix: str, column: int = 0) -> int:
+    """Register id of a ``<prefix><n>`` token: n in ASCII digits, below 32."""
     t = token.strip().lower()
-    if not t.startswith(prefix) or not t[len(prefix):].isdigit():
+    digits = t[len(prefix):]
+    if not t.startswith(prefix) or not (digits.isascii() and digits.isdigit()):
         raise AsmSyntaxError(f"expected {prefix}-register, got {token!r}", column)
-    num = int(t[len(prefix):])
+    num = int(digits)
     if num >= 32:
         raise AsmSyntaxError(f"register id out of range: {token!r}", column)
     return num
@@ -259,13 +260,13 @@ def parse_instruction(text: str) -> Instruction:
             mt = token.strip()
             if not (mt.startswith("(") and mt.endswith(")")):
                 raise AsmSyntaxError(f"expected (x<base>), got {token!r}", line.find(token))
-            fields["rs1"] = _parse_reg(mt[1:-1], "x", line)
+            fields["rs1"] = parse_register(mt[1:-1], "x", line.find(mt[1:-1]))
         elif role in ("vd", "vs1", "vs2", "vs3"):
-            fields[role] = _parse_reg(token, "v", line)
+            fields[role] = parse_register(token, "v", line.find(token))
         elif role in ("rd", "rs1", "rs2"):
-            fields[role] = _parse_reg(token, "x", line)
+            fields[role] = parse_register(token, "x", line.find(token))
         elif role == "fs1":
-            fields["fs1"] = _parse_reg(token, "f", line)
+            fields["fs1"] = parse_register(token, "f", line.find(token))
         elif role == "uimm":
             t = token.strip().lower()
             try:

@@ -72,7 +72,7 @@ def read_trace(text: str) -> list[TraceRecord]:
         if instr is None:
             try:
                 instr = parse_instruction(parts[7])
-            except (SdvError, ValueError) as err:
+            except SdvError as err:
                 raise TraceFormatError(str(err), line_no) from err
             if disassemble(instr) != parts[7]:
                 raise TraceFormatError(f"mnemonic field {parts[7]!r} is not canonical "
@@ -97,6 +97,8 @@ def read_trace(text: str) -> list[TraceRecord]:
             window = int(parts[9])
         except ValueError as err:
             raise TraceFormatError(str(err), line_no) from err
+        if min(seq, pc, phase, scalar_before, vl, sew, window) < 0:
+            raise TraceFormatError("negative numeric field", line_no)
         records.append(TraceRecord(seq, pc, phase, scalar_before, instr, vl, sew,
                                    tuple(addresses), window))
     return records

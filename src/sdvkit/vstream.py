@@ -27,9 +27,9 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (MalformedNumber, SdvError, StreamSyntaxError,
-                     UnknownDirective)
-from .isa import Instruction, disassemble, parse_instruction
+from .errors import (AsmSyntaxError, MalformedNumber, SdvError,
+                     StreamSyntaxError, UnknownDirective)
+from .isa import Instruction, disassemble, parse_instruction, parse_register
 
 
 class ItemKind(enum.Enum):
@@ -72,6 +72,13 @@ def _int_token(token: str, line_no: int) -> int:
         raise MalformedNumber(f"bad integer {token!r}", line_no) from None
 
 
+def _uint_token(token: str, bits: int, line_no: int) -> int:
+    value = _int_token(token, line_no)
+    if not 0 <= value < 1 << bits:
+        raise MalformedNumber(f"{token!r} outside [0, 2^{bits})", line_no)
+    return value
+
+
 def _float_token(token: str, line_no: int) -> float:
     try:
         return float(token)
@@ -80,10 +87,10 @@ def _float_token(token: str, line_no: int) -> float:
 
 
 def _reg_token(token: str, prefix: str, line_no: int) -> int:
-    t = token.lower()
-    if not t.startswith(prefix) or not t[len(prefix):].isdigit() or int(t[len(prefix):]) >= 32:
-        raise StreamSyntaxError(f"bad register {token!r}", line_no)
-    return int(t[len(prefix):])
+    try:
+        return parse_register(token, prefix)
+    except AsmSyntaxError:
+        raise StreamSyntaxError(f"bad register {token!r}", line_no) from None
 
 
 def parse_vstream(text: str) -> list[StreamItem]:
@@ -104,25 +111,23 @@ def parse_vstream(text: str) -> list[StreamItem]:
             if directive == ".pc":
                 if len(args) != 1:
                     raise StreamSyntaxError(".pc takes one address", line_no)
-                pc = _int_token(args[0], line_no)
+                pc = _uint_token(args[0], 64, line_no)
             elif directive == ".phase":
                 if len(args) != 1:
                     raise StreamSyntaxError(".phase takes one id", line_no)
-                phase = _int_token(args[0], line_no)
+                phase = _uint_token(args[0], 32, line_no)
                 items.append(StreamItem(ItemKind.PHASE_MARK, pc, phase, window,
                                         ivalue=phase))
             elif directive == ".window":
                 if len(args) != 1:
                     raise StreamSyntaxError(".window takes one id", line_no)
-                window = _int_token(args[0], line_no)
+                window = _uint_token(args[0], 32, line_no)
                 items.append(StreamItem(ItemKind.WINDOW_MARK, pc, phase, window,
                                         ivalue=window))
             elif directive == ".scalar":
                 if len(args) != 1:
                     raise StreamSyntaxError(".scalar takes one count", line_no)
-                pending_scalar = _int_token(args[0], line_no)
-                if pending_scalar < 0:
-                    raise StreamSyntaxError("scalar count must be >= 0", line_no)
+                pending_scalar = _uint_token(args[0], 32, line_no)
             elif directive == ".xreg":
                 if len(args) != 2:
                     raise StreamSyntaxError(".xreg takes register and value", line_no)
@@ -139,14 +144,14 @@ def parse_vstream(text: str) -> list[StreamItem]:
             elif directive == ".memf64":
                 if len(args) < 2:
                     raise StreamSyntaxError(".memf64 takes address and values", line_no)
-                addr = _int_token(args[0], line_no)
+                addr = _uint_token(args[0], 64, line_no)
                 values = tuple(_float_token(a, line_no) for a in args[1:])
                 items.append(StreamItem(ItemKind.INIT_MEM_F64, pc, phase, window,
                                         address=addr, fvalues=values))
             elif directive == ".memu64":
                 if len(args) < 2:
                     raise StreamSyntaxError(".memu64 takes address and values", line_no)
-                addr = _int_token(args[0], line_no)
+                addr = _uint_token(args[0], 64, line_no)
                 values = tuple(_int_token(a, line_no) & _U64_MASK for a in args[1:])
                 items.append(StreamItem(ItemKind.INIT_MEM_U64, pc, phase, window,
                                         address=addr, uvalues=values))

@@ -29,7 +29,7 @@ with each other and match the brute-force DFT oracle to rounding error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,7 +64,6 @@ class FftPlan:
     seed: int = 0
     input_re: Optional[np.ndarray] = None
     input_im: Optional[np.ndarray] = None
-    layout: FftLayout = field(default_factory=FftLayout)
 
     def __post_init__(self):
         if self.n < 64 or self.n > 1 << 16 or self.n & (self.n - 1):
@@ -297,7 +296,7 @@ def gen_fft(plan: FftPlan):
     """
     n = plan.n
     t = n.bit_length() - 1
-    layout = plan.layout
+    layout = FftLayout()
     rng = np.random.default_rng(plan.seed)
     re = plan.input_re if plan.input_re is not None else rng.uniform(-1.0, 1.0, n)
     im = plan.input_im if plan.input_im is not None else rng.uniform(-1.0, 1.0, n)

@@ -5,7 +5,7 @@ from sdvkit.analysis import (compare, metrics_to_csv, metrics_to_text,
 from sdvkit.errors import EmptyTrace, PhaseSetMismatch
 from sdvkit.isa import Category, parse_instruction
 from sdvkit.prv import TYPE_VL, EventRecord, to_prv
-from sdvkit.timing import TimingParams
+from sdvkit.timing import TimingParams, simulate
 from sdvkit.tracefile import TraceRecord, read_trace, write_trace
 
 
@@ -46,7 +46,7 @@ def test_cycle_metrics_with_params():
     trace = [_rec(0, phase=0, vl=256, category=Category.MEM_UNIT,
                   mnemonic="vle64.v v1, (x10)"),
              _rec(1, phase=0, vl=256)]
-    metrics = phase_metrics(trace, params=TimingParams())
+    metrics = phase_metrics(trace, simulate(trace, TimingParams())[0])
     assert metrics[0].modeled_cycles is not None
     assert metrics[0].ipc is not None
     assert 0.0 <= metrics[0].mem_inflight_fraction <= 1.0
@@ -80,7 +80,7 @@ def test_pc_profile_series():
 
 def test_compare_self_is_fixed_point():
     trace = [_rec(0, phase=0, vl=8), _rec(1, phase=1, vl=16)]
-    metrics = phase_metrics(trace, params=TimingParams())
+    metrics = phase_metrics(trace, simulate(trace, TimingParams())[0])
     report = compare(metrics, metrics)
     for delta in report.phases:
         assert delta.delta_cycles == 0
@@ -96,11 +96,11 @@ def test_compare_flags_direction():
     fast = [_rec(i, phase=0, vl=256, category=Category.MEM_UNIT,
                  mnemonic="vle64.v v1, (x10)") for i in range(4)]
     params = TimingParams()
-    report = compare(phase_metrics(slow, params=params),
-                     phase_metrics(fast, params=params))
+    report = compare(phase_metrics(slow, simulate(slow, params)[0]),
+                     phase_metrics(fast, simulate(fast, params)[0]))
     assert report.phases[0].flag == "IMPROVEMENT"
-    report = compare(phase_metrics(fast, params=params),
-                     phase_metrics(slow, params=params))
+    report = compare(phase_metrics(fast, simulate(fast, params)[0]),
+                     phase_metrics(slow, simulate(slow, params)[0]))
     assert report.phases[0].flag == "REGRESSION"
 
 
@@ -128,7 +128,7 @@ def test_avg_vl_invariant_under_prv_export():
 
 def test_report_renderings():
     trace = [_rec(0, phase=0), _rec(1, phase=1)]
-    metrics = phase_metrics(trace, params=TimingParams())
+    metrics = phase_metrics(trace, simulate(trace, TimingParams())[0])
     text = metrics_to_text(metrics)
     csv = metrics_to_csv(metrics)
     assert len(text.splitlines()) == 3

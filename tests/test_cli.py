@@ -132,6 +132,34 @@ def test_failed_write_leaves_no_temp_file(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_output_under_a_file_is_exit_2(tmp_path, capsys):
+    vs = tmp_path / "a.vs"
+    run_cli("gen", "axpy", "--n", 64, "-o", vs)
+    out = vs / "x.trace"
+    assert run_cli("emulate", vs, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(f": {out}")
+
+
+def test_output_that_is_a_directory_is_named(tmp_path, capsys):
+    vs, out = tmp_path / "a.vs", tmp_path / "out"
+    run_cli("gen", "axpy", "--n", 64, "-o", vs)
+    out.mkdir()
+    capsys.readouterr()
+    assert run_cli("emulate", vs, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f": {out}")
+    assert ".tmp" not in err
+
+
+@pytest.mark.parametrize("line", ["vid.v v\u00b2", ".xreg x\u00b2 1"])
+def test_non_ascii_register_digit_is_exit_1(tmp_path, capsys, line):
+    bad = tmp_path / "bad.vs"
+    bad.write_text(f"vid.v v1\n{line}\n")
+    assert run_cli("emulate", bad, "-o", tmp_path / "x.trace") == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 @pytest.mark.parametrize("command", ["to-prv", "simulate", "analyze"])
 @pytest.mark.parametrize("line", BAD_MNEMONIC_LINES)
 def test_bad_mnemonic_field_is_exit_1(tmp_path, capsys, command, line):
@@ -146,7 +174,7 @@ def test_config_file_is_honored(tmp_path):
     vs, trace = tmp_path / "a.vs", tmp_path / "a.trace"
     run_cli("gen", "axpy", "--n", 300, "-o", vs)
     machine = tmp_path / "m.ini"
-    machine.write_text("vlen_bits = 1024\nlanes = 8\n")  # VLMAX = 16
+    machine.write_text("vlen_bits = 1024\n")  # VLMAX = 16
     assert run_cli("emulate", vs, "-o", trace, "--config", machine) == 0
     body = trace.read_text()
     assert ":16:64:" in body  # strips clamp to the smaller VLMAX

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdvkit.errors import AsmSyntaxError, UnsupportedMnemonic
+from sdvkit.errors import AsmSyntaxError, SdvError, UnsupportedMnemonic
 from sdvkit.isa import (MNEMONICS, Category, Instruction, category_of,
                         disassemble, parse_instruction, signature_of)
 
@@ -64,10 +64,35 @@ def test_parse_unknown_mnemonic():
     "vsll.vi v1, v2, banana",
     "vadd.vv v1, v2, v99",        # register id out of range
     "vsetvli x1, x2, e63, m1",    # bad width token
+    "vid.v v\u00b2",               # superscript two is a digit, but not ASCII
+    "vle64.v v1, (x\u0661)",       # so is ARABIC-INDIC DIGIT ONE
 ])
 def test_parse_errors(text):
     with pytest.raises(AsmSyntaxError):
         parse_instruction(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text())
+def test_arbitrary_text_parses_or_raises_sdv_error(text):
+    try:
+        parse_instruction(text)
+    except SdvError:
+        pass
+
+
+# Register-like operands whose digits may come from any script.
+operand = st.tuples(st.sampled_from(["v", "x", "f", "e", "m", ""]),
+                    st.text(st.characters(categories=["Nd", "No"]), max_size=2)).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(MNEMONICS), st.lists(operand, max_size=4))
+def test_arbitrary_operands_parse_or_raise_sdv_error(mnemonic, operands):
+    try:
+        parse_instruction(f"{mnemonic} {', '.join(operands)}")
+    except SdvError:
+        pass
 
 
 def test_syntax_error_carries_column():

@@ -87,6 +87,15 @@ def test_bad_category():
         read_trace(HEADER + "\n0:0x0:0:0:8:64:NOPE:vid.v v1::0\n")
 
 
+@pytest.mark.parametrize("line", ["0:-0x4:0:0:8:64:ARITH_INT:vid.v v1::0",
+                                  "0:0x0:-3:0:8:64:ARITH_INT:vid.v v1::0",
+                                  "0:0x0:0:0:8:64:ARITH_INT:vid.v v1::-1"])
+def test_negative_field(line):
+    with pytest.raises(TraceFormatError) as excinfo:
+        read_trace(HEADER + "\n" + line + "\n")
+    assert excinfo.value.line == 2
+
+
 # A mnemonic field that does not parse, one that is not canonical text, and
 # one that its category column contradicts.
 BAD_MNEMONIC_LINES = ["0:0x0:0:0:8:64:ARITH_INT:vfoo v1::0",

@@ -59,6 +59,31 @@ def test_malformed_number():
         parse_vstream(".freg f1 not-a-float\n")
 
 
+@pytest.mark.parametrize("line", [
+    ".pc -4", ".pc 0x10000000000000000", ".phase -3", ".phase 4294967296",
+    ".window -1", ".window 4294967296", ".scalar -1", ".scalar 0x100000000",
+    ".memf64 -8 1.0", ".memu64 0x10000000000000000 1",
+])
+def test_out_of_domain_value_is_malformed(line):
+    with pytest.raises(MalformedNumber) as excinfo:
+        parse_vstream(f"vid.v v1\n{line}\nvid.v v2\n")
+    assert excinfo.value.line == 2
+
+
+def test_domain_edges_roundtrip():
+    text = ".pc 0xfffffffffffffff8\n.phase 4294967295\n.window 4294967295\n" \
+           ".scalar 4294967295\nvid.v v1\n"
+    items = parse_vstream(text)
+    assert parse_vstream(write_vstream(items)) == items
+
+
+@pytest.mark.parametrize("line", ["vid.v v\u00b2", ".xreg x\u00b2 1", ".freg f\u0661 1.0"])
+def test_non_ascii_register_digits(line):
+    with pytest.raises(StreamSyntaxError) as excinfo:
+        parse_vstream(f"vid.v v1\n{line}\n")
+    assert excinfo.value.line == 2
+
+
 def test_instruction_error_carries_line():
     with pytest.raises(StreamSyntaxError) as excinfo:
         parse_vstream("vid.v v1\nvid.v v2\nvbroken v3\n")
