@@ -66,17 +66,31 @@ class PrvDocument:
     def __post_init__(self):
         last_event_time = 0
         for record in self.records:
+            error = _domain_error(record, self.duration, last_event_time)
+            if error:
+                raise SdvError(error)
             if isinstance(record, EventRecord):
-                if not 0 <= record.time <= self.duration:
-                    raise SdvError(f"event time {record.time} outside [0, {self.duration}]")
-                if record.time < last_event_time:
-                    raise SdvError("event times must be non-decreasing in file order")
                 last_event_time = record.time
-            elif isinstance(record, StateRecord):
-                if not 0 <= record.begin <= record.end <= self.duration:
-                    raise SdvError("state record outside [0, duration]")
-            else:
-                raise SdvError(f"unknown record {record!r}")
+
+
+def _domain_error(record, duration: int, last_event_time: int) -> Optional[str]:
+    """Why `record` cannot follow an event at `last_event_time` in a document
+    of this duration, or None when it can."""
+    if isinstance(record, EventRecord):
+        if not 0 <= record.time <= duration:
+            return f"event time {record.time} outside [0, {duration}]"
+        if record.time < last_event_time:
+            return "event times must be non-decreasing in file order"
+        if record.etype < 0 or record.value < 0:
+            return f"negative event type or value {record.etype}:{record.value}"
+    elif isinstance(record, StateRecord):
+        if not 0 <= record.begin <= record.end <= duration:
+            return f"state record [{record.begin}, {record.end}] outside [0, {duration}]"
+        if record.state < 0:
+            return f"negative state {record.state}"
+    else:
+        return f"unknown record {record!r}"
+    return None
 
 
 def to_prv(trace: Sequence[TraceRecord],
@@ -120,8 +134,12 @@ def parse_prv(text: str) -> PrvDocument:
     header = _HEADER_RE.match(lines[0])
     if header is None:
         raise PrvFormatError(f"bad header {lines[0]!r}", 1)
-    duration = int(header.group(1))
+    try:
+        duration = int(header.group(1))
+    except ValueError as err:
+        raise PrvFormatError(str(err), 1) from err
     records: list[Union[EventRecord, StateRecord]] = []
+    last_event_time = 0
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
             continue
@@ -131,17 +149,24 @@ def parse_prv(text: str) -> PrvDocument:
             if kind == 1:
                 if len(parts) != 8:
                     raise ValueError("state record needs 8 fields")
-                records.append(StateRecord(int(parts[5]), int(parts[6]), int(parts[7])))
+                line_records = [StateRecord(int(parts[5]), int(parts[6]), int(parts[7]))]
             elif kind == 2:
                 if len(parts) < 8 or len(parts) % 2 != 0:
                     raise ValueError("event record needs time plus type:value pairs")
                 time = int(parts[5])
-                for i in range(6, len(parts), 2):
-                    records.append(EventRecord(time, int(parts[i]), int(parts[i + 1])))
+                line_records = [EventRecord(time, int(parts[i]), int(parts[i + 1]))
+                                for i in range(6, len(parts), 2)]
             else:
                 raise ValueError(f"unsupported record kind {kind}")
         except (ValueError, IndexError) as err:
             raise PrvFormatError(str(err), line_no) from err
+        for record in line_records:
+            error = _domain_error(record, duration, last_event_time)
+            if error:
+                raise PrvFormatError(error, line_no)
+        if kind == 2:
+            last_event_time = time
+        records.extend(line_records)
     return PrvDocument(duration=duration, records=records)
 
 

@@ -6,7 +6,8 @@ Model rules, all deliberately simple and in-order:
 * The scalar core spends ``scalar_before * scalar_cycles_per_instr`` cycles
   before dispatching each vector instruction, runs ahead of the vector unit,
   and stalls when ``vector_queue_depth`` dispatched instructions are still
-  incomplete.
+  incomplete: dispatch waits for the ``vector_queue_depth``-th latest
+  completion so far.
 * Dispatch is in order, one instruction per cycle at most.
 * The vector unit is single-issue and strictly in order: instruction i begins
   execution after instruction i-1 has begun, so a stalled instruction blocks
@@ -149,7 +150,8 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
     pipe_free = {p: 0 for p in Pipeline}
     writers: dict[int, _Producer] = {}
     reader_complete: dict[int, int] = {}
-    completes: list[int] = []
+    depth = params.vector_queue_depth
+    completes: list[int] = []  # min-heap of the `depth` latest completions
 
     scalar_total = 0
     for rec in trace:
@@ -158,10 +160,9 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
         scalar_total += rec.scalar_before
         scalar_time += rec.scalar_before * params.scalar_cycles_per_instr
         issue = max(scalar_time, last_issue + 1)
-        if len(completes) >= params.vector_queue_depth:
+        if len(completes) == depth:
             # dispatch waits until fewer than depth instructions are in flight
-            kth_largest = heapq.nlargest(params.vector_queue_depth, completes)[-1]
-            issue = max(issue, kth_largest)
+            issue = max(issue, completes[0])
 
         occ = occupancy(rec, params)
         latency = params.latency_of(pipe)
@@ -190,7 +191,10 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
         for reg in instr.vreg_defs():
             writers[reg] = _Producer(start, occ, latency, complete)
             reader_complete[reg] = 0
-        completes.append(complete)
+        if len(completes) < depth:
+            heapq.heappush(completes, complete)
+        elif complete > completes[0]:
+            heapq.heapreplace(completes, complete)
         last_issue = issue
         last_start = start
         scalar_time = issue + 1

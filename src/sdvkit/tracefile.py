@@ -4,7 +4,7 @@ Header line ``#sdvkit-trace v1``, then::
 
     seq:pc:phase:scalar_before:vl:sew:category:mnemonic_text:addr_ranges:window
 
-with pc in hex, addr_ranges as comma-separated ``base+length`` hex pairs
+with pc in hex (a u64), addr_ranges as comma-separated ``base+length`` hex pairs
 (empty for non-memory instructions).  The mnemonic field is the instruction's
 canonical ``disassemble`` text; the category column is derived from its
 mnemonic, and reading checks both, so a record carries one instruction and
@@ -99,6 +99,8 @@ def read_trace(text: str) -> list[TraceRecord]:
             raise TraceFormatError(str(err), line_no) from err
         if min(seq, pc, phase, scalar_before, vl, sew, window) < 0:
             raise TraceFormatError("negative numeric field", line_no)
+        if pc >= 1 << 64:
+            raise TraceFormatError(f"pc 0x{pc:x} outside [0, 2^64)", line_no)
         records.append(TraceRecord(seq, pc, phase, scalar_before, instr, vl, sew,
                                    tuple(addresses), window))
     return records

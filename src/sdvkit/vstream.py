@@ -8,7 +8,7 @@ produced them is outside the model.
 
 Directives::
 
-    .pc <addr>          program counter of the next instruction (+4 after each)
+    .pc <addr>          program counter of the next instruction (+4 mod 2^64 after each)
     .phase <u32>        phase id, persists until the next .phase
     .window <u32>       scheduling-window id, persists until the next .window
     .scalar <u32>       scalar instructions retired before the next instruction
@@ -168,7 +168,7 @@ def parse_vstream(text: str) -> list[StreamItem]:
         items.append(StreamItem(ItemKind.INSTRUCTION, pc, phase, window,
                                 scalar_before=pending_scalar, instr=instr))
         pending_scalar = 0
-        pc += 4
+        pc = (pc + 4) & _U64_MASK
     return items
 
 
@@ -219,7 +219,7 @@ def write_vstream(items: list[StreamItem]) -> str:
             if item.scalar_before:
                 lines.append(f".scalar {item.scalar_before}")
             lines.append(disassemble(item.instr))
-            pc = item.pc + 4
+            pc = (item.pc + 4) & _U64_MASK
         else:  # pragma: no cover
             raise AssertionError(item.kind)
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdvkit.errors import EmptyTrace, PrvFormatError, SdvError
 from sdvkit.isa import Category, parse_instruction
@@ -137,6 +139,53 @@ def test_parse_errors():
     with pytest.raises(PrvFormatError) as excinfo:
         parse_prv(prv + "2:1:1:1:1:3:9\n")  # dangling type without value
     assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize("line", [
+    "2:0:1:1:1:-5:1000:1",         # event before time 0
+    "2:0:1:1:1:50:1000:1",         # event after the duration
+    "2:0:1:1:1:5:-1000:1",         # negative event type
+    "2:0:1:1:1:5:1000:-1",         # negative event value
+    "2:0:1:1:1:5:1000:1:-7:2",     # negative type in a later pair
+    "2:0:1:1:1:1:1000:1",          # time goes backwards
+    "1:0:1:1:1:-1:5:1",            # state begins before time 0
+    "1:0:1:1:1:2:11:1",            # state ends after the duration
+    "1:0:1:1:1:6:4:1",             # state ends before it begins
+    "1:0:1:1:1:2:4:-1",            # negative state
+])
+def test_out_of_domain_record_carries_line(line):
+    text = "#Paraver (01/01/00 at 00:00):10_ns:1(1):1:1(1:1)\n2:1:1:1:1:3:1000:1\n"
+    with pytest.raises(PrvFormatError) as excinfo:
+        parse_prv(text + line + "\n")
+    assert excinfo.value.line == 3
+
+
+def test_header_duration_too_long_for_int():
+    with pytest.raises(PrvFormatError) as excinfo:
+        parse_prv("#Paraver ():" + "9" * 5000 + "_ns:1(1):1:1(1:1)\n")
+    assert excinfo.value.line == 1
+
+
+# A record line: a kind, then 4 to 9 small integers, some out of domain.
+_PRV_LINE = st.tuples(st.sampled_from(["1", "2", "3", "x"]),
+                      st.lists(st.integers(-5, 40).map(str), min_size=4, max_size=9)).map(
+    lambda t: ":".join([t[0], *t[1]]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.text(),
+    st.tuples(st.sampled_from(["#Paraver (01/01/00 at 00:00):30_ns:1(1):1:1(1:1)",
+                               "#Paraver ():0_ns:1(1):1:1(1:1)", "#Paraver"]),
+              st.lists(st.one_of(_PRV_LINE, st.text(max_size=12)), max_size=8))
+    .map(lambda t: "\n".join([t[0], *t[1]]))))
+def test_parse_prv_returns_or_raises_prv_format_error(text):
+    try:
+        doc = parse_prv(text)
+    except PrvFormatError:
+        return
+    prv, _ = emit_prv(doc)
+    assert parse_prv(prv) == doc
 
 
 def test_timeline_length_mismatch():

@@ -1,12 +1,17 @@
 import dataclasses
+import heapq
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdvkit.errors import SdvError
 from sdvkit.isa import Category, parse_instruction
 from sdvkit.timing import (CounterSet, Pipeline, TimelineEntry, TimingParams,
-                           emit_timeline, occupancy, pipeline_of, simulate)
+                           _derive_counters, emit_timeline, occupancy, pipeline_of,
+                           simulate)
 from sdvkit.tracefile import TraceRecord
 
 
@@ -179,6 +184,120 @@ def test_dependence_safety_random():
                     assert entry.start_cycle >= writer[reg]
             for reg in instr.vreg_defs():
                 writer[reg] = entry.complete_cycle
+
+
+def _simulate_nlargest(trace, params):
+    """Test-only oracle for `simulate`: the same model, with the queue bound
+    taken by `heapq.nlargest` as the depth-th largest of every completion so
+    far, at O(n) per record."""
+    entries = []
+    scalar_time = scalar_total = 0
+    last_issue = last_start = -1
+    pipe_free = {p: 0 for p in Pipeline}
+    writers = {}  # reg -> (start, occupancy, latency, complete)
+    reader_complete = {}
+    completes = []
+    for rec in trace:
+        instr = rec.instr
+        pipe = pipeline_of(instr.category)
+        scalar_total += rec.scalar_before
+        scalar_time += rec.scalar_before * params.scalar_cycles_per_instr
+        issue = max(scalar_time, last_issue + 1)
+        if len(completes) >= params.vector_queue_depth:
+            issue = max(issue, heapq.nlargest(params.vector_queue_depth, completes)[-1])
+        occ = occupancy(rec, params)
+        latency = params.latency_of(pipe)
+        start = max(issue, last_start + 1, pipe_free[pipe])
+        for reg in instr.vreg_uses():
+            if reg in writers:
+                p_start, p_occ, p_latency, p_complete = writers[reg]
+                if params.chaining:
+                    start = max(start, p_start + p_latency + max(1, p_occ - occ))
+                else:
+                    start = max(start, p_complete)
+        for reg in instr.vreg_defs():
+            if reg in writers:
+                start = max(start, writers[reg][3])
+            start = max(start, reader_complete.get(reg, 0))
+        complete = start + occ + latency
+        entries.append(TimelineEntry(rec.seq, pipe, issue, start, complete,
+                                     instr.mnemonic))
+        pipe_free[pipe] = complete
+        for reg in instr.vreg_uses():
+            reader_complete[reg] = max(reader_complete.get(reg, 0), complete)
+        for reg in instr.vreg_defs():
+            writers[reg] = (start, occ, latency, complete)
+            reader_complete[reg] = 0
+        completes.append(complete)
+        last_issue, last_start = issue, start
+        scalar_time = issue + 1
+    return entries, _derive_counters(entries, scalar_total)
+
+
+# Two texts per category (a load and a store for memory), over registers
+# v1..v4, so hazards of every kind are common.
+_ORACLE_TEXTS = ["vsetvli x1, x2, e64, m1", "vsetvl x1, x2, x3",
+                 "vle64.v v{d}, (x10)", "vse64.v v{a}, (x10)",
+                 "vlse64.v v{d}, (x10), x2", "vsse64.v v{a}, (x10), x2",
+                 "vluxei64.v v{d}, (x10), v{a}", "vsuxei64.v v{a}, (x10), v{b}",
+                 "vadd.vv v{d}, v{a}, v{b}", "vid.v v{d}",
+                 "vfadd.vv v{d}, v{a}, v{b}", "vfmacc.vv v{d}, v{a}, v{b}",
+                 "vrgather.vv v{d}, v{a}, v{b}"]
+assert {parse_instruction(t.format(d=1, a=2, b=3)).category
+        for t in _ORACLE_TEXTS} == set(Category)
+_vreg = st.integers(1, 4)
+
+
+@st.composite
+def _oracle_traces(draw):
+    trace = []
+    for seq in range(draw(st.integers(0, 40))):
+        text = draw(st.sampled_from(_ORACLE_TEXTS)).format(
+            d=draw(_vreg), a=draw(_vreg), b=draw(_vreg))
+        # few distinct VLs and latencies, so completion cycles often tie
+        trace.append(TraceRecord(seq=seq, pc=4 * seq, phase=0,
+                                 scalar_before=draw(st.sampled_from([0, 0, 1, 5])),
+                                 instr=parse_instruction(text),
+                                 vl=draw(st.sampled_from([0, 1, 8, 9, 64, 256])),
+                                 sew_bits=64))
+    return trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(_oracle_traces(), st.sampled_from([1, 2, 3, 4, 16]), st.booleans(),
+       st.sampled_from([1, 6, 30]), st.sampled_from([1, 6]))
+def test_queue_bound_matches_nlargest_oracle(trace, depth, chaining, mem_latency,
+                                              arith_latency):
+    params = TimingParams(vector_queue_depth=depth, chaining=chaining,
+                          mem_latency_cycles=mem_latency,
+                          arith_latency_cycles=arith_latency)
+    assert simulate(trace, params) == _simulate_nlargest(trace, params)
+
+
+def _per_record_seconds(trace, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        simulate(trace)
+        best = min(best, time.perf_counter() - t0)
+    return best / len(trace)
+
+
+def test_simulate_scales_linearly():
+    mix = [_rec(0, "vle64.v v1, (x10)", Category.MEM_UNIT, 64),
+           _rec(0, "vluxei64.v v2, (x10), v1", Category.MEM_INDEXED, 16),
+           _rec(0, "vfmacc.vv v3, v1, v2", Category.ARITH_FP, 64),
+           _rec(0, "vrgather.vv v4, v3, v1", Category.PERM, 8, scalar=3),
+           _rec(0, "vse64.v v4, (x11)", Category.MEM_UNIT, 64),
+           _rec(0, "vsetvli x1, x2, e64, m1", Category.CONFIG, 64),
+           _rec(0, "vadd.vv v5, v6, v7", Category.ARITH_INT, 64),
+           _rec(0, "vlse64.v v6, (x10), x2", Category.MEM_STRIDED, 32)]
+    short = [dataclasses.replace(r, seq=i) for i, r in enumerate(mix * 256)]
+    long = [dataclasses.replace(r, seq=i) for i, r in enumerate(mix * 4096)]
+    assert (len(short), len(long)) == (2048, 32768)
+    # best of several runs each, so a slow stretch of the host does not count
+    ratio = _per_record_seconds(long, 2) / _per_record_seconds(short, 5)
+    assert ratio < 3, f"per-record time grew {ratio:.1f}x from 2,048 to 32,768 records"
 
 
 def test_csv_format():

@@ -96,6 +96,12 @@ def test_negative_field(line):
     assert excinfo.value.line == 2
 
 
+def test_pc_past_u64():
+    with pytest.raises(TraceFormatError) as excinfo:
+        read_trace(HEADER + "\n0:0x10000000000000000:0:0:8:64:ARITH_INT:vid.v v1::0\n")
+    assert excinfo.value.line == 2
+
+
 # A mnemonic field that does not parse, one that is not canonical text, and
 # one that its category column contradicts.
 BAD_MNEMONIC_LINES = ["0:0x0:0:0:8:64:ARITH_INT:vfoo v1::0",

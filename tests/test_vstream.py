@@ -77,6 +77,14 @@ def test_domain_edges_roundtrip():
     assert parse_vstream(write_vstream(items)) == items
 
 
+def test_pc_wraps_modulo_2_64():
+    text = ".pc 0xfffffffffffffffc\nvid.v v1\nvid.v v2\n.xreg x1 0x7\nvid.v v3\n"
+    items = parse_vstream(text)
+    assert [i.pc for i in items] == [0xfffffffffffffffc, 0, 4, 4]
+    assert write_vstream(items) == text
+    assert parse_vstream(write_vstream(items)) == items
+
+
 @pytest.mark.parametrize("line", ["vid.v v\u00b2", ".xreg x\u00b2 1", ".freg f\u0661 1.0"])
 def test_non_ascii_register_digits(line):
     with pytest.raises(StreamSyntaxError) as excinfo:
