@@ -27,7 +27,7 @@ from .emulator import run
 from .errors import SdvError
 from .prv import emit_prv, to_prv
 from .scheduler import schedule_stream, verify_equivalence
-from .timing import TimingParams, emit_timeline, simulate
+from .timing import TimingParams, emit_timeline, emit_timeline_svg, simulate
 from .tracefile import read_trace, write_trace
 from .vstream import parse_vstream, write_vstream
 from .workloads import FftPlan, gen_axpy, gen_fft
@@ -62,10 +62,10 @@ def _base_manifest(args, **extra) -> dict:
 def _cmd_gen(args) -> int:
     if args.workload == "fft":
         plan = FftPlan(n=args.n, variant=args.variant, seed=args.seed)
-        text, manifest = gen_fft(plan)
+        items, manifest = gen_fft(plan)
     else:
-        text, manifest = gen_axpy(args.n, args.a, seed=args.seed)
-    _write_file(args.output, text)
+        items, manifest = gen_axpy(args.n, args.a, seed=args.seed)
+    _write_file(args.output, write_vstream(items))
     entries = _base_manifest(args, output=args.output)
     entries.update(manifest)
     _write_manifest(args.output, entries)
@@ -123,10 +123,10 @@ def _cmd_simulate(args) -> int:
     trace = read_trace(Path(args.input).read_text())
     params = load_timing_params(args.timing)
     entries, counters = simulate(trace, params)
-    _write_file(args.output, emit_timeline(entries, "CSV"))
+    _write_file(args.output, emit_timeline(entries))
     outputs = {"output": args.output}
     if args.svg:
-        _write_file(args.svg, emit_timeline(entries, "SVG"))
+        _write_file(args.svg, emit_timeline_svg(entries))
         outputs["svg"] = args.svg
     _write_manifest(args.output, _base_manifest(
         args, input=args.input, timing=args.timing or "<defaults>", **outputs))

@@ -9,7 +9,7 @@ propagates unknown encodings back as errors.
 from __future__ import annotations
 
 from .errors import UnsupportedInstruction
-from .isa import Instruction
+from .isa import LMUL_CODES, SEW_CODES, Instruction
 
 _OPCODE_VEC = 0b1010111
 _OPCODE_LOAD_FP = 0b0000111
@@ -30,10 +30,6 @@ _ALU_TABLE = {
     (0b101100, _F3_FVV): "vfmacc.vv",
     (0b001100, _F3_IVV): "vrgather.vv",
 }
-
-# vtype vsew/vlmul field encodings; the emulator's vsetvl decodes with them too.
-SEW_CODES = {0b000: 8, 0b001: 16, 0b010: 32, 0b011: 64}
-LMUL_CODES = {0b000: 1, 0b001: 2, 0b010: 4, 0b011: 8}
 
 
 def _fields(word: int):

@@ -24,8 +24,7 @@ import numpy as np
 from .config import MachineConfig, Vtype
 from .errors import (EmulationError, OutOfBoundsAccess, SdvError,
                      UnsupportedVtype)
-from .decoding import LMUL_CODES, SEW_CODES
-from .isa import Category, Instruction
+from .isa import LMUL_CODES, SEW_CODES, Category, Instruction
 from .tracefile import TraceRecord
 from .vstream import ItemKind, StreamItem, parse_vstream
 
@@ -194,26 +193,25 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
     """Apply one instruction to the state; returns the touched address ranges."""
     mem = state.memory
     vl = state.vl
-    m = instr.mnemonic
+    category = instr.category
 
-    if m == "vsetvli" or m == "vsetvl":
+    if category == Category.CONFIG:
         avl = _config_avl(state, instr)
-        req = Vtype(sew_bits=instr.sew, lmul=instr.lmul) if m == "vsetvli" \
-            else _vtype_from_bits(state.read_xreg(instr.rs2))
+        req = Vtype(sew_bits=instr.sew, lmul=instr.lmul) if instr.rs2 is None \
+            else _vtype_from_bits(state.read_xreg(instr.rs2))  # vsetvl: type in rs2
         state.write_xreg(instr.rd, apply_vsetvli(state, avl, req))
         return ()
 
-    if m == "vle64.v" or m == "vse64.v":
+    if category == Category.MEM_UNIT:
         base = state.read_xreg(instr.rs1)
         nbytes = 8 * vl
-        if m == "vle64.v":
+        if instr.is_load:
             data = np.frombuffer(mem.read_bytes(base, nbytes), dtype="<u8")
             state.vregs[instr.vd, :vl] = data
         else:
             mem.write_bytes(base, state.velems(instr.vs3, vl).astype("<u8").tobytes())
         return ((base, nbytes),)
 
-    category = instr.category
     if category == Category.MEM_STRIDED or category == Category.MEM_INDEXED:
         base = state.read_xreg(instr.rs1)
         if category == Category.MEM_STRIDED:
@@ -237,6 +235,7 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
     if vl == 0:
         return ()
 
+    m = instr.mnemonic
     if m == "vadd.vv":
         state.vregs[instr.vd, :vl] = state.velems(instr.vs2, vl) + state.velems(instr.vs1, vl)
     elif m in _INT_VX_OPS:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import AsmSyntaxError, UnsupportedMnemonic
@@ -26,110 +26,64 @@ class Category(enum.Enum):
     PERM = "PERM"
 
 
-# Operand signature per mnemonic, in assembly order.  Roles:
+# The subset, one entry per mnemonic: (category, operand roles in assembly
+# order).  Every other per-mnemonic fact is derived from this table.  Roles:
 #   vd/vs1/vs2/vs3 - vector registers;  rd/rs1/rs2 - scalar registers;
 #   mem - parenthesized base register (populates rs1);  fs1 - FP scalar;
 #   uimm - unsigned 5-bit immediate;  vtype - "e<sew>, m<lmul>" token pair.
+# A memory op with vd is a load and one with vs3 is a store.
 # Note the multiply-accumulate family orders sources vs1, vs2 while other
 # .vv forms order vs2, vs1; both follow standard vector assembly.
-_SIGNATURES: dict[str, tuple[str, ...]] = {
-    "vsetvli": ("rd", "rs1", "vtype"),
-    "vsetvl": ("rd", "rs1", "rs2"),
-    "vle64.v": ("vd", "mem"),
-    "vse64.v": ("vs3", "mem"),
-    "vlse64.v": ("vd", "mem", "rs2"),
-    "vsse64.v": ("vs3", "mem", "rs2"),
-    "vluxei64.v": ("vd", "mem", "vs2"),
-    "vsuxei64.v": ("vs3", "mem", "vs2"),
-    "vadd.vv": ("vd", "vs2", "vs1"),
-    "vadd.vx": ("vd", "vs2", "rs1"),
-    "vmul.vx": ("vd", "vs2", "rs1"),
-    "vsll.vi": ("vd", "vs2", "uimm"),
-    "vand.vx": ("vd", "vs2", "rs1"),
-    "vid.v": ("vd",),
-    "vfadd.vv": ("vd", "vs2", "vs1"),
-    "vfsub.vv": ("vd", "vs2", "vs1"),
-    "vfmul.vv": ("vd", "vs2", "vs1"),
-    "vfmacc.vv": ("vd", "vs1", "vs2"),
-    "vfmv.v.f": ("vd", "fs1"),
-    "vrgather.vv": ("vd", "vs2", "vs1"),
+SPEC: dict[str, tuple[Category, tuple[str, ...]]] = {
+    "vsetvli": (Category.CONFIG, ("rd", "rs1", "vtype")),
+    "vsetvl": (Category.CONFIG, ("rd", "rs1", "rs2")),
+    "vle64.v": (Category.MEM_UNIT, ("vd", "mem")),
+    "vse64.v": (Category.MEM_UNIT, ("vs3", "mem")),
+    "vlse64.v": (Category.MEM_STRIDED, ("vd", "mem", "rs2")),
+    "vsse64.v": (Category.MEM_STRIDED, ("vs3", "mem", "rs2")),
+    "vluxei64.v": (Category.MEM_INDEXED, ("vd", "mem", "vs2")),
+    "vsuxei64.v": (Category.MEM_INDEXED, ("vs3", "mem", "vs2")),
+    "vadd.vv": (Category.ARITH_INT, ("vd", "vs2", "vs1")),
+    "vadd.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1")),
+    "vmul.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1")),
+    "vsll.vi": (Category.ARITH_INT, ("vd", "vs2", "uimm")),
+    "vand.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1")),
+    "vid.v": (Category.ARITH_INT, ("vd",)),
+    "vfadd.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1")),
+    "vfsub.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1")),
+    "vfmul.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1")),
+    "vfmacc.vv": (Category.ARITH_FP, ("vd", "vs1", "vs2")),
+    "vfmv.v.f": (Category.ARITH_FP, ("vd", "fs1")),
+    "vrgather.vv": (Category.PERM, ("vd", "vs2", "vs1")),
 }
 
-_CATEGORIES: dict[str, Category] = {
-    "vsetvli": Category.CONFIG,
-    "vsetvl": Category.CONFIG,
-    "vle64.v": Category.MEM_UNIT,
-    "vse64.v": Category.MEM_UNIT,
-    "vlse64.v": Category.MEM_STRIDED,
-    "vsse64.v": Category.MEM_STRIDED,
-    "vluxei64.v": Category.MEM_INDEXED,
-    "vsuxei64.v": Category.MEM_INDEXED,
-    "vadd.vv": Category.ARITH_INT,
-    "vadd.vx": Category.ARITH_INT,
-    "vmul.vx": Category.ARITH_INT,
-    "vsll.vi": Category.ARITH_INT,
-    "vand.vx": Category.ARITH_INT,
-    "vid.v": Category.ARITH_INT,
-    "vfadd.vv": Category.ARITH_FP,
-    "vfsub.vv": Category.ARITH_FP,
-    "vfmul.vv": Category.ARITH_FP,
-    "vfmacc.vv": Category.ARITH_FP,
-    "vfmv.v.f": Category.ARITH_FP,
-    "vrgather.vv": Category.PERM,
-}
-
-MNEMONICS: tuple[str, ...] = tuple(_SIGNATURES)
+MNEMONICS: tuple[str, ...] = tuple(SPEC)
 
 # Stable numeric ids, used by the Paraver exporter's value tables.
 MNEMONIC_IDS: dict[str, int] = {m: i for i, m in enumerate(MNEMONICS)}
 
-_LOADS = {"vle64.v", "vlse64.v", "vluxei64.v"}
-_STORES = {"vse64.v", "vsse64.v", "vsuxei64.v"}
+# Instruction fields a role populates, where they are not the role's own name.
+_ROLE_FIELDS = {"mem": ("rs1",), "uimm": ("imm",), "vtype": ("sew", "lmul")}
 
-_ROLE_FIELDS = {
-    "vd": ("vd",),
-    "vs1": ("vs1",),
-    "vs2": ("vs2",),
-    "vs3": ("vs3",),
-    "rd": ("rd",),
-    "rs1": ("rs1",),
-    "rs2": ("rs2",),
-    "mem": ("rs1",),
-    "fs1": ("fs1",),
-    "uimm": ("imm",),
-    "vtype": ("sew", "lmul"),
-}
+# vtype vsew/vlmul field encodings; the e<sew>/m<lmul> assembly tokens, the
+# binary decoder and the emulator's vsetvl all take the legal values from here.
+SEW_CODES = {0b000: 8, 0b001: 16, 0b010: 32, 0b011: 64}
+LMUL_CODES = {0b000: 1, 0b001: 2, 0b010: 4, 0b011: 8}
 
 
-def category_of(mnemonic: str) -> Category:
-    try:
-        return _CATEGORIES[mnemonic]
-    except KeyError:
-        raise UnsupportedMnemonic(mnemonic) from None
-
-
-def signature_of(mnemonic: str) -> tuple[str, ...]:
-    try:
-        return _SIGNATURES[mnemonic]
-    except KeyError:
-        raise UnsupportedMnemonic(mnemonic) from None
-
-
-def fields_of(mnemonic: str) -> frozenset[str]:
-    """Names of the Instruction fields a mnemonic populates."""
-    roles = signature_of(mnemonic)
-    names: list[str] = []
-    for role in roles:
-        names.extend(_ROLE_FIELDS[role])
-    return frozenset(names)
+def _derived():
+    return field(init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Instruction:
     """One decoded instruction in normalized form.
 
-    Only the fields declared by the mnemonic's signature are populated; all
-    others stay None.  Register ids are 0-31.
+    Only the fields declared by the mnemonic's roles are populated; all
+    others stay None.  Register ids are 0-31.  Construction derives, once,
+    the category, the load/store flags and the register def/use sets that
+    hazard tracking and dependence edges read; they take no part in
+    equality, hashing or repr.
     """
 
     mnemonic: str
@@ -144,50 +98,46 @@ class Instruction:
     imm: Optional[int] = None
     sew: Optional[int] = None
     lmul: Optional[int] = None
+    category: Category = _derived()
+    is_load: bool = _derived()
+    is_store: bool = _derived()
+    vreg_defs: frozenset[int] = _derived()
+    vreg_uses: frozenset[int] = _derived()
+    xreg_defs: frozenset[int] = _derived()
+    xreg_uses: frozenset[int] = _derived()
 
     def __post_init__(self):
-        expected = fields_of(self.mnemonic)
+        try:
+            category, roles = SPEC[self.mnemonic]
+        except KeyError:
+            raise UnsupportedMnemonic(self.mnemonic) from None
+        expected = {name for role in roles for name in _ROLE_FIELDS.get(role, (role,))}
         for name in ("vd", "vs1", "vs2", "vs3", "rd", "rs1", "rs2", "fs1", "imm", "sew", "lmul"):
             value = getattr(self, name)
             if name in expected:
                 if value is None:
                     raise ValueError(f"{self.mnemonic}: missing operand field {name}")
-                if name != "imm" and name != "sew" and name != "lmul" and not 0 <= value < 32:
+                if name not in ("imm", "sew", "lmul") and not 0 <= value < 32:
                     raise ValueError(f"{self.mnemonic}: register id {name}={value} out of range")
             elif value is not None:
                 raise ValueError(f"{self.mnemonic}: unexpected operand field {name}={value}")
 
-    @property
-    def category(self) -> Category:
-        return _CATEGORIES[self.mnemonic]
+        def regs(*names):
+            return frozenset(getattr(self, n) for n in names if n in expected)
 
-    @property
-    def is_load(self) -> bool:
-        return self.mnemonic in _LOADS
-
-    @property
-    def is_store(self) -> bool:
-        return self.mnemonic in _STORES
-
-    # Register def/use sets drive both hazard tracking and dependence edges.
-
-    def vreg_defs(self) -> frozenset[int]:
-        return frozenset() if self.vd is None else frozenset({self.vd})
-
-    def vreg_uses(self) -> frozenset[int]:
-        uses = set()
-        for reg in (self.vs1, self.vs2, self.vs3):
-            if reg is not None:
-                uses.add(reg)
-        if self.mnemonic == "vfmacc.vv":
-            uses.add(self.vd)  # accumulator is read-modify-write
-        return frozenset(uses)
-
-    def xreg_defs(self) -> frozenset[int]:
-        return frozenset() if self.rd is None else frozenset({self.rd})
-
-    def xreg_uses(self) -> frozenset[int]:
-        return frozenset(r for r in (self.rs1, self.rs2) if r is not None)
+        derived = {
+            "category": category,
+            "is_load": "mem" in roles and "vd" in roles,
+            "is_store": "mem" in roles and "vs3" in roles,
+            "vreg_defs": regs("vd"),
+            # the multiply-accumulate destination is also its accumulator input
+            "vreg_uses": regs("vs1", "vs2", "vs3", "vd") if self.mnemonic == "vfmacc.vv"
+            else regs("vs1", "vs2", "vs3"),
+            "xreg_defs": regs("rd"),
+            "xreg_uses": regs("rs1", "rs2"),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 _TOKEN_RE = re.compile(r"\S+")
@@ -205,8 +155,8 @@ def parse_register(token: str, prefix: str, column: int = 0) -> int:
     return num
 
 
-_SEW_TOKENS = {"e8": 8, "e16": 16, "e32": 32, "e64": 64}
-_LMUL_TOKENS = {"m1": 1, "m2": 2, "m4": 4, "m8": 8}
+_SEW_TOKENS = {f"e{sew}": sew for sew in SEW_CODES.values()}
+_LMUL_TOKENS = {f"m{lmul}": lmul for lmul in LMUL_CODES.values()}
 _POLICY_TOKENS = {"ta", "tu", "ma", "mu"}
 
 
@@ -222,14 +172,14 @@ def parse_instruction(text: str) -> Instruction:
         raise AsmSyntaxError("empty instruction", 0)
     m = _TOKEN_RE.match(line)
     mnemonic = m.group(0).lower()
-    if mnemonic not in _SIGNATURES:
+    if mnemonic not in SPEC:
         raise UnsupportedMnemonic(m.group(0))
     rest = line[m.end():].strip()
     operands = [op.strip() for op in rest.split(",")] if rest else []
     if operands == [""]:
         operands = []
 
-    roles = _SIGNATURES[mnemonic]
+    roles = SPEC[mnemonic][1]
     fields: dict[str, int] = {}
     idx = 0
     for role in roles:
@@ -287,7 +237,7 @@ def parse_instruction(text: str) -> Instruction:
 def disassemble(instr: Instruction) -> str:
     """Canonical one-line text; parse_instruction(disassemble(i)) == i."""
     parts: list[str] = []
-    for role in _SIGNATURES[instr.mnemonic]:
+    for role in SPEC[instr.mnemonic][1]:
         if role == "vtype":
             parts.append(f"e{instr.sew}")
             parts.append(f"m{instr.lmul}")

@@ -26,7 +26,7 @@ from .errors import SdvError
 from .isa import Category
 from .timing import Pipeline, TimingParams, occupancy, pipeline_of, simulate
 from .tracefile import TraceRecord
-from .vstream import ItemKind, StreamItem, parse_vstream
+from .vstream import ItemKind, StreamItem
 
 RAW, WAR, WAW, MEM_ORDER = "RAW", "WAR", "WAW", "MEM_ORDER"
 
@@ -62,10 +62,9 @@ def build_dependences(window: Sequence[TraceRecord]) -> DependenceGraph:
     graph = DependenceGraph(count=len(window))
     instrs = [r.instr for r in window]
 
-    vreg_writer: dict[int, int] = {}
-    vreg_readers: dict[int, list[int]] = {}
-    xreg_writer: dict[int, int] = {}
-    xreg_readers: dict[int, list[int]] = {}
+    # per register file: reg -> its last writer, reg -> its readers since then
+    vregs: tuple[dict[int, int], dict[int, list[int]]] = ({}, {})
+    xregs: tuple[dict[int, int], dict[int, list[int]]] = ({}, {})
     last_config: Optional[int] = None
     vl_readers: list[int] = []
 
@@ -83,29 +82,19 @@ def build_dependences(window: Sequence[TraceRecord]) -> DependenceGraph:
                 graph.add(last_config, i, RAW)
             vl_readers.append(i)
 
-        for reg in instr.vreg_uses():
-            if reg in vreg_writer:
-                graph.add(vreg_writer[reg], i, RAW)
-            vreg_readers.setdefault(reg, []).append(i)
-        for reg in instr.vreg_defs():
-            if reg in vreg_writer:
-                graph.add(vreg_writer[reg], i, WAW)
-            for reader in vreg_readers.get(reg, ()):
-                graph.add(reader, i, WAR)
-            vreg_writer[reg] = i
-            vreg_readers[reg] = []
-
-        for reg in instr.xreg_uses():
-            if reg in xreg_writer:
-                graph.add(xreg_writer[reg], i, RAW)
-            xreg_readers.setdefault(reg, []).append(i)
-        for reg in instr.xreg_defs():
-            if reg in xreg_writer:
-                graph.add(xreg_writer[reg], i, WAW)
-            for reader in xreg_readers.get(reg, ()):
-                graph.add(reader, i, WAR)
-            xreg_writer[reg] = i
-            xreg_readers[reg] = []
+        for (writer, readers), uses, defs in ((vregs, instr.vreg_uses, instr.vreg_defs),
+                                             (xregs, instr.xreg_uses, instr.xreg_defs)):
+            for reg in uses:
+                if reg in writer:
+                    graph.add(writer[reg], i, RAW)
+                readers.setdefault(reg, []).append(i)
+            for reg in defs:
+                if reg in writer:
+                    graph.add(writer[reg], i, WAW)
+                for reader in readers.get(reg, ()):
+                    graph.add(reader, i, WAR)
+                writer[reg] = i
+                readers[reg] = []
 
     for j in range(len(window)):
         if not window[j].addresses:
@@ -176,7 +165,7 @@ def reschedule(window: Sequence[TraceRecord],
     return [window[i] for i in reschedule_order(window, params)]
 
 
-def schedule_stream(items: Union[str, Sequence[StreamItem]],
+def schedule_stream(items: Sequence[StreamItem],
                     params: Optional[TimingParams] = None,
                     config: Optional[MachineConfig] = None
                     ) -> tuple[list[StreamItem], int, int]:
@@ -191,7 +180,7 @@ def schedule_stream(items: Union[str, Sequence[StreamItem]],
     the modeled total cycles of the input and of that stream.  The counts come
     from the emulations made here; when nothing moved, or the whole stream got
     slower and the input is returned, ``cycles_after == cycles_before``."""
-    items = list(parse_vstream(items) if isinstance(items, str) else items)
+    items = list(items)
     config = config or MachineConfig()
     params = params or TimingParams()
     _, records = run(config, items)

@@ -35,7 +35,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import SdvError
 from .isa import Category
 
 
@@ -167,7 +166,7 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
         occ = occupancy(rec, params)
         latency = params.latency_of(pipe)
         start = max(issue, last_start + 1, pipe_free[pipe])
-        for reg in instr.vreg_uses():
+        for reg in instr.vreg_uses:
             producer = writers.get(reg)
             if producer is None:
                 continue
@@ -176,7 +175,7 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
                             + max(1, producer.occupancy - occ))
             else:
                 start = max(start, producer.complete)
-        for reg in instr.vreg_defs():
+        for reg in instr.vreg_defs:
             producer = writers.get(reg)
             if producer is not None:
                 start = max(start, producer.complete)
@@ -186,9 +185,9 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
         entries.append(TimelineEntry(rec.seq, pipe, issue, start, complete,
                                      instr.mnemonic))
         pipe_free[pipe] = complete
-        for reg in instr.vreg_uses():
+        for reg in instr.vreg_uses:
             reader_complete[reg] = max(reader_complete.get(reg, 0), complete)
-        for reg in instr.vreg_defs():
+        for reg in instr.vreg_defs:
             writers[reg] = _Producer(start, occ, latency, complete)
             reader_complete[reg] = 0
         if len(completes) < depth:
@@ -256,16 +255,8 @@ def _derive_counters(entries: list[TimelineEntry], scalar_total: int) -> Counter
 _LANE_ORDER = (Pipeline.CONFIG, Pipeline.MEM, Pipeline.ARITH)
 
 
-def emit_timeline(entries: Sequence[TimelineEntry], format: str = "CSV") -> str:
-    fmt = format.upper()
-    if fmt == "CSV":
-        return _emit_csv(entries)
-    if fmt == "SVG":
-        return _emit_svg(entries)
-    raise SdvError(f"unknown timeline format {format!r}")
-
-
-def _emit_csv(entries: Sequence[TimelineEntry]) -> str:
+def emit_timeline(entries: Sequence[TimelineEntry]) -> str:
+    """The timeline as CSV, one row per entry."""
     lines = ["seq,pipeline,issue,start,complete,mnemonic"]
     for e in entries:
         lines.append(f"{e.seq},{e.pipeline.value},{e.issue_cycle},"
@@ -276,7 +267,8 @@ def _emit_csv(entries: Sequence[TimelineEntry]) -> str:
 _LANE_COLORS = {Pipeline.CONFIG: "#999999", Pipeline.MEM: "#d94801", Pipeline.ARITH: "#2171b5"}
 
 
-def _emit_svg(entries: Sequence[TimelineEntry]) -> str:
+def emit_timeline_svg(entries: Sequence[TimelineEntry]) -> str:
+    """The timeline as an SVG chart, one lane per pipeline in use."""
     lane_h, pad, label_w = 28, 8, 70
     lanes = [p for p in _LANE_ORDER if any(e.pipeline == p for e in entries)]
     span = max((e.complete_cycle for e in entries), default=1) or 1

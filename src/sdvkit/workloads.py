@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidSize
-from .vstream import ItemKind, StreamItem, write_vstream
+from .vstream import ItemKind, StreamItem
 from .isa import Instruction, parse_instruction
 
 
@@ -82,6 +82,9 @@ def _body_pc(phase: int) -> int:
     return _pro_pc(phase) + 0x100
 
 
+_MEM_CHUNK = 8  # values per .memf64/.memu64 item
+
+
 class _Emitter:
     """Builds a consistent StreamItem list: pc/phase/window state tracking."""
 
@@ -117,16 +120,16 @@ class _Emitter:
         self.items.append(StreamItem(ItemKind.SET_FREG, self.pc, self.phase,
                                      self.window, reg=reg, fvalue=float(value)))
 
-    def memf64(self, address: int, values, chunk: int = 8):
-        for i in range(0, len(values), chunk):
-            part = tuple(float(v) for v in values[i:i + chunk])
+    def memf64(self, address: int, values):
+        for i in range(0, len(values), _MEM_CHUNK):
+            part = tuple(float(v) for v in values[i:i + _MEM_CHUNK])
             self.items.append(StreamItem(ItemKind.INIT_MEM_F64, self.pc, self.phase,
                                          self.window, address=address + 8 * i,
                                          fvalues=part))
 
-    def memu64(self, address: int, values, chunk: int = 8):
-        for i in range(0, len(values), chunk):
-            part = tuple(int(v) for v in values[i:i + chunk])
+    def memu64(self, address: int, values):
+        for i in range(0, len(values), _MEM_CHUNK):
+            part = tuple(int(v) for v in values[i:i + _MEM_CHUNK])
             self.items.append(StreamItem(ItemKind.INIT_MEM_U64, self.pc, self.phase,
                                          self.window, address=address + 8 * i,
                                          uvalues=part))
@@ -288,7 +291,7 @@ def _wide_stage(e: _Emitter, q, span, m, n, wvl, layout, src_re, src_im,
 
 
 def gen_fft(plan: FftPlan):
-    """Generate one FFT VSTREAM; returns (text, manifest).
+    """Generate one FFT VSTREAM; returns (items, manifest).
 
     The manifest records buffer addresses, the engineered per-phase vector
     lengths, and per-phase loop-body (window) counts, including the phase-2
@@ -405,12 +408,13 @@ def gen_fft(plan: FftPlan):
         "phase3_loop_trips": window_counts[3],
         "instructions": sum(1 for item in e.items if item.kind == ItemKind.INSTRUCTION),
     }
-    return write_vstream(e.items), manifest
+    return e.items, manifest
 
 
 def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
              y: Optional[np.ndarray] = None, seed: int = 0):
-    """y <- a*x + y in maximal-length strips with a short tail strip."""
+    """y <- a*x + y in maximal-length strips with a short tail strip; returns
+    (items, manifest)."""
     if n < 1:
         raise InvalidSize("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -449,7 +453,7 @@ def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
         "x": x_base, "y": y_base, "strips": strips,
         "instructions": sum(1 for item in e.items if item.kind == ItemKind.INSTRUCTION),
     }
-    return write_vstream(e.items), manifest
+    return e.items, manifest
 
 
 def oracle_dft(re: np.ndarray, im: np.ndarray, block: int = 64):

@@ -14,11 +14,10 @@ def reference_runs():
     Emulated once per session; several test modules read from it."""
     runs = {}
     for variant in ("naive", "wide"):
-        text, manifest = gen_fft(FftPlan(n=REFERENCE_N, variant=variant,
-                                         seed=REFERENCE_SEED))
-        state, records = run(None, text)
+        items, manifest = gen_fft(FftPlan(n=REFERENCE_N, variant=variant,
+                                          seed=REFERENCE_SEED))
+        state, records = run(None, items)
         runs[variant] = {
-            "text": text,
             "manifest": manifest,
             "state": state,
             "records": records,

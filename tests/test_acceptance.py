@@ -44,8 +44,8 @@ def test_criterion_1_fft_correctness():
             exp_re, exp_im = oracle_dft(re, im)
             scale = max(np.max(np.abs(exp_re)), np.max(np.abs(exp_im)))
             for variant in ("naive", "wide"):
-                text, man = gen_fft(FftPlan(n=n, variant=variant, seed=seed))
-                state, _ = run(None, text)
+                items, man = gen_fft(FftPlan(n=n, variant=variant, seed=seed))
+                state, _ = run(None, items)
                 got_re = read_f64_array(state.memory, man["out_re"], n)
                 got_im = read_f64_array(state.memory, man["out_im"], n)
                 err = max(np.max(np.abs(got_re - exp_re)),

@@ -207,9 +207,9 @@ def test_record_count_matches_instruction_items():
 
 
 def test_determinism():
-    text, _ = gen_axpy(100, 3.0, seed=5)
-    _, rec_a = _run(text)
-    _, rec_b = _run(text)
+    items, _ = gen_axpy(100, 3.0, seed=5)
+    _, rec_a = run(None, items)
+    _, rec_b = run(None, items)
     assert write_trace(rec_a) == write_trace(rec_b)
 
 
@@ -217,8 +217,8 @@ def test_axpy_against_oracle():
     rng = np.random.default_rng(3)
     x = rng.integers(-1000, 1000, 1000).astype(float)
     y = rng.integers(-1000, 1000, 1000).astype(float)
-    text, manifest = gen_axpy(1000, 3.0, x=x, y=y)
-    state, _ = _run(text)
+    items, manifest = gen_axpy(1000, 3.0, x=x, y=y)
+    state, _ = run(None, items)
     got = read_f64_array(state.memory, manifest["y"], 1000)
     expected = oracle_axpy(3.0, x, y)
     assert np.array_equal(got, expected)  # exact for integer-valued doubles

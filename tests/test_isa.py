@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdvkit.decoding import decode_word
 from sdvkit.errors import AsmSyntaxError, SdvError, UnsupportedMnemonic
-from sdvkit.isa import (MNEMONICS, Category, Instruction, category_of,
-                        disassemble, parse_instruction, signature_of)
+from sdvkit.isa import (MNEMONICS, SPEC, Category, Instruction, disassemble,
+                        parse_instruction)
+
+from test_decoding import _load as load_decode_fixture
 
 reg = st.integers(0, 31)
 
@@ -13,7 +16,7 @@ reg = st.integers(0, 31)
 def instructions(draw):
     mnemonic = draw(st.sampled_from(MNEMONICS))
     fields = {}
-    for role in signature_of(mnemonic):
+    for role in SPEC[mnemonic][1]:
         if role == "vtype":
             fields["sew"] = draw(st.sampled_from([8, 16, 32, 64]))
             fields["lmul"] = draw(st.sampled_from([1, 2, 4, 8]))
@@ -120,25 +123,77 @@ def test_macc_operand_order():
     # multiply-accumulate orders sources (vs1, vs2), unlike the other .vv ops
     instr = parse_instruction("vfmacc.vv v1, v2, v3")
     assert (instr.vd, instr.vs1, instr.vs2) == (1, 2, 3)
-    assert instr.vreg_uses() == frozenset({1, 2, 3})  # accumulator is read
+    assert instr.vreg_uses == frozenset({1, 2, 3})  # accumulator is read
+
+
+def _def_use(instr):
+    return instr.vreg_defs, instr.vreg_uses, instr.xreg_defs, instr.xreg_uses
+
+
+def _facts(instr):
+    return (instr.category, instr.is_load, instr.is_store) + _def_use(instr)
+
+
+def _reference_def_use(i):
+    """The register def/use sets spelled out field by field, independently
+    of the roles table."""
+    vreg_uses = {r for r in (i.vs1, i.vs2, i.vs3) if r is not None}
+    if i.mnemonic == "vfmacc.vv":
+        vreg_uses.add(i.vd)  # the accumulator is read
+    return (frozenset() if i.vd is None else frozenset({i.vd}), frozenset(vreg_uses),
+            frozenset() if i.rd is None else frozenset({i.rd}),
+            frozenset(r for r in (i.rs1, i.rs2) if r is not None))
 
 
 @settings(max_examples=1000, deadline=None)
 @given(instructions())
 def test_parse_disassemble_roundtrip(instr):
-    assert parse_instruction(disassemble(instr)) == instr
+    parsed = parse_instruction(disassemble(instr))
+    assert parsed == instr
+    assert _facts(parsed) == _facts(instr)
+    assert _def_use(parsed) == _reference_def_use(instr)
+
+
+# The subset in MNEMONICS order (the Paraver mnemonic ids): one sample text,
+# the category, and whether it loads or stores.
+_SUBSET = [
+    ("vsetvli x1, x2, e64, m1", Category.CONFIG, False, False),
+    ("vsetvl x1, x2, x3", Category.CONFIG, False, False),
+    ("vle64.v v1, (x2)", Category.MEM_UNIT, True, False),
+    ("vse64.v v1, (x2)", Category.MEM_UNIT, False, True),
+    ("vlse64.v v1, (x2), x3", Category.MEM_STRIDED, True, False),
+    ("vsse64.v v1, (x2), x3", Category.MEM_STRIDED, False, True),
+    ("vluxei64.v v1, (x2), v3", Category.MEM_INDEXED, True, False),
+    ("vsuxei64.v v1, (x2), v3", Category.MEM_INDEXED, False, True),
+    ("vadd.vv v1, v2, v3", Category.ARITH_INT, False, False),
+    ("vadd.vx v1, v2, x3", Category.ARITH_INT, False, False),
+    ("vmul.vx v1, v2, x3", Category.ARITH_INT, False, False),
+    ("vsll.vi v1, v2, 3", Category.ARITH_INT, False, False),
+    ("vand.vx v1, v2, x3", Category.ARITH_INT, False, False),
+    ("vid.v v1", Category.ARITH_INT, False, False),
+    ("vfadd.vv v1, v2, v3", Category.ARITH_FP, False, False),
+    ("vfsub.vv v1, v2, v3", Category.ARITH_FP, False, False),
+    ("vfmul.vv v1, v2, v3", Category.ARITH_FP, False, False),
+    ("vfmacc.vv v1, v2, v3", Category.ARITH_FP, False, False),
+    ("vfmv.v.f v1, f2", Category.ARITH_FP, False, False),
+    ("vrgather.vv v1, v2, v3", Category.PERM, False, False),
+]
 
 
 def test_category_stable_over_subset():
-    assert len(MNEMONICS) == 20
-    for mnemonic in MNEMONICS:
-        assert category_of(mnemonic) is category_of(mnemonic)
-    by_cat = {}
-    for mnemonic in MNEMONICS:
-        by_cat.setdefault(category_of(mnemonic), []).append(mnemonic)
-    assert set(by_cat) == set(Category)
-    assert by_cat[Category.CONFIG] == ["vsetvli", "vsetvl"]
-    assert by_cat[Category.PERM] == ["vrgather.vv"]
+    assert MNEMONICS == tuple(text.split()[0] for text, *_ in _SUBSET)
+    for text, category, is_load, is_store in _SUBSET:
+        instr = parse_instruction(text)
+        assert SPEC[instr.mnemonic][0] is category, text
+        assert (instr.category, instr.is_load, instr.is_store) == \
+            (category, is_load, is_store), text
+        assert "category" not in repr(instr)
+
+
+def test_decoded_words_carry_the_parsed_facts():
+    # criterion 9 compares with ==, which skips the derived fields
+    for word, text in load_decode_fixture("decode_corpus.txt"):
+        assert _facts(decode_word(word)) == _facts(parse_instruction(text)), text
 
 
 def test_instruction_field_validation():

@@ -99,9 +99,9 @@ def test_empty_window():
 
 def test_reschedule_deterministic():
     rng = np.random.default_rng(8)
-    text = random_window_stream(rng)
-    a = schedule_stream(text, TimingParams())
-    b = schedule_stream(text, TimingParams())
+    items = parse_vstream(random_window_stream(rng))
+    a = schedule_stream(items, TimingParams())
+    b = schedule_stream(items, TimingParams())
     assert a == b
 
 

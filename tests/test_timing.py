@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdvkit.errors import SdvError
 from sdvkit.isa import Category, parse_instruction
 from sdvkit.timing import (CounterSet, Pipeline, TimelineEntry, TimingParams,
-                           _derive_counters, emit_timeline, occupancy, pipeline_of,
-                           simulate)
+                           _derive_counters, emit_timeline, emit_timeline_svg, occupancy,
+                           pipeline_of, simulate)
 from sdvkit.tracefile import TraceRecord
 
 
@@ -179,10 +178,10 @@ def test_dependence_safety_random():
         writer = {}
         for rec, entry in zip(trace, entries):
             instr = rec.instr
-            for reg in instr.vreg_uses():
+            for reg in instr.vreg_uses:
                 if reg in writer:
                     assert entry.start_cycle >= writer[reg]
-            for reg in instr.vreg_defs():
+            for reg in instr.vreg_defs:
                 writer[reg] = entry.complete_cycle
 
 
@@ -208,14 +207,14 @@ def _simulate_nlargest(trace, params):
         occ = occupancy(rec, params)
         latency = params.latency_of(pipe)
         start = max(issue, last_start + 1, pipe_free[pipe])
-        for reg in instr.vreg_uses():
+        for reg in instr.vreg_uses:
             if reg in writers:
                 p_start, p_occ, p_latency, p_complete = writers[reg]
                 if params.chaining:
                     start = max(start, p_start + p_latency + max(1, p_occ - occ))
                 else:
                     start = max(start, p_complete)
-        for reg in instr.vreg_defs():
+        for reg in instr.vreg_defs:
             if reg in writers:
                 start = max(start, writers[reg][3])
             start = max(start, reader_complete.get(reg, 0))
@@ -223,9 +222,9 @@ def _simulate_nlargest(trace, params):
         entries.append(TimelineEntry(rec.seq, pipe, issue, start, complete,
                                      instr.mnemonic))
         pipe_free[pipe] = complete
-        for reg in instr.vreg_uses():
+        for reg in instr.vreg_uses:
             reader_complete[reg] = max(reader_complete.get(reg, 0), complete)
-        for reg in instr.vreg_defs():
+        for reg in instr.vreg_defs:
             writers[reg] = (start, occ, latency, complete)
             reader_complete[reg] = 0
         completes.append(complete)
@@ -302,7 +301,7 @@ def test_simulate_scales_linearly():
 
 def test_csv_format():
     entries = [TimelineEntry(0, Pipeline.MEM, 10, 10, 42, "vle64.v")]
-    text = emit_timeline(entries, "CSV")
+    text = emit_timeline(entries)
     lines = text.splitlines()
     assert lines[0] == "seq,pipeline,issue,start,complete,mnemonic"
     assert lines[1] == "0,MEM,10,10,42,vle64.v"
@@ -312,18 +311,13 @@ def test_svg_rect_count_and_lanes():
     entries = [TimelineEntry(0, Pipeline.MEM, 0, 0, 40, "vle64.v"),
                TimelineEntry(1, Pipeline.ARITH, 1, 1, 20, "vfadd.vv"),
                TimelineEntry(2, Pipeline.MEM, 2, 40, 80, "vse64.v")]
-    svg = emit_timeline(entries, "SVG")
+    svg = emit_timeline_svg(entries)
     assert svg.count("<rect") == 3
     mem_y = {line.split('y="')[1].split('"')[0]
              for line in svg.splitlines() if "<rect" in line and "vle64" in line}
     arith_y = {line.split('y="')[1].split('"')[0]
                for line in svg.splitlines() if "<rect" in line and "vfadd" in line}
     assert mem_y and arith_y and mem_y.isdisjoint(arith_y)
-
-
-def test_unknown_format():
-    with pytest.raises(SdvError):
-        emit_timeline([], "PDF")
 
 
 def test_params_validation():

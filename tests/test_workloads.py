@@ -9,8 +9,8 @@ from sdvkit.workloads import (FftPlan, gen_axpy, gen_fft, oracle_axpy,
                               oracle_dft, read_f64_array)
 
 
-def _spectrum(text, manifest):
-    state, records = run(None, text)
+def _spectrum(items, manifest):
+    state, records = run(None, items)
     n = manifest["n"]
     got_re = read_f64_array(state.memory, manifest["out_re"], n)
     got_im = read_f64_array(state.memory, manifest["out_im"], n)
@@ -23,14 +23,14 @@ def test_axpy_strip_lengths():
 
 
 def test_axpy_ones():
-    text, manifest = gen_axpy(256, 2.0, x=np.ones(256), y=np.zeros(256))
-    state, _ = run(None, text)
+    items, manifest = gen_axpy(256, 2.0, x=np.ones(256), y=np.zeros(256))
+    state, _ = run(None, items)
     assert np.all(read_f64_array(state.memory, manifest["y"], 256) == 2.0)
 
 
 def test_axpy_n1_a0():
-    text, manifest = gen_axpy(1, 0.0, x=np.array([5.0]), y=np.array([7.0]))
-    state, _ = run(None, text)
+    items, manifest = gen_axpy(1, 0.0, x=np.array([5.0]), y=np.array([7.0]))
+    state, _ = run(None, items)
     assert read_f64_array(state.memory, manifest["y"], 1).tolist() == [7.0]
 
 
@@ -53,8 +53,8 @@ def test_fft_impulse(variant):
 @pytest.mark.parametrize("variant", ["naive", "wide"])
 def test_fft_random_against_oracle(variant):
     n = 256
-    text, manifest = gen_fft(FftPlan(n=n, variant=variant, seed=42))
-    got_re, got_im, _ = _spectrum(text, manifest)
+    items, manifest = gen_fft(FftPlan(n=n, variant=variant, seed=42))
+    got_re, got_im, _ = _spectrum(items, manifest)
     rng = np.random.default_rng(42)
     exp_re, exp_im = oracle_dft(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
     scale = max(np.max(np.abs(exp_re)), np.max(np.abs(exp_im)))
@@ -64,8 +64,8 @@ def test_fft_random_against_oracle(variant):
 
 def test_variants_structural_contrast():
     for variant, expect_indexed in (("naive", False), ("wide", True)):
-        text, _ = gen_fft(FftPlan(n=64, variant=variant, seed=0))
-        _, records = run(None, text)
+        items, _ = gen_fft(FftPlan(n=64, variant=variant, seed=0))
+        _, records = run(None, items)
         indexed = sum(1 for r in records if r.category == Category.MEM_INDEXED)
         strided = sum(1 for r in records if r.category == Category.MEM_STRIDED)
         assert (indexed >= 1) == expect_indexed
@@ -74,28 +74,28 @@ def test_variants_structural_contrast():
 
 
 def test_wide_uses_register_gather():
-    text, _ = gen_fft(FftPlan(n=64, variant="wide", seed=0))
-    _, records = run(None, text)
+    items, _ = gen_fft(FftPlan(n=64, variant="wide", seed=0))
+    _, records = run(None, items)
     assert any(r.category == Category.PERM for r in records)
 
 
 def test_small_size_vl_signature():
     # same engineered tiling as the reference size, visible at n=64
-    text, _ = gen_fft(FftPlan(n=64, variant="naive", seed=0))
-    _, records = run(None, text)
+    items, _ = gen_fft(FftPlan(n=64, variant="naive", seed=0))
+    _, records = run(None, items)
     metrics = {m.phase: m for m in phase_metrics(records)}
     assert metrics[2].avg_vl == 8.0
     assert metrics[3].avg_vl == 64.0
-    text, _ = gen_fft(FftPlan(n=64, variant="wide", seed=0))
-    _, records = run(None, text)
+    items, _ = gen_fft(FftPlan(n=64, variant="wide", seed=0))
+    _, records = run(None, items)
     for m in phase_metrics(records):
         assert m.avg_vl == 32.0  # min(256, n/2)
 
 
 def test_four_phases_always_present():
     for variant in ("naive", "wide"):
-        text, _ = gen_fft(FftPlan(n=64, variant=variant, seed=0))
-        _, records = run(None, text)
+        items, _ = gen_fft(FftPlan(n=64, variant=variant, seed=0))
+        _, records = run(None, items)
         assert sorted({r.phase for r in records}) == [0, 1, 2, 3]
 
 
