@@ -3,13 +3,18 @@
 Element semantics follow the vector ISA: unit-stride accesses touch
 [base, base+8*vl); strided accesses use the rs2 byte stride (signed); indexed
 accesses treat vs2 elements as unsigned *byte* offsets from the base, so index
-vectors for 64-bit data must be pre-scaled by 8.  Destination tail elements
-(index >= vl) are always left undisturbed, which keeps runs deterministic and
-bit-comparable.
+vectors for 64-bit data must be pre-scaled by 8.  Strided and indexed element
+addresses wrap modulo 2^64.  Destination tail elements (index >= vl) are always
+left undisturbed, which keeps runs deterministic and bit-comparable.
 
-All FP arithmetic is IEEE-754 double, round-to-nearest-even.  The multiply-
-accumulate op is a true fused multiply-add (single rounding), computed per
-element with exact rational arithmetic.
+Each instruction works on whole vectors.  All FP arithmetic is IEEE-754
+double, round-to-nearest-even.  The multiply-accumulate op is a true fused
+multiply-add (single rounding): `fused_madd` computes it lane-wise with
+error-free transformations and one round-to-odd addition (Boldo & Melquiond,
+"Emulation of FMA and correctly rounded sums: proved algorithms using rounding
+to odd", IEEE TC 2008), and hands the few lanes outside that algorithm's
+range (a non-finite operand, a zero factor, split overflow, product underflow
+or overflow) to an exact rational routine.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,14 +34,26 @@ from .tracefile import TraceRecord
 from .vstream import ItemKind, StreamItem, parse_vstream
 
 _U64 = np.uint64
+_U64_MASK = (1 << 64) - 1
 _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
+_WORD_BYTES = np.arange(8, dtype=_U64)
 _INT_VX_OPS = {"vadd.vx": np.add, "vmul.vx": np.multiply, "vand.vx": np.bitwise_and}
 _FP_VV_OPS = {"vfadd.vv": np.add, "vfsub.vv": np.subtract, "vfmul.vv": np.multiply}
 
+# Veltkamp's constant 2^27 + 1 splits a double into two 26-bit halves.
+_SPLITTER = float((1 << 27) + 1)
+# Per operand row (a, b, a*b, c): the magnitudes inside which the error-free
+# path is exact.  a and b must be small enough that the split does not
+# overflow; the rounded product must stay clear of underflow (so its error
+# term is exact, and a zero factor is caught) and of overflow, and c of
+# overflow.  A NaN fails every bound.
+_EFT_LOW = np.array([0.0, 0.0, 2.0 ** -960, 0.0])[:, None]
+_EFT_HIGH = np.array([2.0 ** 995, 2.0 ** 995, 2.0 ** 1021, 2.0 ** 1021])[:, None]
 
-def fused_madd(a: float, b: float, c: float) -> float:
-    """a*b + c with a single rounding."""
+
+def _exact_fused_madd(a: float, b: float, c: float) -> float:
+    """a*b + c with a single rounding, by exact rational arithmetic."""
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         return a * b + c
     exact = Fraction(a) * Fraction(b) + Fraction(c)
@@ -51,8 +68,60 @@ def fused_madd(a: float, b: float, c: float) -> float:
         return math.inf if exact > 0 else -math.inf
 
 
+def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = RN(x + y) and s + e == x + y exactly (Knuth)."""
+    s = x + y
+    yv = s - x
+    return s, (x - (s - yv)) + (y - yv)
+
+
+def fused_madd(a, b, c):
+    """a*b + c with a single rounding, lane-wise over equal-shape float64
+    arrays; scalars give a float."""
+    shape = np.shape(a)
+    a, b, c = (np.asarray(x, dtype=np.float64).reshape(-1) for x in (a, b, c))
+    with np.errstate(all="ignore"):
+        p = a * b
+        rows = np.array((a, b, p, c))
+        mags = np.abs(rows)
+        ok = ((mags >= _EFT_LOW) & (mags < _EFT_HIGH)).all(axis=0)
+        # Dekker's TwoProduct: a*b == p + pl exactly
+        factors = rows[:2]
+        t = factors * _SPLITTER
+        hi = t - (t - factors)
+        (ah, bh), (al, bl) = hi, factors - hi
+        pl = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        s, sl = _two_sum(c, p)
+        # round-to-odd sl + pl: an inexact sum with an even mantissa steps one
+        # ulp toward its error, so the final rounding cannot round twice
+        v, ve = _two_sum(sl, pl)
+        step = (ve != 0) & ((v.view(_U64) & _U64(1)) == 0)
+        v = np.where(step, np.nextafter(v, np.copysign(np.inf, ve)), v)
+        result = s + v
+    for i in np.flatnonzero(~ok):
+        result[i] = _exact_fused_madd(float(a[i]), float(b[i]), float(c[i]))
+    return float(result[0]) if shape == () else result.reshape(shape)
+
+
+def _page_runs(where: np.ndarray):
+    """(page index, slice, in-page offsets) of each page's run in sorted
+    byte addresses."""
+    pages = where >> _U64(_PAGE_BITS)
+    offsets = (where & _U64(_PAGE_SIZE - 1)).astype(np.intp)
+    cuts = [0, *(np.flatnonzero(pages[1:] != pages[:-1]) + 1).tolist(), len(where)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        yield int(pages[lo]), slice(lo, hi), offsets[lo:hi]
+
+
 class Memory:
-    """Sparse byte-addressable memory, zero-initialized, bounds-checked."""
+    """Sparse byte-addressable memory, zero-initialized, bounds-checked.
+
+    `read_u64` and `write_u64` take one address or a uint64 array of them.
+    Every word of an array access is checked before any byte moves; a fault
+    names the first word that does not fit, numbering the words from
+    `element`.  The bytes of each page are then moved with numpy indexing,
+    and where words overlap the later one wins.
+    """
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -91,24 +160,43 @@ class Memory:
             self._page(index)[offset:offset + take] = data[pos:pos + take]
             pos += take
 
-    def read_u64(self, addr: int, element: int = 0) -> int:
-        self.check(addr, 8, element)
-        offset = addr & (_PAGE_SIZE - 1)
-        if offset <= _PAGE_SIZE - 8:
-            page = self._pages.get(addr >> _PAGE_BITS)
-            if page is None:
-                return 0
-            return int.from_bytes(page[offset:offset + 8], "little")
-        return int.from_bytes(self.read_bytes(addr, 8, element), "little")
+    def _word_bytes(self, addr, element: int) -> np.ndarray:
+        """The byte addresses of the 8-byte words at `addr`, word by word,
+        once every word is known to fit."""
+        if np.ndim(addr) == 0:
+            self.check(addr, 8, element)
+        addrs = np.asarray(addr, dtype=_U64).reshape(-1)
+        # no word fits at or past this address
+        bad = addrs >= _U64(max(0, min(self.limit, 1 << 64) - 7))
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise OutOfBoundsAccess(int(addrs[first]), element + first)
+        return (addrs[:, None] + _WORD_BYTES).reshape(-1)
 
-    def write_u64(self, addr: int, value: int, element: int = 0) -> None:
-        self.check(addr, 8, element)
-        offset = addr & (_PAGE_SIZE - 1)
-        data = (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-        if offset <= _PAGE_SIZE - 8:
-            self._page(addr >> _PAGE_BITS)[offset:offset + 8] = data
-        else:
-            self.write_bytes(addr, data, element)
+    def read_u64(self, addr, element: int = 0):
+        """The little-endian word at `addr`: an int for an int address, a
+        uint64 array for an address array."""
+        where, back = np.unique(self._word_bytes(addr, element), return_inverse=True)
+        data = np.zeros(len(where), dtype=np.uint8)
+        for index, run, offsets in _page_runs(where):
+            page = self._pages.get(index)
+            if page is not None:
+                data[run] = np.frombuffer(page, dtype=np.uint8)[offsets]
+        words = data[back].view("<u8")
+        return int(words[0]) if np.ndim(addr) == 0 else words
+
+    def write_u64(self, addr, value, element: int = 0) -> None:
+        """Store `value` (an int, or a uint64 array for an address array) as
+        little-endian words."""
+        where = self._word_bytes(addr, element)
+        if np.ndim(value) == 0:
+            value = int(value) & _U64_MASK
+        data = np.ascontiguousarray(value, dtype="<u8").reshape(-1).view(np.uint8)
+        # the last word written to a byte wins: keep each byte's last writer
+        where, last = np.unique(where[::-1], return_index=True)
+        data = data[::-1][last]
+        for index, run, offsets in _page_runs(where):
+            np.frombuffer(self._page(index), dtype=np.uint8)[offsets] = data[run]
 
     def touched_pages(self) -> dict[int, bytes]:
         """Snapshot of every page ever written (page index -> contents)."""
@@ -169,16 +257,15 @@ def _vtype_from_bits(bits: int) -> Vtype:
     return Vtype(sew_bits=sew, lmul=lmul, vill=bool(bits >> 63))
 
 
-def _coalesce(addrs: Iterable[int], width: int) -> tuple[tuple[int, int], ...]:
+def _coalesce(addrs: np.ndarray, width: int) -> tuple[tuple[int, int], ...]:
     """Merge per-element (addr, width) accesses into maximal contiguous runs,
     preserving element order."""
-    ranges: list[list[int]] = []
-    for addr in addrs:
-        if ranges and addr == ranges[-1][0] + ranges[-1][1]:
-            ranges[-1][1] += width
-        else:
-            ranges.append([addr, width])
-    return tuple((base, length) for base, length in ranges)
+    step = _U64(width)
+    # an address below `width` that follows on modulo 2^64 starts a new run
+    joined = (addrs[1:] == addrs[:-1] + step) & (addrs[1:] >= step)
+    starts = [0, *(np.flatnonzero(~joined) + 1).tolist()]
+    lengths = np.diff([*starts, len(addrs)]) * width
+    return tuple(zip(addrs[starts].tolist(), lengths.tolist()))
 
 
 def _config_avl(state: MachineState, instr: Instruction) -> int:
@@ -214,23 +301,19 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
 
     if category == Category.MEM_STRIDED or category == Category.MEM_INDEXED:
         base = state.read_xreg(instr.rs1)
+        if vl == 0:
+            return ((base, 0),)
         if category == Category.MEM_STRIDED:
-            stride = state.read_xreg(instr.rs2)
-            if stride >= 1 << 63:
-                stride -= 1 << 64  # stride register is signed
-            addrs = [base + i * stride for i in range(vl)]
+            # uint64 arithmetic: a negative stride is its two's complement
+            offsets = np.arange(vl, dtype=_U64) * _U64(state.read_xreg(instr.rs2))
         else:
-            addrs = [base + int(off) for off in state.velems(instr.vs2, vl)]
-        for i, addr in enumerate(addrs):
-            mem.check(addr, 8, i)
+            offsets = state.velems(instr.vs2, vl)
+        addrs = _U64(base) + offsets  # wraps modulo 2^64
         if instr.is_load:
-            values = [mem.read_u64(addr, i) for i, addr in enumerate(addrs)]
-            state.vregs[instr.vd, :vl] = np.array(values, dtype=_U64).reshape(vl)
+            state.vregs[instr.vd, :vl] = mem.read_u64(addrs)
         else:
-            src = state.velems(instr.vs3, vl)
-            for i, addr in enumerate(addrs):
-                mem.write_u64(addr, int(src[i]), i)
-        return _coalesce(addrs, 8) if vl else ((base, 0),)
+            mem.write_u64(addrs, state.velems(instr.vs3, vl))
+        return _coalesce(addrs, 8)
 
     if vl == 0:
         return ()
@@ -249,11 +332,8 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
         result = _FP_VV_OPS[m](state.vfloats(instr.vs2, vl), state.vfloats(instr.vs1, vl))
         state.vregs[instr.vd, :vl] = result.view(_U64)
     elif m == "vfmacc.vv":
-        acc = state.vfloats(instr.vd, vl)
-        s1 = state.vfloats(instr.vs1, vl)
-        s2 = state.vfloats(instr.vs2, vl)
-        result = np.array([fused_madd(float(s1[i]), float(s2[i]), float(acc[i]))
-                           for i in range(vl)], dtype=np.float64)
+        result = fused_madd(state.vfloats(instr.vs1, vl), state.vfloats(instr.vs2, vl),
+                            state.vfloats(instr.vd, vl))
         state.vregs[instr.vd, :vl] = result.view(_U64)
     elif m == "vfmv.v.f":
         value = np.float64(state.fregs[instr.fs1])
@@ -268,6 +348,15 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
     return ()
 
 
+def _init_words(memory: Memory, address: int, words: np.ndarray) -> None:
+    """Write a directive's consecutive 8-byte words with one call; a fault
+    names the first word that does not fit, and nothing is written."""
+    fits = max(0, (memory.limit - address) // 8)
+    if fits < len(words):
+        raise OutOfBoundsAccess(address + 8 * fits, fits)
+    memory.write_bytes(address, words.tobytes())
+
+
 def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
     """Apply one stream item.  Directives mutate state silently; instructions
     return the trace record captured at execution time."""
@@ -279,13 +368,10 @@ def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
         state.fregs[item.reg] = item.fvalue
         return None
     if kind == ItemKind.INIT_MEM_F64:
-        for i, value in enumerate(item.fvalues):
-            state.memory.write_bytes(item.address + 8 * i,
-                                     np.float64(value).astype("<f8").tobytes(), i)
+        _init_words(state.memory, item.address, np.array(item.fvalues, dtype="<f8"))
         return None
     if kind == ItemKind.INIT_MEM_U64:
-        for i, value in enumerate(item.uvalues):
-            state.memory.write_u64(item.address + 8 * i, value, i)
+        _init_words(state.memory, item.address, np.array(item.uvalues, dtype="<u8"))
         return None
     if kind in (ItemKind.PHASE_MARK, ItemKind.WINDOW_MARK):
         return None

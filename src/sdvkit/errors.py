@@ -94,3 +94,7 @@ class PhaseSetMismatch(SdvError):
 
 class InvalidSize(SdvError):
     pass
+
+
+class InvalidSeed(SdvError):
+    pass

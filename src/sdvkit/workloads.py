@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidSize
+from .errors import InvalidSeed, InvalidSize
 from .vstream import ItemKind, StreamItem
 from .isa import Instruction, parse_instruction
 
@@ -57,6 +57,11 @@ class FftLayout:
     ident_idx: int = 0x0320_0000     # identity byte offsets for the output pass
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvalidSeed(f"seed must be >= 0, got {seed}")
+
+
 @dataclass
 class FftPlan:
     n: int
@@ -70,6 +75,7 @@ class FftPlan:
             raise InvalidSize(f"n must be a power of two in [64, 65536], got {self.n}")
         if self.variant not in ("naive", "wide"):
             raise InvalidSize(f"unknown variant {self.variant!r}")
+        _check_seed(self.seed)
 
 
 # Phase code regions: a prologue range and a loop-body range per phase, so
@@ -411,18 +417,23 @@ def gen_fft(plan: FftPlan):
     return e.items, manifest
 
 
+_AXPY_X, _AXPY_Y = 0x0100_0000, 0x0120_0000
+_AXPY_MAX_N = (_AXPY_Y - _AXPY_X) // 8  # x must end where y begins
+
+
 def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
              y: Optional[np.ndarray] = None, seed: int = 0):
     """y <- a*x + y in maximal-length strips with a short tail strip; returns
     (items, manifest)."""
-    if n < 1:
-        raise InvalidSize("n must be >= 1")
+    if not 1 <= n <= _AXPY_MAX_N:
+        raise InvalidSize(f"n must be in [1, {_AXPY_MAX_N}], got {n}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     x = np.asarray(x if x is not None else rng.uniform(-1.0, 1.0, n), dtype=np.float64)
     y = np.asarray(y if y is not None else rng.uniform(-1.0, 1.0, n), dtype=np.float64)
     if len(x) != n or len(y) != n:
         raise InvalidSize("input arrays must have length n")
-    x_base, y_base = 0x0100_0000, 0x0120_0000
+    x_base, y_base = _AXPY_X, _AXPY_Y
 
     e = _Emitter()
     e.phase_mark(0)

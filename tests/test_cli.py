@@ -152,6 +152,19 @@ def test_output_that_is_a_directory_is_named(tmp_path, capsys):
     assert ".tmp" not in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (("fft", "--n", 64, "--seed", -1), "seed must be >= 0"),
+    (("axpy", "--n", 10, "--seed", -3), "seed must be >= 0"),
+    (("axpy", "--n", 262_145), "n must be in [1, 262144]"),
+    (("axpy", "--n", 100_000_000_000), "n must be in [1, 262144]"),
+])
+def test_bad_gen_argument_is_exit_1(tmp_path, capsys, args, message):
+    out = tmp_path / "a.vs"
+    assert run_cli("gen", *args, "-o", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["vid.v v\u00b2", ".xreg x\u00b2 1"])
 def test_non_ascii_register_digit_is_exit_1(tmp_path, capsys, line):
     bad = tmp_path / "bad.vs"

@@ -1,8 +1,15 @@
+import math
+import struct
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdvkit.config import MachineConfig, Vtype
-from sdvkit.emulator import MachineState, apply_vsetvli, fused_madd, run, step
+from sdvkit.emulator import (Memory, MachineState, _coalesce, _exact_fused_madd,
+                             apply_vsetvli, fused_madd, run, step)
 from sdvkit.errors import (EmulationError, OutOfBoundsAccess,
                            UnsupportedVtype)
 from sdvkit.tracefile import write_trace
@@ -155,6 +162,258 @@ def test_vfmacc_is_fused():
             "vfmacc.vv v2, v1, v1\n")
     state, _ = _run(text)
     assert _floats(state, 2, 1) == [eps * eps]
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_SPECIALS = [0.0, -0.0, 1.0, -1.5, 5e-324, -5e-324, 2.0 ** -1022, 2.0 ** 1000,
+             1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def _fma_lane(draw):
+    """One (a, b, c) lane, from IEEE special values, random bit patterns,
+    exponents across the whole range, products and sums at the edges of that
+    range, near-cancellation, and sums whose low part lands near half an ulp
+    of the result (where rounding twice fails)."""
+    kind = draw(st.sampled_from(["special", "floats", "bits", "scaled", "edge",
+                                 "cancel", "tie"]))
+    if kind == "special":
+        return tuple(draw(st.sampled_from(_SPECIALS)) for _ in range(3))
+    if kind == "floats":
+        return tuple(draw(st.floats(width=64)) for _ in range(3))
+    if kind == "bits":
+        return tuple(_from_bits(draw(st.integers(0, 2 ** 64 - 1))) for _ in range(3))
+
+    def scaled(exponent):
+        unit = draw(st.floats(1.0, 2.0, exclude_max=True))
+        return draw(st.sampled_from([1.0, -1.0])) * float(np.ldexp(unit, exponent))
+
+    if kind == "scaled":
+        return tuple(scaled(draw(st.integers(-1074, 1023))) for _ in range(3))
+    if kind == "edge":
+        if draw(st.booleans()):  # products up to the largest double; c may overflow the sum
+            a = scaled(draw(st.integers(400, 600)))
+            product = draw(st.floats(2.0 ** 1020, 1.7976931348623157e308))
+            return a, product / a, scaled(1023)
+        product = draw(st.integers(-1100, -950))  # products near underflow
+        ea = product // 2 + draw(st.integers(-40, 40))
+        return scaled(ea), scaled(product - ea), scaled(product + draw(st.integers(-60, 3)))
+    a = scaled(draw(st.integers(-500, 500)))
+    if kind == "cancel":
+        b = scaled(draw(st.integers(-500, 500)))
+        return a, b, -(a * b) + draw(st.integers(-4, 4)) * float(np.spacing(a * b))
+    c = scaled(draw(st.integers(-400, 400)))
+    half_ulps = (draw(st.integers(0, 3)) + 0.5) * float(np.spacing(abs(c)))
+    return a, draw(st.sampled_from([1.0, -1.0])) * half_ulps / a, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_fma_lane(), min_size=1, max_size=8))
+def test_vector_fused_madd_matches_exact_oracle(lanes):
+    a, b, c = (np.array(column, dtype=np.float64) for column in zip(*lanes))
+    got = fused_madd(a, b, c)
+    want = [_exact_fused_madd(*lane) for lane in lanes]
+    assert [_bits(x) for x in got.tolist()] == [_bits(x) for x in want]
+    assert _bits(fused_madd(*lanes[0])) == _bits(want[0])  # the scalar form
+
+
+def _scaled(rng, n, low, high):
+    return rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(low, high, n)) * rng.choice([-1.0, 1.0], n)
+
+
+def test_vector_fused_madd_matches_exact_oracle_at_every_bound():
+    """Seeded lanes aimed at each bound of the error-free path and at its
+    round-to-odd step, so that dropping any of them fails here."""
+    rng = np.random.default_rng(2008)
+    n = 3000
+    a_mid = _scaled(rng, n, 400, 600)
+    a_low = _scaled(rng, n, -560, -500)
+    c_half = _scaled(rng, n, -50, 50)
+    families = {
+        "split overflow": (_scaled(rng, n, 990, 1000), _scaled(rng, n, -100, 20),
+                           _scaled(rng, n, -100, 1000)),
+        "product near the largest double": (
+            a_mid, np.finfo(np.float64).max * (1 - rng.uniform(0, 2.0 ** -20, n)) / a_mid,
+            _scaled(rng, n, 900, 1000)),
+        "sum overflow": (a_mid, _scaled(rng, n, 1019, 1021) / a_mid, _scaled(rng, n, 1023, 1024)),
+        "product underflow": (a_low, _scaled(rng, n, -1090, -960) / a_low,
+                              _scaled(rng, n, -1074, -1000)),
+        "half-ulp ties": (a_mid, (rng.integers(0, 4, n) + 0.5) * np.spacing(np.abs(c_half))
+                          * rng.choice([-1.0, 1.0], n) / a_mid, c_half),
+    }
+    for name, (a, b, c) in families.items():
+        want = [_exact_fused_madd(*lane) for lane in zip(a.tolist(), b.tolist(), c.tolist())]
+        got = fused_madd(a, b, c)
+        assert got.view(np.uint64).tolist() == [_bits(x) for x in want], name
+
+
+_LIMIT = 3 * 4096 + 4  # not a multiple of 8: the bound cuts an aligned word
+_ADDRESS = st.one_of(st.integers(0, _LIMIT + 16),
+                     st.builds(lambda page, delta: page * 4096 + delta,
+                               st.integers(1, 3), st.integers(-12, 4)),
+                     st.integers(2 ** 64 - 16, 2 ** 64 - 1))
+
+
+class _ByteModel:
+    """Test-side reference: element by element, one dict entry per byte."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.bytes = {}
+
+    def _check(self, addrs):
+        for i, addr in enumerate(addrs):
+            if addr + 8 > self.limit:
+                raise OutOfBoundsAccess(addr, i)
+
+    def write(self, addrs, values):
+        self._check(addrs)
+        for addr, value in zip(addrs, values):
+            for k, byte in enumerate(value.to_bytes(8, "little")):
+                self.bytes[addr + k] = byte
+
+    def read(self, addrs):
+        self._check(addrs)
+        return [int.from_bytes(bytes(self.bytes.get(addr + k, 0) for k in range(8)), "little")
+                for addr in addrs]
+
+    def image(self):
+        return bytes(self.bytes.get(addr, 0) for addr in range(self.limit))
+
+
+def _fault(call):
+    try:
+        return call(), None
+    except OutOfBoundsAccess as err:
+        return None, (err.address, err.element)
+
+
+@st.composite
+def _accesses(draw):
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        addrs = draw(st.lists(_ADDRESS, min_size=1, max_size=12))
+        if draw(st.booleans()):  # duplicates and overlapping words
+            addrs += draw(st.lists(st.sampled_from(addrs), max_size=4))
+        values = draw(st.lists(st.integers(0, 2 ** 64 - 1),
+                               min_size=len(addrs), max_size=len(addrs)))
+        ops.append((draw(st.booleans()), addrs, values, draw(st.booleans())))
+    return ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(_accesses())
+def test_vector_memory_matches_per_element_reference(ops):
+    memory, model = Memory(_LIMIT), _ByteModel(_LIMIT)
+    for is_write, addrs, values, scalar in ops:
+        if scalar:  # the plain-int form of the first element
+            addrs, values = addrs[:1], values[:1]
+            address = addrs[0]
+        else:
+            address = np.array(addrs, dtype=np.uint64)
+        if is_write:
+            value = values[0] if scalar else np.array(values, dtype=np.uint64)
+            before = memory.read_bytes(0, _LIMIT)
+            _, fault = _fault(lambda: memory.write_u64(address, value))
+            assert fault == _fault(lambda: model.write(addrs, values))[1]
+            if fault:
+                assert memory.read_bytes(0, _LIMIT) == before  # no partial effect
+        else:
+            got, fault = _fault(lambda: memory.read_u64(address))
+            want, want_fault = _fault(lambda: model.read(addrs))
+            assert fault == want_fault
+            if not fault:
+                assert (got == want[0] and isinstance(got, int)) if scalar \
+                    else got.tolist() == want
+    assert memory.read_bytes(0, _LIMIT) == model.image()
+
+
+@given(st.lists(st.one_of(st.integers(0, 64), st.integers(2 ** 64 - 24, 2 ** 64 - 1)),
+                min_size=1, max_size=20))
+def test_coalesced_ranges_match_element_order_runs(addrs):
+    runs = []
+    for addr in addrs:
+        if runs and addr == runs[-1][0] + runs[-1][1]:
+            runs[-1][1] += 8
+        else:
+            runs.append([addr, 8])
+    assert _coalesce(np.array(addrs, dtype=np.uint64), 8) == tuple(map(tuple, runs))
+
+
+def test_indexed_address_wraps_modulo_2_64():
+    text = (".xreg x1 0xffffffffffffff00\n.xreg x2 1\n.xreg x4 256\n"
+            ".memu64 0x0 0x1234\nvsetvli x3, x2, e64, m1\n"
+            "vid.v v1\nvadd.vx v2, v1, x4\nvluxei64.v v3, (x1), v2\n")
+    state, records = _run(text)
+    assert state.vregs[3, 0] == 0x1234
+    assert records[-1].addresses == ((0, 8),)
+
+
+def test_strided_address_wraps_modulo_2_64():
+    # a memory that reaches the top of the address space: the stride steps
+    # from the last word past 2^64 back to address 0
+    config = MachineConfig(memory_bytes=1 << 64)
+    text = (".xreg x1 2\nvsetvli x2, x1, e64, m1\n"
+            ".memu64 0xfffffffffffffff8 7\n.memu64 0x0 9\n"
+            ".xreg x10 0xfffffffffffffff8\n.xreg x11 8\nvlse64.v v1, (x10), x11\n")
+    state, records = _run(text, config)
+    assert state.vregs[1, :2].tolist() == [7, 9]
+    assert records[-1].addresses == ((0xfffffffffffffff8, 8), (0, 8))
+    # below address 0 a negative stride wraps to the top, out of bounds here
+    text = (".xreg x1 2\nvsetvli x2, x1, e64, m1\n.xreg x10 0\n"
+            ".xreg x11 0xfffffffffffffff8\nvlse64.v v1, (x10), x11\n")
+    with pytest.raises(EmulationError) as excinfo:
+        _run(text)
+    cause = excinfo.value.cause
+    assert (cause.address, cause.element) == (0xfffffffffffffff8, 1)
+
+
+def test_directive_fault_names_first_word_that_does_not_fit():
+    config = MachineConfig(memory_bytes=0x1014)
+    for directive in (".memf64 0x1000 1 2 3 4", ".memu64 0x1000 1 2 3 4"):
+        with pytest.raises(EmulationError) as excinfo:
+            _run(directive + "\n", config)
+        cause = excinfo.value.cause
+        assert (cause.address, cause.element) == (0x1010, 2)
+
+
+def _wide_stream(windows: int) -> list:
+    """Windows of VL-256 records like the wide FFT's: unit-stride loads,
+    FP arithmetic with an FMA, a register gather, an indexed scatter and a
+    strided load, each window preceded by a memory directive."""
+    values = " ".join(repr(1.0 + i / 256) for i in range(256))
+    lines = [".xreg x1 256", "vsetvli x2, x1, e64, m1", f".memf64 0x100000 {values}",
+             ".xreg x10 0x100000", ".xreg x11 0x200000", ".xreg x12 16",
+             "vid.v v1", "vsll.vi v1, v1, 4"]
+    for w in range(windows):
+        lines += [f".memf64 0x{0x300000 + 64 * w:x} 1 2 3 4 5 6 7 8",
+                  "vle64.v v2, (x10)", "vle64.v v3, (x10)", "vfmacc.vv v4, v2, v3",
+                  "vfadd.vv v5, v4, v2", "vrgather.vv v6, v5, v1",
+                  "vsuxei64.v v6, (x11), v1", "vlse64.v v7, (x11), x12"]
+    return parse_vstream("\n".join(lines) + "\n")
+
+
+def _per_record_seconds(items, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _, records = run(None, items)
+        best = min(best, time.perf_counter() - t0)
+    return best / len(records)
+
+
+def test_run_scales_linearly():
+    short, long = _wide_stream(32), _wide_stream(512)
+    # best of several runs each, so a slow stretch of the host does not count
+    ratio = _per_record_seconds(long, 2) / _per_record_seconds(short, 5)
+    assert ratio < 3, f"per-record time grew {ratio:.1f}x from 32 to 512 windows"
 
 
 def test_out_of_bounds_access():

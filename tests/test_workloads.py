@@ -3,7 +3,7 @@ import pytest
 
 from sdvkit.analysis import phase_metrics
 from sdvkit.emulator import run
-from sdvkit.errors import InvalidSize
+from sdvkit.errors import InvalidSeed, InvalidSize
 from sdvkit.isa import Category
 from sdvkit.workloads import (FftPlan, gen_axpy, gen_fft, oracle_axpy,
                               oracle_dft, read_f64_array)
@@ -37,6 +37,18 @@ def test_axpy_n1_a0():
 def test_axpy_invalid_size():
     with pytest.raises(InvalidSize):
         gen_axpy(0, 1.0)
+    # one more element and x's tail would be overwritten by y's directive
+    with pytest.raises(InvalidSize):
+        gen_axpy(262_145, 1.0)
+    _, manifest = gen_axpy(1, 1.0)
+    assert manifest["x"] + 8 * 262_144 == manifest["y"]
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(InvalidSeed):
+        gen_axpy(10, 1.0, seed=-3)
+    with pytest.raises(InvalidSeed):
+        FftPlan(n=64, seed=-1)
 
 
 @pytest.mark.parametrize("variant", ["naive", "wide"])
