@@ -118,18 +118,18 @@ class Memory:
 
     `read_u64` and `write_u64` take one address or a uint64 array of them.
     Every word of an array access is checked before any byte moves; a fault
-    names the first word that does not fit, numbering the words from
-    `element`.  The bytes of each page are then moved with numpy indexing,
-    and where words overlap the later one wins.
+    names the first word that does not fit and its index.  The bytes of each
+    page are then moved with numpy indexing, and where words overlap the
+    later one wins.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         self._pages: dict[int, bytearray] = {}
 
-    def check(self, addr: int, nbytes: int, element: int = 0) -> None:
+    def check(self, addr: int, nbytes: int) -> None:
         if addr < 0 or addr + nbytes > self.limit:
-            raise OutOfBoundsAccess(addr, element)
+            raise OutOfBoundsAccess(addr, 0)
 
     def _page(self, index: int) -> bytearray:
         page = self._pages.get(index)
@@ -138,8 +138,8 @@ class Memory:
             self._pages[index] = page
         return page
 
-    def read_bytes(self, addr: int, nbytes: int, element: int = 0) -> bytes:
-        self.check(addr, nbytes, element)
+    def read_bytes(self, addr: int, nbytes: int) -> bytes:
+        self.check(addr, nbytes)
         out = bytearray(nbytes)
         pos = 0
         while pos < nbytes:
@@ -151,8 +151,8 @@ class Memory:
             pos += take
         return bytes(out)
 
-    def write_bytes(self, addr: int, data: bytes, element: int = 0) -> None:
-        self.check(addr, len(data), element)
+    def write_bytes(self, addr: int, data: bytes) -> None:
+        self.check(addr, len(data))
         pos = 0
         while pos < len(data):
             index, offset = (addr + pos) >> _PAGE_BITS, (addr + pos) & (_PAGE_SIZE - 1)
@@ -160,23 +160,23 @@ class Memory:
             self._page(index)[offset:offset + take] = data[pos:pos + take]
             pos += take
 
-    def _word_bytes(self, addr, element: int) -> np.ndarray:
+    def _word_bytes(self, addr) -> np.ndarray:
         """The byte addresses of the 8-byte words at `addr`, word by word,
         once every word is known to fit."""
         if np.ndim(addr) == 0:
-            self.check(addr, 8, element)
+            self.check(addr, 8)
         addrs = np.asarray(addr, dtype=_U64).reshape(-1)
         # no word fits at or past this address
         bad = addrs >= _U64(max(0, min(self.limit, 1 << 64) - 7))
         if bad.any():
             first = int(np.argmax(bad))
-            raise OutOfBoundsAccess(int(addrs[first]), element + first)
+            raise OutOfBoundsAccess(int(addrs[first]), first)
         return (addrs[:, None] + _WORD_BYTES).reshape(-1)
 
-    def read_u64(self, addr, element: int = 0):
+    def read_u64(self, addr):
         """The little-endian word at `addr`: an int for an int address, a
         uint64 array for an address array."""
-        where, back = np.unique(self._word_bytes(addr, element), return_inverse=True)
+        where, back = np.unique(self._word_bytes(addr), return_inverse=True)
         data = np.zeros(len(where), dtype=np.uint8)
         for index, run, offsets in _page_runs(where):
             page = self._pages.get(index)
@@ -185,10 +185,10 @@ class Memory:
         words = data[back].view("<u8")
         return int(words[0]) if np.ndim(addr) == 0 else words
 
-    def write_u64(self, addr, value, element: int = 0) -> None:
+    def write_u64(self, addr, value) -> None:
         """Store `value` (an int, or a uint64 array for an address array) as
         little-endian words."""
-        where = self._word_bytes(addr, element)
+        where = self._word_bytes(addr)
         if np.ndim(value) == 0:
             value = int(value) & _U64_MASK
         data = np.ascontiguousarray(value, dtype="<u8").reshape(-1).view(np.uint8)
