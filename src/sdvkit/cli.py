@@ -75,8 +75,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_emulate(args) -> int:
     config = load_machine_config(args.config)
-    stream = Path(args.input).read_text()
-    _, records = run(config, stream)
+    _, records = run(config, parse_vstream(Path(args.input).read_text()))
     _write_file(args.output, write_trace(records))
     _write_manifest(args.output, _base_manifest(
         args, input=args.input, config=args.config or "<defaults>",

@@ -3,9 +3,10 @@
 Both file kinds share one syntax (``key = value`` lines, ``#`` comments,
 ignored ``[section]`` headers) and take only the fields of their dataclass;
 unset keys keep their defaults.  A machine file (``--config``) takes the
-`MachineConfig` keys ``vlen_bits`` and ``memory_bytes``.  A timing file
-(``--timing``) takes the `TimingParams` keys: the four ``*_elems_per_cycle``
-rates, ``mem_latency_cycles``, ``arith_latency_cycles``,
+`MachineConfig` keys ``vlen_bits`` (a power of two, at least 128) and
+``memory_bytes`` (in [1, 2^64], so every byte has a u64 address).  A timing
+file (``--timing``) takes the `TimingParams` keys: the four
+``*_elems_per_cycle`` rates, ``mem_latency_cycles``, ``arith_latency_cycles``,
 ``scalar_cycles_per_instr``, ``vector_queue_depth`` and ``chaining``.  An
 unknown key, a value that is not of its field's type (integer; boolean for
 ``chaining``) or outside its field's domain raises an `SdvError`.
@@ -37,8 +38,8 @@ class MachineConfig:
     def __post_init__(self):
         if self.vlen_bits < 128 or self.vlen_bits & (self.vlen_bits - 1):
             raise ValueError("vlen_bits must be a power of two >= 128")
-        if self.memory_bytes < 1:
-            raise ValueError("memory_bytes must be positive")
+        if not 1 <= self.memory_bytes <= 1 << 64:
+            raise ValueError("memory_bytes must be in [1, 2**64]")
 
     def vlmax(self, sew_bits: int = 64, lmul: int = 1) -> int:
         return (self.vlen_bits // sew_bits) * lmul

@@ -54,8 +54,10 @@ _EFT_HIGH = np.array([2.0 ** 995, 2.0 ** 995, 2.0 ** 1021, 2.0 ** 1021])[:, None
 
 def _exact_fused_madd(a: float, b: float, c: float) -> float:
     """a*b + c with a single rounding, by exact rational arithmetic."""
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+    if not (math.isfinite(a) and math.isfinite(b)):
         return a * b + c
+    if not math.isfinite(c):
+        return c  # the exact product is finite, however large its rounding
     exact = Fraction(a) * Fraction(b) + Fraction(c)
     if exact == 0:
         product = a * b
@@ -167,7 +169,7 @@ class Memory:
             self.check(addr, 8)
         addrs = np.asarray(addr, dtype=_U64).reshape(-1)
         # no word fits at or past this address
-        bad = addrs >= _U64(max(0, min(self.limit, 1 << 64) - 7))
+        bad = addrs >= _U64(max(0, self.limit - 7))
         if bad.any():
             first = int(np.argmax(bad))
             raise OutOfBoundsAccess(int(addrs[first]), first)

@@ -30,10 +30,16 @@ class UnsupportedInstruction(SdvError):
         self.word = word
 
 
-class StreamSyntaxError(SdvError):
+class LineError(SdvError):
+    """Malformed input file; `line` is the 1-based number of the bad line."""
+
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class StreamSyntaxError(LineError):
+    pass
 
 
 class UnknownDirective(StreamSyntaxError):
@@ -44,16 +50,12 @@ class MalformedNumber(StreamSyntaxError):
     pass
 
 
-class TraceFormatError(SdvError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class TraceFormatError(LineError):
+    pass
 
 
-class PrvFormatError(SdvError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+class PrvFormatError(LineError):
+    pass
 
 
 class UnsupportedVtype(SdvError):

@@ -25,6 +25,8 @@ Model rules, all deliberately simple and in-order:
   far below the unit-stride rate, which is the load-bearing ordering for
   gather/scatter-heavy code.
 
+The counters (busy, overlap and idle cycles per pipeline) are added up in the
+same pass that places each instruction; no second walk over the timeline.
 Rates and latencies are configurable defaults, not calibrated hardware data.
 """
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .isa import Category
 
@@ -131,12 +133,8 @@ def occupancy(record, params: TimingParams) -> int:
     return max(1, -(-record.vl // rate))
 
 
-@dataclass
-class _Producer:
-    start: int
-    occupancy: int
-    latency: int
-    complete: int
+# overlap_cycles counts cycles in which both of these pipelines are busy
+_OTHER_PIPELINE = {Pipeline.MEM: Pipeline.ARITH, Pipeline.ARITH: Pipeline.MEM}
 
 
 def simulate(trace: Sequence, params: Optional[TimingParams] = None):
@@ -147,12 +145,13 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
     last_issue = -1
     last_start = -1
     pipe_free = {p: 0 for p in Pipeline}
-    writers: dict[int, _Producer] = {}
+    writers: dict[int, tuple] = {}  # reg -> (start + latency, occupancy, complete)
     reader_complete: dict[int, int] = {}
     depth = params.vector_queue_depth
     completes: list[int] = []  # min-heap of the `depth` latest completions
+    busy = {p: 0 for p in Pipeline}
+    overlap = total = scalar_total = 0
 
-    scalar_total = 0
     for rec in trace:
         instr = rec.instr
         pipe = pipeline_of(instr.category)
@@ -170,25 +169,33 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
             producer = writers.get(reg)
             if producer is None:
                 continue
+            ready, producer_occ, producer_complete = producer
             if params.chaining:
-                start = max(start, producer.start + producer.latency
-                            + max(1, producer.occupancy - occ))
+                start = max(start, ready + max(1, producer_occ - occ))
             else:
-                start = max(start, producer.complete)
+                start = max(start, producer_complete)
         for reg in instr.vreg_defs:
             producer = writers.get(reg)
             if producer is not None:
-                start = max(start, producer.complete)
+                start = max(start, producer[2])
             start = max(start, reader_complete.get(reg, 0))
 
         complete = start + occ + latency
         entries.append(TimelineEntry(rec.seq, pipe, issue, start, complete,
                                      instr.mnemonic))
+        # Starts only grow and a pipeline runs one instruction at a time, so
+        # of the other pipeline's busy intervals only its latest can still be
+        # running at `start`.
+        busy[pipe] += complete - start
+        other = _OTHER_PIPELINE.get(pipe)
+        if other is not None:
+            overlap += max(0, min(complete, pipe_free[other]) - start)
+        total = max(total, complete)
         pipe_free[pipe] = complete
         for reg in instr.vreg_uses:
             reader_complete[reg] = max(reader_complete.get(reg, 0), complete)
         for reg in instr.vreg_defs:
-            writers[reg] = _Producer(start, occ, latency, complete)
+            writers[reg] = (start + latency, occ, complete)
             reader_complete[reg] = 0
         if len(completes) < depth:
             heapq.heappush(completes, complete)
@@ -198,61 +205,13 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
         last_start = start
         scalar_time = issue + 1
 
-    counters = _derive_counters(entries, scalar_total)
+    mem_busy, arith_busy = busy[Pipeline.MEM], busy[Pipeline.ARITH]
+    counters = CounterSet(
+        total_cycles=total, vector_instr_count=len(entries),
+        scalar_instr_count=scalar_total, mem_busy_cycles=mem_busy,
+        arith_busy_cycles=arith_busy, overlap_cycles=overlap,
+        vpu_idle_cycles=total - (mem_busy + arith_busy - overlap))
     return entries, counters
-
-
-def _intervals(entries: Iterable[TimelineEntry], pipeline: Pipeline):
-    ivs = [(e.start_cycle, e.complete_cycle) for e in entries if e.pipeline == pipeline]
-    ivs.sort()
-    return ivs
-
-
-def _union_length(ivs: list[tuple[int, int]]) -> int:
-    total = 0
-    end = None
-    for a, b in sorted(ivs):
-        if end is None or a > end:
-            total += b - a
-            end = b
-        elif b > end:
-            total += b - end
-            end = b
-    return total
-
-
-def _intersection_length(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> int:
-    total = 0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo < hi:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
-def _derive_counters(entries: list[TimelineEntry], scalar_total: int) -> CounterSet:
-    counters = CounterSet()
-    counters.vector_instr_count = len(entries)
-    counters.scalar_instr_count = scalar_total
-    if not entries:
-        return counters
-    counters.total_cycles = max(e.complete_cycle for e in entries)
-    mem = _intervals(entries, Pipeline.MEM)
-    arith = _intervals(entries, Pipeline.ARITH)
-    counters.mem_busy_cycles = sum(b - a for a, b in mem)
-    counters.arith_busy_cycles = sum(b - a for a, b in arith)
-    counters.overlap_cycles = _intersection_length(mem, arith)
-    counters.vpu_idle_cycles = counters.total_cycles - _union_length(mem + arith)
-    return counters
-
-
-_LANE_ORDER = (Pipeline.CONFIG, Pipeline.MEM, Pipeline.ARITH)
 
 
 def emit_timeline(entries: Sequence[TimelineEntry]) -> str:
@@ -270,7 +229,7 @@ _LANE_COLORS = {Pipeline.CONFIG: "#999999", Pipeline.MEM: "#d94801", Pipeline.AR
 def emit_timeline_svg(entries: Sequence[TimelineEntry]) -> str:
     """The timeline as an SVG chart, one lane per pipeline in use."""
     lane_h, pad, label_w = 28, 8, 70
-    lanes = [p for p in _LANE_ORDER if any(e.pipeline == p for e in entries)]
+    lanes = [p for p in _LANE_COLORS if any(e.pipeline == p for e in entries)]
     span = max((e.complete_cycle for e in entries), default=1) or 1
     plot_w = 1000
     width = label_w + plot_w + pad

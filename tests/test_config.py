@@ -3,8 +3,10 @@ import dataclasses
 import pytest
 
 from sdvkit.config import MachineConfig, load_machine_config, load_timing_params
-from sdvkit.errors import SdvError
+from sdvkit.emulator import run
+from sdvkit.errors import EmulationError, OutOfBoundsAccess, SdvError
 from sdvkit.timing import TimingParams
+from sdvkit.vstream import parse_vstream
 from test_cli import run_cli
 
 # Unit-stride, strided and indexed loads, a RAW pair, scalar counts, and more
@@ -128,3 +130,22 @@ def test_values_that_do_not_parse(tmp_path, text):
     path.write_text(text)
     with pytest.raises(SdvError):
         load_timing_params(path)
+
+
+def test_memory_reaches_at_most_2_64(tmp_path, capsys):
+    # a store of two words at the last word of the u64 address space
+    vs, config = tmp_path / "top.vs", tmp_path / "m.ini"
+    vs.write_text(".xreg x1 2\nvsetvli x2, x1, e64, m1\n"
+                  ".xreg x10 0xfffffffffffffff8\nvse64.v v1, (x10)\n")
+    for memory_bytes, message in [
+            (0x10000000000000001, "memory_bytes must be in [1, 2**64]"),
+            (1 << 64, "memory access at 0xfffffffffffffff8 (element 0) "
+                      "outside addressable range")]:
+        config.write_text(f"memory_bytes = 0x{memory_bytes:x}\n")
+        capsys.readouterr()
+        assert run_cli("emulate", vs, "--config", config, "-o", tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    with pytest.raises(EmulationError) as excinfo:
+        run(MachineConfig(memory_bytes=1 << 64), parse_vstream(vs.read_text()))
+    assert isinstance(excinfo.value.cause, OutOfBoundsAccess)

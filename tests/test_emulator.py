@@ -224,6 +224,22 @@ def test_vector_fused_madd_matches_exact_oracle(lanes):
     assert _bits(fused_madd(*lanes[0])) == _bits(want[0])  # the scalar form
 
 
+@pytest.mark.parametrize("a, b, c, want", [
+    (1e308, 10.0, -math.inf, -math.inf),  # the exact product is finite
+    (-1e308, 10.0, math.inf, math.inf),
+    (1e308, 10.0, math.nan, math.nan),
+    (math.inf, 0.0, 1.0, math.nan),       # invalid: inf * 0
+])
+def test_fused_madd_with_a_non_finite_operand(a, b, c, want):
+    lanes = np.array([a, 1.0]), np.array([b, 2.0]), np.array([c, 3.0])
+    for got in (fused_madd(a, b, c), float(fused_madd(*lanes)[0])):
+        if math.isnan(want):
+            assert math.isnan(got)
+        else:
+            assert got == want
+    assert fused_madd(*lanes)[1] == 5.0
+
+
 def _scaled(rng, n, low, high):
     return rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(low, high, n)) * rng.choice([-1.0, 1.0], n)
 

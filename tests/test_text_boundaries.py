@@ -1,7 +1,7 @@
-"""Instruction text appears only at file boundaries: everything between the
-readers and the writers passes decoded `Instruction` objects.  This scans
-the package source for every reference to the text converters and names the
-function that holds it."""
+"""Instruction and stream text appear only at file boundaries: everything
+between the readers and the writers passes decoded `Instruction` objects and
+stream items.  This scans the package source for every reference to the text
+converters and names the function that holds it."""
 
 import ast
 from pathlib import Path
@@ -16,6 +16,10 @@ ALLOWED = {
                           "workloads._Emitter.instr"},
     "disassemble": {"vstream.write_vstream", "tracefile.write_trace",
                     "tracefile.read_trace", "tracefile.TraceRecord.mnemonic_text"},
+    # `emulator.run` keeps its `str` branch only because `perfbench/cases.py`
+    # passes it file text (ROADMAP item 6); package callers pass parsed items.
+    "parse_vstream": {"cli._cmd_emulate", "cli._cmd_schedule", "emulator.run"},
+    "write_vstream": {"cli._cmd_gen", "cli._cmd_schedule"},
 }
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from sdvkit.isa import Category, parse_instruction
 from sdvkit.timing import (CounterSet, Pipeline, TimelineEntry, TimingParams,
-                           _derive_counters, emit_timeline, emit_timeline_svg, occupancy,
-                           pipeline_of, simulate)
+                           emit_timeline, emit_timeline_svg, occupancy, pipeline_of,
+                           simulate)
 from sdvkit.tracefile import TraceRecord
 
 
@@ -185,12 +185,27 @@ def test_dependence_safety_random():
                 writer[reg] = entry.complete_cycle
 
 
+def _brute_force_counters(trace, entries):
+    """Test-only oracle for the counters: the set of cycles each pipeline is
+    busy, one cycle at a time, then set sizes, intersection and union."""
+    busy = {p: set() for p in Pipeline}
+    for e in entries:
+        busy[e.pipeline].update(range(e.start_cycle, e.complete_cycle))
+    mem, arith = busy[Pipeline.MEM], busy[Pipeline.ARITH]
+    total = max((e.complete_cycle for e in entries), default=0)
+    return CounterSet(total_cycles=total, vector_instr_count=len(entries),
+                      scalar_instr_count=sum(r.scalar_before for r in trace),
+                      mem_busy_cycles=len(mem), arith_busy_cycles=len(arith),
+                      overlap_cycles=len(mem & arith),
+                      vpu_idle_cycles=total - len(mem | arith))
+
+
 def _simulate_nlargest(trace, params):
     """Test-only oracle for `simulate`: the same model, with the queue bound
     taken by `heapq.nlargest` as the depth-th largest of every completion so
     far, at O(n) per record."""
     entries = []
-    scalar_time = scalar_total = 0
+    scalar_time = 0
     last_issue = last_start = -1
     pipe_free = {p: 0 for p in Pipeline}
     writers = {}  # reg -> (start, occupancy, latency, complete)
@@ -199,7 +214,6 @@ def _simulate_nlargest(trace, params):
     for rec in trace:
         instr = rec.instr
         pipe = pipeline_of(instr.category)
-        scalar_total += rec.scalar_before
         scalar_time += rec.scalar_before * params.scalar_cycles_per_instr
         issue = max(scalar_time, last_issue + 1)
         if len(completes) >= params.vector_queue_depth:
@@ -230,7 +244,7 @@ def _simulate_nlargest(trace, params):
         completes.append(complete)
         last_issue, last_start = issue, start
         scalar_time = issue + 1
-    return entries, _derive_counters(entries, scalar_total)
+    return entries, _brute_force_counters(trace, entries)
 
 
 # Two texts per category (a load and a store for memory), over registers
@@ -271,6 +285,23 @@ def test_queue_bound_matches_nlargest_oracle(trace, depth, chaining, mem_latency
                           mem_latency_cycles=mem_latency,
                           arith_latency_cycles=arith_latency)
     assert simulate(trace, params) == _simulate_nlargest(trace, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_traces(), st.integers(1, 16), st.booleans(),
+       st.sampled_from([1, 6, 30]), st.sampled_from([1, 6]),
+       st.sampled_from([1, 2, 8]), st.sampled_from([1, 4]))
+def test_counters_match_per_cycle_brute_force(trace, depth, chaining, mem_latency,
+                                              arith_latency, unit_rate, other_rate):
+    params = TimingParams(vector_queue_depth=depth, chaining=chaining,
+                          mem_latency_cycles=mem_latency,
+                          arith_latency_cycles=arith_latency,
+                          unit_stride_elems_per_cycle=unit_rate,
+                          arith_elems_per_cycle=unit_rate,
+                          indexed_elems_per_cycle=other_rate,
+                          strided_elems_per_cycle=other_rate)
+    entries, counters = simulate(trace, params)
+    assert counters == _brute_force_counters(trace, entries)
 
 
 def _per_record_seconds(trace, repeats):
