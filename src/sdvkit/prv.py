@@ -10,17 +10,19 @@ contract of this toolkit:
 
 Without a timeline the time axis is the instruction sequence index (one unit
 per record); with a timeline it is the modeled issue cycle.  The header
-carries a fixed epoch string so exports are byte-reproducible.
+carries a fixed epoch string so exports are byte-reproducible.  `EventRecord`
+and `StateRecord` are immutable named tuples with type-sensitive equality.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import EmptyTrace, PrvFormatError, SdvError
 from .isa import MNEMONIC_IDS, Category
+from .records import typed_equality
 from .tracefile import TraceRecord
 from .timing import TimelineEntry
 
@@ -44,15 +46,15 @@ _HEADER_RE = re.compile(
     r"^#Paraver \([^)]*\):(\d+)_ns:1\(1\):1:1\(1:1\)$")
 
 
-@dataclass(frozen=True)
-class EventRecord:
+@typed_equality
+class EventRecord(NamedTuple):
     time: int
     etype: int
     value: int
 
 
-@dataclass(frozen=True)
-class StateRecord:
+@typed_equality
+class StateRecord(NamedTuple):
     begin: int
     end: int
     state: int

@@ -28,6 +28,7 @@ Model rules, all deliberately simple and in-order:
 The counters (busy, overlap and idle cycles per pipeline) are added up in the
 same pass that places each instruction; no second walk over the timeline.
 Rates and latencies are configurable defaults, not calibrated hardware data.
+A `TimelineEntry` is an immutable named tuple with type-sensitive equality.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .isa import Category
+from .records import typed_equality
 
 
 class Pipeline(enum.Enum):
@@ -86,7 +88,9 @@ class TimingParams:
         if self.scalar_cycles_per_instr < 0:
             raise ValueError("scalar_cycles_per_instr must be >= 0")
 
-    def rate_of(self, category: Category) -> int:
+    def rate_of(self, category: Category) -> Optional[int]:
+        if category == Category.CONFIG:  # one cycle at any vl
+            return None
         if category == Category.MEM_UNIT:
             return self.unit_stride_elems_per_cycle
         if category == Category.MEM_STRIDED:
@@ -103,8 +107,8 @@ class TimingParams:
         return 0
 
 
-@dataclass(frozen=True)
-class TimelineEntry:
+@typed_equality
+class TimelineEntry(NamedTuple):
     seq: int
     pipeline: Pipeline
     issue_cycle: int
@@ -124,61 +128,63 @@ class CounterSet:
     vpu_idle_cycles: int = 0
 
 
+def _occupancy(vl: int, rate: Optional[int]) -> int:
+    """ceil(vl / rate) cycles, at least one; one cycle for rate None (CONFIG)."""
+    cycles = 1 if rate is None else -(-vl // rate)
+    return cycles if cycles > 1 else 1
+
+
 def occupancy(record, params: TimingParams) -> int:
     """Busy cycles an instruction holds its pipeline before latency is added."""
-    category = record.instr.category
-    if category == Category.CONFIG:
-        return 1
-    rate = params.rate_of(category)
-    return max(1, -(-record.vl // rate))
-
-
-# overlap_cycles counts cycles in which both of these pipelines are busy
-_OTHER_PIPELINE = {Pipeline.MEM: Pipeline.ARITH, Pipeline.ARITH: Pipeline.MEM}
+    return _occupancy(record.vl, params.rate_of(record.instr.category))
 
 
 def simulate(trace: Sequence, params: Optional[TimingParams] = None):
     """Run the cycle model over a trace; returns (timeline entries, counters)."""
     params = params or TimingParams()
+    # pipeline -> (its lane in the lists below, its overlap_cycles partner's lane)
+    lanes = {Pipeline.MEM: (0, 1), Pipeline.ARITH: (1, 0), Pipeline.CONFIG: (2, None)}
+    rows = {category: (pipe, *lanes[pipe], params.rate_of(category), params.latency_of(pipe))
+            for category, pipe in _PIPELINE_OF.items()}
+    cost, chaining = params.scalar_cycles_per_instr, params.chaining
     entries: list[TimelineEntry] = []
     scalar_time = 0
-    last_issue = -1
-    last_start = -1
-    pipe_free = {p: 0 for p in Pipeline}
+    last_issue = last_start = -1
+    free = [0, 0, 0]  # per lane: the cycle its pipeline is next free
+    busy = [0, 0, 0]
     writers: dict[int, tuple] = {}  # reg -> (start + latency, occupancy, complete)
     reader_complete: dict[int, int] = {}
-    depth = params.vector_queue_depth
-    completes: list[int] = []  # min-heap of the `depth` latest completions
-    busy = {p: 0 for p in Pipeline}
-    overlap = total = scalar_total = 0
+    # min-heap of the vector_queue_depth latest completions, padded with zeros
+    # that never delay dispatch; a queue deeper than the trace never fills
+    completes = [0] * min(params.vector_queue_depth, len(trace))
+    overlap = scalar_total = 0
 
     for rec in trace:
         instr = rec.instr
-        pipe = pipeline_of(instr.category)
+        pipe, lane, other, rate, latency = rows[instr.category]
         scalar_total += rec.scalar_before
-        scalar_time += rec.scalar_before * params.scalar_cycles_per_instr
-        issue = max(scalar_time, last_issue + 1)
-        if len(completes) == depth:
-            # dispatch waits until fewer than depth instructions are in flight
-            issue = max(issue, completes[0])
+        scalar_time += rec.scalar_before * cost
+        issue = scalar_time if scalar_time > last_issue else last_issue + 1
+        if completes[0] > issue:  # dispatch waits for a free queue slot
+            issue = completes[0]
 
-        occ = occupancy(rec, params)
-        latency = params.latency_of(pipe)
-        start = max(issue, last_start + 1, pipe_free[pipe])
+        occ = _occupancy(rec.vl, rate)
+        start = issue if issue > last_start else last_start + 1
+        if free[lane] > start:
+            start = free[lane]
         for reg in instr.vreg_uses:
             producer = writers.get(reg)
-            if producer is None:
-                continue
-            ready, producer_occ, producer_complete = producer
-            if params.chaining:
-                start = max(start, ready + max(1, producer_occ - occ))
-            else:
-                start = max(start, producer_complete)
+            if producer is not None:
+                lag = producer[1] - occ
+                bound = producer[0] + (lag if lag > 1 else 1) if chaining else producer[2]
+                if bound > start:
+                    start = bound
         for reg in instr.vreg_defs:
             producer = writers.get(reg)
-            if producer is not None:
-                start = max(start, producer[2])
-            start = max(start, reader_complete.get(reg, 0))
+            if producer is not None and producer[2] > start:
+                start = producer[2]
+            if reader_complete.get(reg, 0) > start:
+                start = reader_complete[reg]
 
         complete = start + occ + latency
         entries.append(TimelineEntry(rec.seq, pipe, issue, start, complete,
@@ -186,26 +192,26 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
         # Starts only grow and a pipeline runs one instruction at a time, so
         # of the other pipeline's busy intervals only its latest can still be
         # running at `start`.
-        busy[pipe] += complete - start
-        other = _OTHER_PIPELINE.get(pipe)
+        busy[lane] += complete - start
         if other is not None:
-            overlap += max(0, min(complete, pipe_free[other]) - start)
-        total = max(total, complete)
-        pipe_free[pipe] = complete
+            end = free[other] if free[other] < complete else complete
+            if end > start:
+                overlap += end - start
+        free[lane] = complete
         for reg in instr.vreg_uses:
-            reader_complete[reg] = max(reader_complete.get(reg, 0), complete)
+            if complete > reader_complete.get(reg, 0):
+                reader_complete[reg] = complete
         for reg in instr.vreg_defs:
             writers[reg] = (start + latency, occ, complete)
             reader_complete[reg] = 0
-        if len(completes) < depth:
-            heapq.heappush(completes, complete)
-        elif complete > completes[0]:
+        if complete > completes[0]:
             heapq.heapreplace(completes, complete)
         last_issue = issue
         last_start = start
         scalar_time = issue + 1
 
-    mem_busy, arith_busy = busy[Pipeline.MEM], busy[Pipeline.ARITH]
+    total = max(free)  # each pipeline completes its instructions in order
+    mem_busy, arith_busy, _ = busy
     counters = CounterSet(
         total_cycles=total, vector_instr_count=len(entries),
         scalar_instr_count=scalar_total, mem_busy_cycles=mem_busy,

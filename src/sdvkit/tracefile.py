@@ -4,28 +4,30 @@ Header line ``#sdvkit-trace v1``, then::
 
     seq:pc:phase:scalar_before:vl:sew:category:mnemonic_text:addr_ranges:window
 
-with pc in hex (a u64), addr_ranges as comma-separated ``base+length`` hex pairs
-(empty for non-memory instructions).  The mnemonic field is the instruction's
+with pc in hex (a u64) and addr_ranges as comma-separated ``base+length`` hex
+pairs, each with base in [0, 2^64) and base + length <= 2^64; the field is
+empty for non-memory instructions.  The mnemonic field is the instruction's
 canonical ``disassemble`` text; the category column is derived from its
 mnemonic, and reading checks both, so a record carries one instruction and
 nothing that can contradict it.  Single-line records keep downstream tools
 line-parallel; writing is deterministic so identical runs produce
-byte-identical files.
+byte-identical files.  A `TraceRecord` is an immutable named tuple with
+type-sensitive equality.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SdvError, TraceFormatError
 from .isa import Category, Instruction, disassemble, parse_instruction
+from .records import typed_equality
 
 HEADER = "#sdvkit-trace v1"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+@typed_equality
+class TraceRecord(NamedTuple):
     seq: int
     pc: int
     phase: int
@@ -91,9 +93,17 @@ def read_trace(text: str) -> list[TraceRecord]:
             sew = int(parts[5])
             addresses = []
             if parts[8]:
+                if not (instr.is_load or instr.is_store):
+                    raise TraceFormatError(
+                        f"address ranges on non-memory instruction {instr.mnemonic}",
+                        line_no)
                 for chunk in parts[8].split(","):
                     base, length = chunk.split("+")
-                    addresses.append((int(base, 16), int(length, 16)))
+                    base, length = int(base, 16), int(length, 16)
+                    if not (0 <= base < 1 << 64 and 0 <= length <= (1 << 64) - base):
+                        raise TraceFormatError(
+                            f"address range {chunk!r} outside [0, 2^64)", line_no)
+                    addresses.append((base, length))
             window = int(parts[9])
         except ValueError as err:
             raise TraceFormatError(str(err), line_no) from err

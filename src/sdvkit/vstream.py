@@ -18,18 +18,19 @@ Directives::
     .memu64 <addr> <u64>...   store 64-bit words at addr, addr+8, ...
 
 ``#`` starts a comment; every other non-blank line is one instruction in
-standard vector assembly.
+standard vector assembly.  A `StreamItem` is an immutable named tuple with
+type-sensitive equality.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (AsmSyntaxError, MalformedNumber, SdvError,
                      StreamSyntaxError, UnknownDirective)
 from .isa import Instruction, disassemble, parse_instruction, parse_register
+from .records import typed_equality
 
 
 class ItemKind(enum.Enum):
@@ -42,8 +43,8 @@ class ItemKind(enum.Enum):
     WINDOW_MARK = "WINDOW_MARK"
 
 
-@dataclass(frozen=True)
-class StreamItem:
+@typed_equality
+class StreamItem(NamedTuple):
     """One resolved stream element.  pc/phase/window reflect the directive
     state at the item's position; scalar_before is only meaningful on
     INSTRUCTION items."""

@@ -1,0 +1,55 @@
+"""The contract of the five immutable record types: no attribute can be set,
+equal values hash equal, a record never equals a plain tuple or a record of
+another type, and repr shows ``Name(field=value, ...)``."""
+
+import pytest
+
+from sdvkit.isa import parse_instruction
+from sdvkit.prv import EventRecord, StateRecord
+from sdvkit.timing import Pipeline, TimelineEntry
+from sdvkit.tracefile import TraceRecord
+from sdvkit.vstream import ItemKind, StreamItem
+
+_INSTR = parse_instruction("vle64.v v1, (x10)")
+
+# type -> field names in order, and a function building an instance afresh
+RECORDS = {
+    StreamItem: (("kind", "pc", "phase", "window", "scalar_before", "instr", "reg",
+                  "ivalue", "fvalue", "address", "fvalues", "uvalues"),
+                 lambda: StreamItem(ItemKind.INIT_MEM_F64, 0x40, 2, 1,
+                                    address=0x1000, fvalues=(0.5, -1.0))),
+    TraceRecord: (("seq", "pc", "phase", "scalar_before", "instr", "vl", "sew_bits",
+                   "addresses", "window_id"),
+                  lambda: TraceRecord(3, 0x1000, 1, 5, _INSTR, 8, 64,
+                                      ((0x2000, 64),), 7)),
+    TimelineEntry: (("seq", "pipeline", "issue_cycle", "start_cycle",
+                     "complete_cycle", "mnemonic"),
+                    lambda: TimelineEntry(3, Pipeline.MEM, 10, 12, 50, "vle64.v")),
+    EventRecord: (("time", "etype", "value"), lambda: EventRecord(1, 2, 3)),
+    StateRecord: (("begin", "end", "state"), lambda: StateRecord(1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    fields, make = RECORDS[cls]
+    record, twin = make(), make()
+    assert type(record) is cls and record is not twin
+    for name in (fields[0], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert record == twin and not record != twin
+    assert hash(record) == hash(twin)
+    assert len({record, twin}) == 1
+    plain = tuple(record)
+    assert record != plain and plain != record
+    assert not record == plain and not plain == record
+    values = ", ".join(f"{name}={getattr(record, name)!r}" for name in fields)
+    assert repr(record) == f"{cls.__name__}({values})"
+
+
+def test_event_and_state_records_with_equal_values_differ():
+    event, state = EventRecord(1, 2, 3), StateRecord(1, 2, 3)
+    assert event != state and state != event
+    assert not event == state and not state == event
+    assert len({event, state}) == 2

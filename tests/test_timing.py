@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import random
 import time
@@ -322,8 +321,8 @@ def test_simulate_scales_linearly():
            _rec(0, "vsetvli x1, x2, e64, m1", Category.CONFIG, 64),
            _rec(0, "vadd.vv v5, v6, v7", Category.ARITH_INT, 64),
            _rec(0, "vlse64.v v6, (x10), x2", Category.MEM_STRIDED, 32)]
-    short = [dataclasses.replace(r, seq=i) for i, r in enumerate(mix * 256)]
-    long = [dataclasses.replace(r, seq=i) for i, r in enumerate(mix * 4096)]
+    short = [r._replace(seq=i) for i, r in enumerate(mix * 256)]
+    long = [r._replace(seq=i) for i, r in enumerate(mix * 4096)]
     assert (len(short), len(long)) == (2048, 32768)
     # best of several runs each, so a slow stretch of the host does not count
     ratio = _per_record_seconds(long, 2) / _per_record_seconds(short, 5)

@@ -35,7 +35,9 @@ _TEXTS = ["vsetvli x1, x2, e64, m1", "vle64.v v4, (x10)", "vlse64.v v5, (x11), x
           "vsuxei64.v v8, (x16), v9", "vid.v v1", "vfadd.vv v1, v2, v3",
           "vrgather.vv v6, v7, v2"]
 assert {parse_instruction(t).category for t in _TEXTS} == set(Category)
-_ranges = st.tuples(st.integers(0, 1 << 40), st.integers(0, 1 << 16))
+# (base, length) with base + length <= 2^64, up to the top of the address space
+_ranges = st.integers(0, (1 << 64) - 1).flatmap(
+    lambda base: st.tuples(st.just(base), st.integers(0, min(1 << 16, (1 << 64) - base))))
 
 
 @st.composite
@@ -43,15 +45,18 @@ def records(draw):
     n = draw(st.integers(0, 20))
     out = []
     for seq in range(n):
+        instr = parse_instruction(draw(st.sampled_from(_TEXTS)))
+        # only memory instructions carry address ranges
+        memory = instr.is_load or instr.is_store
         out.append(TraceRecord(
             seq=seq,
             pc=draw(st.integers(0, (1 << 64) - 1)),
             phase=draw(st.integers(0, 7)),
             scalar_before=draw(st.integers(0, 1000)),
-            instr=parse_instruction(draw(st.sampled_from(_TEXTS))),
+            instr=instr,
             vl=draw(st.integers(0, 256)),
             sew_bits=64,
-            addresses=tuple(draw(st.lists(_ranges, max_size=4))),
+            addresses=tuple(draw(st.lists(_ranges, max_size=4 if memory else 0))),
             window_id=draw(st.integers(0, 1 << 31))))
     return out
 
@@ -114,3 +119,30 @@ def test_bad_mnemonic_field(line):
     with pytest.raises(TraceFormatError) as excinfo:
         read_trace(HEADER + "\n" + line + "\n")
     assert excinfo.value.line == 2
+
+
+# Address ranges outside their domain: a negative base, a negative length, a
+# base past 2^64, a range that ends past 2^64, and a range on an instruction
+# that touches no memory.
+BAD_RANGE_LINES = ["0:0x0:0:0:4:64:MEM_UNIT:vle64.v v1, (x10):-0x10+0x20:0",
+                   "0:0x0:0:0:4:64:MEM_UNIT:vle64.v v1, (x10):0x10+-0x20:0",
+                   "0:0x0:0:0:4:64:MEM_UNIT:vle64.v v1, (x10):0x1ffffffffffffffff+0x20:0",
+                   "0:0x0:0:0:2:64:MEM_UNIT:vle64.v v1, (x10):0xfffffffffffffff8+0x10:0",
+                   "0:0x0:0:0:4:64:ARITH_FP:vfadd.vv v1, v2, v3:0x10+0x20:0"]
+
+
+@pytest.mark.parametrize("line", BAD_RANGE_LINES)
+def test_address_range_outside_its_domain(line):
+    with pytest.raises(TraceFormatError) as excinfo:
+        read_trace(HEADER + "\n" + line + "\n")
+    assert excinfo.value.line == 2
+
+
+def test_address_ranges_at_the_domain_edges():
+    # a range may end exactly at 2^64, and a vl=0 memory op records length 0
+    text = (HEADER + "\n0:0x0:0:0:1:64:MEM_UNIT:vle64.v v1, (x10):0xfffffffffffffff8+0x8:0"
+            "\n1:0x4:0:0:0:64:MEM_STRIDED:vlse64.v v1, (x10), x2:0x10+0x0:0\n")
+    first, second = read_trace(text)
+    assert first.addresses == ((0xfffffffffffffff8, 8),)
+    assert second.addresses == ((0x10, 0),)
+    assert write_trace([first, second]) == text
