@@ -71,3 +71,45 @@ def test_reserved_vtype_bits_rejected():
     word = (1 << 28) | (0b011000 << 20) | (2 << 15) | (0b111 << 12) | (1 << 7) | 0b1010111
     with pytest.raises(UnsupportedInstruction):
         decode_word(word)
+
+
+def _corpus_word(mnemonic):
+    return next(w for w, text in _load("decode_corpus.txt") if text.split()[0] == mnemonic)
+
+
+# A corpus word with one field (bit offset, width) set to a value that leaves
+# the subset: each case pins one of the decoder's reject rules.
+REJECT_CASES = [
+    ("vle64.v", 20, 5, 0b00001, "unit-stride lumop must be 0"),
+    ("vse64.v", 20, 5, 0b01000, "unit-stride sumop must be 0"),
+    ("vid.v", 15, 5, 0b10000, "vid.v vs1 slot must be 0b10001 (0b10000 is viota.m)"),
+    ("vid.v", 20, 5, 0b00011, "vid.v vs2 slot must be 0"),
+    ("vfmv.v.f", 20, 5, 0b00001, "vfmv.v.f vs2 slot must be 0"),
+    ("vle64.v", 29, 3, 0b001, "nf != 0 (segment load)"),
+    ("vsse64.v", 29, 3, 0b111, "nf != 0 (segment store)"),
+    ("vlse64.v", 28, 1, 0b1, "mew = 1"),
+    ("vle64.v", 12, 3, 0b110, "32-bit elements"),
+    ("vsuxei64.v", 12, 3, 0b000, "8-bit elements"),
+    ("vsetvl", 25, 1, 0b1, "vsetvl with bit 25 set"),
+    ("vsetvl", 30, 1, 0b1, "vsetvl with bit 30 set (vsetivli)"),
+    ("vadd.vv", 26, 6, 0b000010, "OPIVV vsub.vv"),
+    ("vfadd.vv", 26, 6, 0b000001, "OPFVV vfredusum.vs"),
+    ("vid.v", 26, 6, 0b000000, "OPMVV vredsum.vs"),
+    ("vsll.vi", 26, 6, 0b000000, "OPIVI vadd.vi"),
+    ("vadd.vx", 26, 6, 0b000010, "OPIVX vsub.vx"),
+    ("vfmv.v.f", 26, 6, 0b000000, "OPFVF vfadd.vf"),
+    ("vmul.vx", 26, 6, 0b100100, "OPMVX vmulhu.vx"),
+    ("vluxei64.v", 26, 2, 0b11, "ordered-indexed load"),
+]
+
+
+@pytest.mark.parametrize("mnemonic,offset,width,value,why", REJECT_CASES,
+                         ids=[case[-1] for case in REJECT_CASES])
+def test_single_field_change_is_rejected(mnemonic, offset, width, value, why):
+    word = _corpus_word(mnemonic)
+    assert decode_word(word).mnemonic == mnemonic
+    mask = ((1 << width) - 1) << offset
+    changed = (word & ~mask) | (value << offset)
+    assert changed != word, why
+    with pytest.raises(UnsupportedInstruction):
+        decode_word(changed)
