@@ -26,35 +26,46 @@ class Category(enum.Enum):
     PERM = "PERM"
 
 
+# Major opcodes and the OP-V funct3 operand classes (RISC-V "V" extension v1.0).
+OP_V, LOAD_FP, STORE_FP = 0b1010111, 0b0000111, 0b0100111
+OPIVV, OPFVV, OPMVV, OPIVI, OPIVX, OPFVF, OPMVX, OPCFG = range(8)
+E64 = 0b111  # memory-op width field: 64-bit elements
+
 # The subset, one entry per mnemonic: (category, operand roles in assembly
-# order).  Every other per-mnemonic fact is derived from this table.  Roles:
+# order, binary encoding).  Every other per-mnemonic fact, the binary decoder
+# included, is derived from this table.  Roles:
 #   vd/vs1/vs2/vs3 - vector registers;  rd/rs1/rs2 - scalar registers;
 #   mem - parenthesized base register (populates rs1);  fs1 - FP scalar;
 #   uimm - unsigned 5-bit immediate;  vtype - "e<sew>, m<lmul>" token pair.
 # A memory op with vd is a load and one with vs3 is a store.
 # Note the multiply-accumulate family orders sources vs1, vs2 while other
 # .vv forms order vs2, vs1; both follow standard vector assembly.
-SPEC: dict[str, tuple[Category, tuple[str, ...]]] = {
-    "vsetvli": (Category.CONFIG, ("rd", "rs1", "vtype")),
-    "vsetvl": (Category.CONFIG, ("rd", "rs1", "rs2")),
-    "vle64.v": (Category.MEM_UNIT, ("vd", "mem")),
-    "vse64.v": (Category.MEM_UNIT, ("vs3", "mem")),
-    "vlse64.v": (Category.MEM_STRIDED, ("vd", "mem", "rs2")),
-    "vsse64.v": (Category.MEM_STRIDED, ("vs3", "mem", "rs2")),
-    "vluxei64.v": (Category.MEM_INDEXED, ("vd", "mem", "vs2")),
-    "vsuxei64.v": (Category.MEM_INDEXED, ("vs3", "mem", "vs2")),
-    "vadd.vv": (Category.ARITH_INT, ("vd", "vs2", "vs1")),
-    "vadd.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1")),
-    "vmul.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1")),
-    "vsll.vi": (Category.ARITH_INT, ("vd", "vs2", "uimm")),
-    "vand.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1")),
-    "vid.v": (Category.ARITH_INT, ("vd",)),
-    "vfadd.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1")),
-    "vfsub.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1")),
-    "vfmul.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1")),
-    "vfmacc.vv": (Category.ARITH_FP, ("vd", "vs1", "vs2")),
-    "vfmv.v.f": (Category.ARITH_FP, ("vd", "fs1")),
-    "vrgather.vv": (Category.PERM, ("vd", "vs2", "vs1")),
+# The encoding is (major opcode, funct3, funct6); for memory ops funct3 is the
+# width and funct6 is nf|mew|mop (mop: unit 00, strided 10, indexed-unordered
+# 01).  Operand slots no role uses must hold 0, or the optional fourth value's
+# bits.  vsetvli's vtype immediate overlaps funct6, so it has none.
+SPEC: dict[str, tuple[Category, tuple[str, ...], tuple[Optional[int], ...]]] = {
+    "vsetvli": (Category.CONFIG, ("rd", "rs1", "vtype"), (OP_V, OPCFG, None)),
+    "vsetvl": (Category.CONFIG, ("rd", "rs1", "rs2"), (OP_V, OPCFG, 0b100000)),
+    "vle64.v": (Category.MEM_UNIT, ("vd", "mem"), (LOAD_FP, E64, 0b000000)),
+    "vse64.v": (Category.MEM_UNIT, ("vs3", "mem"), (STORE_FP, E64, 0b000000)),
+    "vlse64.v": (Category.MEM_STRIDED, ("vd", "mem", "rs2"), (LOAD_FP, E64, 0b000010)),
+    "vsse64.v": (Category.MEM_STRIDED, ("vs3", "mem", "rs2"), (STORE_FP, E64, 0b000010)),
+    "vluxei64.v": (Category.MEM_INDEXED, ("vd", "mem", "vs2"), (LOAD_FP, E64, 0b000001)),
+    "vsuxei64.v": (Category.MEM_INDEXED, ("vs3", "mem", "vs2"), (STORE_FP, E64, 0b000001)),
+    "vadd.vv": (Category.ARITH_INT, ("vd", "vs2", "vs1"), (OP_V, OPIVV, 0b000000)),
+    "vadd.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1"), (OP_V, OPIVX, 0b000000)),
+    "vmul.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1"), (OP_V, OPMVX, 0b100101)),
+    "vsll.vi": (Category.ARITH_INT, ("vd", "vs2", "uimm"), (OP_V, OPIVI, 0b100101)),
+    "vand.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1"), (OP_V, OPIVX, 0b001001)),
+    # vid.v is the VMUNARY0 form with 0b10001 in its vs1 slot (bits 19-15)
+    "vid.v": (Category.ARITH_INT, ("vd",), (OP_V, OPMVV, 0b010100, 0b10001 << 15)),
+    "vfadd.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1"), (OP_V, OPFVV, 0b000000)),
+    "vfsub.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1"), (OP_V, OPFVV, 0b000010)),
+    "vfmul.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1"), (OP_V, OPFVV, 0b100100)),
+    "vfmacc.vv": (Category.ARITH_FP, ("vd", "vs1", "vs2"), (OP_V, OPFVV, 0b101100)),
+    "vfmv.v.f": (Category.ARITH_FP, ("vd", "fs1"), (OP_V, OPFVF, 0b010111)),
+    "vrgather.vv": (Category.PERM, ("vd", "vs2", "vs1"), (OP_V, OPIVV, 0b001100)),
 }
 
 MNEMONICS: tuple[str, ...] = tuple(SPEC)
@@ -63,7 +74,7 @@ MNEMONICS: tuple[str, ...] = tuple(SPEC)
 MNEMONIC_IDS: dict[str, int] = {m: i for i, m in enumerate(MNEMONICS)}
 
 # Instruction fields a role populates, where they are not the role's own name.
-_ROLE_FIELDS = {"mem": ("rs1",), "uimm": ("imm",), "vtype": ("sew", "lmul")}
+ROLE_FIELDS = {"mem": ("rs1",), "uimm": ("imm",), "vtype": ("sew", "lmul")}
 
 # vtype vsew/vlmul field encodings; the e<sew>/m<lmul> assembly tokens, the
 # binary decoder and the emulator's vsetvl all take the legal values from here.
@@ -108,10 +119,10 @@ class Instruction:
 
     def __post_init__(self):
         try:
-            category, roles = SPEC[self.mnemonic]
+            category, roles, _encoding = SPEC[self.mnemonic]
         except KeyError:
             raise UnsupportedMnemonic(self.mnemonic) from None
-        expected = {name for role in roles for name in _ROLE_FIELDS.get(role, (role,))}
+        expected = {name for role in roles for name in ROLE_FIELDS.get(role, (role,))}
         for name in ("vd", "vs1", "vs2", "vs3", "rd", "rs1", "rs2", "fs1", "imm", "sew", "lmul"):
             value = getattr(self, name)
             if name in expected:

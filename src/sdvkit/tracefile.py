@@ -6,7 +6,9 @@ Header line ``#sdvkit-trace v1``, then::
 
 with pc in hex (a u64) and addr_ranges as comma-separated ``base+length`` hex
 pairs, each with base in [0, 2^64) and base + length <= 2^64; the field is
-empty for non-memory instructions.  The mnemonic field is the instruction's
+empty for non-memory instructions.  Every number has the one form
+`write_trace` gives it: decimal ``0|[1-9][0-9]*`` or hex ``0x`` followed by
+lowercase digits without leading zeros.  The mnemonic field is the instruction's
 canonical ``disassemble`` text; the category column is derived from its
 mnemonic, and reading checks both, so a record carries one instruction and
 nothing that can contradict it.  Single-line records keep downstream tools
@@ -17,6 +19,7 @@ type-sensitive equality.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Sequence
 
 from .errors import SdvError, TraceFormatError
@@ -24,6 +27,13 @@ from .isa import Category, Instruction, disassemble, parse_instruction
 from .records import typed_equality
 
 HEADER = "#sdvkit-trace v1"
+
+# One record line, each number exactly as `write_trace` writes it.
+_DEC = r"(?:0|[1-9][0-9]*)"
+_HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
+_RANGE = rf"{_HEX}\+{_HEX}"
+_LINE = re.compile(rf"({_DEC}):({_HEX}):({_DEC}:{_DEC}:{_DEC}:{_DEC}:[^:]*:[^:]*):"
+                   rf"((?:{_RANGE}(?:,{_RANGE})*)?):({_DEC})")
 
 
 @typed_equality
@@ -62,55 +72,48 @@ def read_trace(text: str) -> list[TraceRecord]:
     lines = text.splitlines()
     if not lines or lines[0] != HEADER:
         raise TraceFormatError(f"missing header {HEADER!r}", 1)
-    instrs: dict[str, Instruction] = {}  # each distinct mnemonic field parsed once
+    # each distinct phase:scalar_before:vl:sew:category:mnemonic run parsed once
+    middles: dict[str, tuple[int, int, Instruction, int, int]] = {}
     records: list[TraceRecord] = []
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(":")
-        if len(parts) != 10:
-            raise TraceFormatError(f"expected 10 fields, got {len(parts)}", line_no)
-        instr = instrs.get(parts[7])
-        if instr is None:
+        m = _LINE.fullmatch(line)
+        if m is None:
+            if not line.strip():
+                continue
+            fields = line.count(":") + 1
+            raise TraceFormatError(f"expected 10 fields, got {fields}" if fields != 10 else
+                                   "numeric field not in canonical decimal or 0x-hex form",
+                                   line_no)
+        seq, pc, middle, ranges, window = m.groups()
+        parsed = middles.get(middle)
+        if parsed is None:
+            phase, scalar_before, vl, sew, category, asm = middle.split(":")
             try:
-                instr = parse_instruction(parts[7])
+                instr = parse_instruction(asm)
             except SdvError as err:
                 raise TraceFormatError(str(err), line_no) from err
-            if disassemble(instr) != parts[7]:
-                raise TraceFormatError(f"mnemonic field {parts[7]!r} is not canonical "
+            if disassemble(instr) != asm:
+                raise TraceFormatError(f"mnemonic field {asm!r} is not canonical "
                                        f"(expected {disassemble(instr)!r})", line_no)
-            instrs[parts[7]] = instr
-        if parts[6] != instr.category.value:
-            raise TraceFormatError(
-                f"category {parts[6]!r} contradicts {instr.mnemonic} "
-                f"({instr.category.value})", line_no)
-        try:
-            seq = int(parts[0])
-            pc = int(parts[1], 16)
-            phase = int(parts[2])
-            scalar_before = int(parts[3])
-            vl = int(parts[4])
-            sew = int(parts[5])
-            addresses = []
-            if parts[8]:
-                if not (instr.is_load or instr.is_store):
-                    raise TraceFormatError(
-                        f"address ranges on non-memory instruction {instr.mnemonic}",
-                        line_no)
-                for chunk in parts[8].split(","):
-                    base, length = chunk.split("+")
-                    base, length = int(base, 16), int(length, 16)
-                    if not (0 <= base < 1 << 64 and 0 <= length <= (1 << 64) - base):
-                        raise TraceFormatError(
-                            f"address range {chunk!r} outside [0, 2^64)", line_no)
-                    addresses.append((base, length))
-            window = int(parts[9])
-        except ValueError as err:
-            raise TraceFormatError(str(err), line_no) from err
-        if min(seq, pc, phase, scalar_before, vl, sew, window) < 0:
-            raise TraceFormatError("negative numeric field", line_no)
+            if category != instr.category.value:
+                raise TraceFormatError(
+                    f"category {category!r} contradicts {instr.mnemonic} "
+                    f"({instr.category.value})", line_no)
+            parsed = middles[middle] = (int(phase), int(scalar_before), instr, int(vl), int(sew))
+        instr = parsed[2]
+        pc = int(pc, 16)
         if pc >= 1 << 64:
             raise TraceFormatError(f"pc 0x{pc:x} outside [0, 2^64)", line_no)
-        records.append(TraceRecord(seq, pc, phase, scalar_before, instr, vl, sew,
-                                   tuple(addresses), window))
+        addresses = []
+        if ranges:
+            if not (instr.is_load or instr.is_store):
+                raise TraceFormatError(
+                    f"address ranges on non-memory instruction {instr.mnemonic}", line_no)
+            for chunk in ranges.split(","):
+                base, length = chunk.split("+")
+                base, length = int(base, 16), int(length, 16)
+                if not (base < 1 << 64 and length <= (1 << 64) - base):
+                    raise TraceFormatError(f"address range {chunk!r} outside [0, 2^64)", line_no)
+                addresses.append((base, length))
+        records.append(TraceRecord(int(seq), pc, *parsed, tuple(addresses), int(window)))
     return records

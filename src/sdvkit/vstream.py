@@ -66,15 +66,11 @@ class StreamItem(NamedTuple):
 _U64_MASK = (1 << 64) - 1
 
 
-def _int_token(token: str, line_no: int) -> int:
+def _uint_token(token: str, bits: int, line_no: int) -> int:
     try:
-        return int(token, 0)
+        value = int(token, 0)
     except ValueError:
         raise MalformedNumber(f"bad integer {token!r}", line_no) from None
-
-
-def _uint_token(token: str, bits: int, line_no: int) -> int:
-    value = _int_token(token, line_no)
     if not 0 <= value < 1 << bits:
         raise MalformedNumber(f"{token!r} outside [0, 2^{bits})", line_no)
     return value
@@ -133,7 +129,7 @@ def parse_vstream(text: str) -> list[StreamItem]:
                 if len(args) != 2:
                     raise StreamSyntaxError(".xreg takes register and value", line_no)
                 reg = _reg_token(args[0], "x", line_no)
-                value = _int_token(args[1], line_no) & _U64_MASK
+                value = _uint_token(args[1], 64, line_no)
                 items.append(StreamItem(ItemKind.SET_XREG, pc, phase, window,
                                         reg=reg, ivalue=value))
             elif directive == ".freg":
@@ -153,7 +149,7 @@ def parse_vstream(text: str) -> list[StreamItem]:
                 if len(args) < 2:
                     raise StreamSyntaxError(".memu64 takes address and values", line_no)
                 addr = _uint_token(args[0], 64, line_no)
-                values = tuple(_int_token(a, line_no) & _U64_MASK for a in args[1:])
+                values = tuple(_uint_token(a, 64, line_no) for a in args[1:])
                 items.append(StreamItem(ItemKind.INIT_MEM_U64, pc, phase, window,
                                         address=addr, uvalues=values))
             else:

@@ -203,3 +203,9 @@ def test_instruction_field_validation():
         Instruction("vfadd.vv", vd=1, vs2=2)    # missing vs1
     with pytest.raises(ValueError):
         Instruction("vfadd.vv", vd=1, vs2=2, vs1=32)  # out of range
+
+
+def test_encodings_are_distinct():
+    # the decoder looks rows up by (opcode, funct3, funct6)
+    keys = [encoding[:3] for _, _, encoding in SPEC.values()]
+    assert len(set(keys)) == len(keys)

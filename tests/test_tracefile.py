@@ -92,9 +92,21 @@ def test_bad_category():
         read_trace(HEADER + "\n0:0x0:0:0:8:64:NOPE:vid.v v1::0\n")
 
 
+# Negative fields, then numbers `int()` takes but `write_trace` never writes:
+# underscores, non-ASCII digits, a space, a sign, leading zeros, an upper-case
+# or missing 0x prefix.
 @pytest.mark.parametrize("line", ["0:-0x4:0:0:8:64:ARITH_INT:vid.v v1::0",
                                   "0:0x0:-3:0:8:64:ARITH_INT:vid.v v1::0",
-                                  "0:0x0:0:0:8:64:ARITH_INT:vid.v v1::-1"])
+                                  "0:0x0:0:0:8:64:ARITH_INT:vid.v v1::-1",
+                                  "0:0x0:0:0:1_6:64:ARITH_INT:vid.v v1::0",
+                                  "0:0x0:0:0:\u0661\u0666:64:ARITH_INT:vid.v v1::0",
+                                  "0:0x0:0:0: 16:64:ARITH_INT:vid.v v1::0",
+                                  "0:0x0:0:0:+16:64:ARITH_INT:vid.v v1::0",
+                                  "0:0x0:0:0:016:64:ARITH_INT:vid.v v1::0",
+                                  "0:0X0:0:0:16:64:ARITH_INT:vid.v v1::0",
+                                  "0:0:0:0:16:64:ARITH_INT:vid.v v1::0",
+                                  "0:0x0:0:0:2:64:MEM_UNIT:vle64.v v1, (x10):0x1_0+0X40:0",
+                                  "0:0x0:0:0:2:64:MEM_UNIT:vle64.v v1, (x10):10+40:0"])
 def test_negative_field(line):
     with pytest.raises(TraceFormatError) as excinfo:
         read_trace(HEADER + "\n" + line + "\n")

@@ -63,6 +63,7 @@ def test_malformed_number():
     ".pc -4", ".pc 0x10000000000000000", ".phase -3", ".phase 4294967296",
     ".window -1", ".window 4294967296", ".scalar -1", ".scalar 0x100000000",
     ".memf64 -8 1.0", ".memu64 0x10000000000000000 1",
+    ".xreg x1 0x10000000000000005", ".memu64 0x100 -2",
 ])
 def test_out_of_domain_value_is_malformed(line):
     with pytest.raises(MalformedNumber) as excinfo:
