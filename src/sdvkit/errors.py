@@ -100,3 +100,7 @@ class InvalidSize(SdvError):
 
 class InvalidSeed(SdvError):
     pass
+
+
+class NotEquivalent(SdvError):
+    """A rescheduled stream leaves different architectural state than its input."""

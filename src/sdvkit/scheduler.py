@@ -6,23 +6,36 @@ disambiguation using the concrete byte ranges each instruction touched, so
 disjointness needs no conservative may-alias reasoning.  Configuration
 instructions are scheduling barriers for everything that depends on vl.
 
+Memory dependences come from one sweep over the window's ranges.  Each
+record's ranges are first merged into disjoint intervals; all intervals are
+then visited in order of base address, with a min-heap of the ends of those
+still open.  An interval overlaps exactly the open ones, and since each record
+has at most one open interval, a window of W records with R ranges costs
+O(R log R + R·W), not the O(ra·rb) per record pair of comparing range lists.
+
 The scheduling heuristic alternates pipelines when it can, then prefers the
 longest critical path, then original order.  If the heuristic ever produces a
 slower schedule under the cycle model, the original order is returned instead,
 so rescheduling never loses cycles.
+
+`schedule_stream` emulates the input and, when anything moved, the scheduled
+stream, once each.  It compares the two final states with
+`verify_equivalence` before it trusts the new order, and raises
+`NotEquivalent` if they differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from struct import pack
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .config import MachineConfig
-from .emulator import run
-from .errors import SdvError
+from .emulator import MachineState, run
+from .errors import NotEquivalent, SdvError
 from .isa import Category
 from .timing import Pipeline, TimingParams, occupancy, pipeline_of, simulate
 from .tracefile import TraceRecord
@@ -49,12 +62,37 @@ class DependenceGraph:
         return self.labels.get((src, dst), set())
 
 
-def _ranges_overlap(ranges_a, ranges_b) -> bool:
-    for base_a, len_a in ranges_a:
-        for base_b, len_b in ranges_b:
-            if max(base_a, base_b) < min(base_a + len_a, base_b + len_b):
-                return True
-    return False
+def _disjoint_intervals(ranges) -> list[tuple[int, int]]:
+    """``(base, end)`` intervals covering the same bytes as ``(base, length)``
+    ranges, sorted, with no two overlapping or touching."""
+    intervals = sorted((base, base + length) for base, length in ranges if length)
+    merged = intervals[:1]
+    for base, end in intervals[1:]:
+        if base <= merged[-1][1]:
+            if end > merged[-1][1]:
+                merged[-1] = (merged[-1][0], end)
+        else:
+            merged.append((base, end))
+    return merged
+
+
+def _memory_conflicts(window: Sequence[TraceRecord]) -> set[tuple[int, int]]:
+    """Record pairs ``(i, j)``, ``i < j``, whose byte ranges overlap and at
+    least one of which is a store."""
+    intervals = sorted((base, end, i) for i, record in enumerate(window)
+                       if record.addresses
+                       for base, end in _disjoint_intervals(record.addresses))
+    stores = [record.instr.is_store for record in window]
+    conflicts: set[tuple[int, int]] = set()
+    open_ends: list[tuple[int, int]] = []  # min-heap of (end, record)
+    for base, end, i in intervals:
+        while open_ends and open_ends[0][0] <= base:
+            heappop(open_ends)
+        for _, k in open_ends:  # all of them overlap [base, end)
+            if stores[i] or stores[k]:
+                conflicts.add((k, i) if k < i else (i, k))
+        heappush(open_ends, (end, i))
+    return conflicts
 
 
 def build_dependences(window: Sequence[TraceRecord]) -> DependenceGraph:
@@ -96,17 +134,8 @@ def build_dependences(window: Sequence[TraceRecord]) -> DependenceGraph:
                 writer[reg] = i
                 readers[reg] = []
 
-    for j in range(len(window)):
-        if not window[j].addresses:
-            continue
-        j_store = instrs[j].is_store
-        for i in range(j):
-            if not window[i].addresses:
-                continue
-            if not (j_store or instrs[i].is_store):
-                continue
-            if _ranges_overlap(window[i].addresses, window[j].addresses):
-                graph.add(i, j, MEM_ORDER)
+    for i, j in _memory_conflicts(window):
+        graph.add(i, j, MEM_ORDER)
     return graph
 
 
@@ -179,11 +208,16 @@ def schedule_stream(items: Sequence[StreamItem],
     Returns ``(items, cycles_before, cycles_after)``: the scheduled stream and
     the modeled total cycles of the input and of that stream.  The counts come
     from the emulations made here; when nothing moved, or the whole stream got
-    slower and the input is returned, ``cycles_after == cycles_before``."""
+    slower and the input is returned, ``cycles_after == cycles_before``.
+
+    Each stream is emulated once.  When anything moved, the final state of the
+    scheduled stream is compared with the input's by `verify_equivalence`, and
+    `NotEquivalent` is raised if they differ, even if the input would have been
+    returned for being faster."""
     items = list(items)
     config = config or MachineConfig()
     params = params or TimingParams()
-    _, records = run(config, items)
+    state, records = run(config, items)
     before = simulate(records, params)[1].total_cycles
 
     positions = [i for i, item in enumerate(items) if item.kind == ItemKind.INSTRUCTION]
@@ -214,9 +248,11 @@ def schedule_stream(items: Sequence[StreamItem],
             new_items[base + slot] = items[base + source]
     if not changed:
         return new_items, before, before
+    scheduled_state, scheduled_records = run(config, new_items)
+    if not verify_equivalence(config, state, scheduled_state):
+        raise NotEquivalent("rescheduled stream is not equivalent to the input")
     # window-local gains may not compose across window boundaries; keep the
     # original stream if the model says the whole thing got slower
-    _, scheduled_records = run(config, new_items)
     after = simulate(scheduled_records, params)[1].total_cycles
     if after > before:
         return list(items), before, before
@@ -228,12 +264,17 @@ def _same_float(a: float, b: float) -> bool:
 
 
 def verify_equivalence(config: Optional[MachineConfig],
-                       stream_a: Union[str, Sequence[StreamItem]],
-                       stream_b: Union[str, Sequence[StreamItem]]) -> bool:
+                       stream_a: Union[str, Sequence[StreamItem], MachineState],
+                       stream_b: Union[str, Sequence[StreamItem], MachineState]
+                       ) -> bool:
     """True iff both streams leave bit-identical architectural state: every
-    register file, vl/vtype, and all touched memory."""
-    state_a, _ = run(config, stream_a)
-    state_b, _ = run(config, stream_b)
+    register file, vl/vtype, and all touched memory.
+
+    Each argument is a stream, as text or items, which is emulated here under
+    ``config``, or the final `MachineState` of a stream already emulated."""
+    state_a, state_b = (stream if isinstance(stream, MachineState)
+                        else run(config, stream)[0]
+                        for stream in (stream_a, stream_b))
     if state_a.xregs != state_b.xregs:
         return False
     if not all(_same_float(a, b) for a, b in zip(state_a.fregs, state_b.fregs)):

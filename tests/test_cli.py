@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from sdvkit import scheduler
 from sdvkit.cli import build_parser, main
+from sdvkit.emulator import run
 from sdvkit.tracefile import HEADER
 from sdvkit.vstream import parse_vstream
 from test_tracefile import BAD_MNEMONIC_LINES
@@ -71,26 +73,41 @@ def test_simulate_outputs(tmp_path, capsys):
     assert "<svg" in svg.read_text()
 
 
-def test_schedule_fft_improves(tmp_path, capsys):
+def _count_emulations(monkeypatch) -> list:
+    """One entry per stream that `schedule` emulates from here on."""
+    calls = []
+
+    def counting_run(*args):
+        calls.append(None)
+        return run(*args)
+    monkeypatch.setattr(scheduler, "run", counting_run)
+    return calls
+
+
+def test_schedule_fft_improves(tmp_path, capsys, monkeypatch):
     vs, out = tmp_path / "fft.vs", tmp_path / "fft_sched.vs"
     run_cli("gen", "fft", "--n", 64, "--variant", "naive", "-o", vs)
     capsys.readouterr()
+    emulations = _count_emulations(monkeypatch)
     assert run_cli("schedule", vs, "-o", out) == 0
     msg = capsys.readouterr().out
-    assert "equivalence: ok" in msg
+    assert "equivalence: ok" in msg and "(delta -" in msg
     assert out.exists()
+    assert len(emulations) == 2  # the input and the scheduled stream, once each
 
 
-def test_schedule_dependent_chain_is_identity(tmp_path, capsys):
+def test_schedule_dependent_chain_is_identity(tmp_path, capsys, monkeypatch):
     vs, out = tmp_path / "chain.vs", tmp_path / "chain_sched.vs"
     vs.write_text(".xreg x1 4\nvsetvli x2, x1, e64, m1\n.memf64 0x1000 1 2 3 4\n"
                   ".xreg x10 0x1000\n.xreg x11 0x2000\n.window 1\n"
                   "vle64.v v1, (x10)\nvfadd.vv v2, v1, v1\n"
                   "vfmul.vv v3, v2, v2\nvse64.v v3, (x11)\n")
     capsys.readouterr()
+    emulations = _count_emulations(monkeypatch)
     assert run_cli("schedule", vs, "-o", out) == 0
     assert "(delta 0)" in capsys.readouterr().out
     assert parse_vstream(out.read_text()) == parse_vstream(vs.read_text())
+    assert len(emulations) == 1  # nothing moved, so nothing to compare
 
 
 def test_compare_self(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Per-record linearity guards for the layers a trace passes through besides
 `simulate` and `run`, modelled on `test_simulate_scales_linearly`: from a
 short input to one 16 times as long, the best per-record time of a layer may
-not grow 3 times."""
+not grow 3 times.  The scheduler has two: `schedule_stream` per record as the
+stream grows, and `build_dependences` per address range as the ranges of
+each record grow."""
 
 import time
 
@@ -10,6 +12,7 @@ import pytest
 from sdvkit.analysis import phase_metrics
 from sdvkit.isa import parse_instruction
 from sdvkit.prv import emit_prv, to_prv
+from sdvkit.scheduler import MEM_ORDER, build_dependences, schedule_stream
 from sdvkit.timing import simulate
 from sdvkit.tracefile import TraceRecord, read_trace, write_trace
 from sdvkit.vstream import ItemKind, StreamItem, parse_vstream, write_vstream
@@ -84,3 +87,53 @@ def test_layer_scales_linearly(prepare):
     ratio = (_per_record_seconds(prepare(long), len(long), 2)
              / _per_record_seconds(prepare(short), len(short), 5))
     assert ratio < 3, f"per-record time grew {ratio:.1f}x from 512 to 8,192 records"
+
+
+# one scheduling window that `schedule_stream` reorders
+_WINDOW = ("vle64.v v1, (x10)", "vfadd.vv v2, v1, v1", "vfmul.vv v4, v2, v2",
+           "vle64.v v3, (x11)", "vluxei64.v v5, (x12), v8", "vfmacc.vv v6, v3, v5",
+           "vse64.v v4, (x13)", "vsuxei64.v v6, (x11), v8")
+
+
+def _window_stream(windows):
+    lines = [".xreg x1 16", "vsetvli x2, x1, e64, m1", "vid.v v8", "vsll.vi v8, v8, 3",
+             ".memf64 0x10000 " + " ".join(str(float(k)) for k in range(16))]
+    lines += [f".xreg x{10 + k} 0x{0x10000 * (k + 1):x}" for k in range(4)]
+    for window in range(1, windows + 1):
+        lines += [f".window {window}", *_WINDOW]
+    return parse_vstream("\n".join(lines) + "\n")
+
+
+def test_schedule_stream_scales_linearly():
+    short, long = _window_stream(16), _window_stream(256)
+    records = [sum(item.kind == ItemKind.INSTRUCTION for item in items)
+               for items in (short, long)]
+    assert records == [3 + 16 * 8, 3 + 256 * 8]
+    scheduled, before, after = schedule_stream(long)
+    assert after < before  # the windows move, so both emulations and the check run
+    ratio = (_per_record_seconds(lambda: schedule_stream(long), records[1], 2)
+             / _per_record_seconds(lambda: schedule_stream(short), records[0], 5))
+    assert ratio < 3, f"per-record time grew {ratio:.1f}x from 131 to 2,051 records"
+
+
+_GATHER, _SCATTER = (parse_instruction(text) for text in
+                     ("vluxei64.v v1, (x10), v2", "vsuxei64.v v3, (x11), v2"))
+
+
+def _interleaved_window(ranges, records=24):
+    """Gathers and scatters that each touch every 24th 8-byte word of one
+    buffer: no two records overlap, so each pair must be told apart."""
+    return [TraceRecord(seq=k, pc=4 * k, phase=0, scalar_before=0,
+                        instr=_SCATTER if k % 2 else _GATHER, vl=ranges, sew_bits=64,
+                        addresses=tuple((0x10000 + 8 * (m * records + k), 8)
+                                        for m in range(ranges)),
+                        window_id=0)
+            for k in range(records)]
+
+
+def test_build_dependences_scales_linearly_in_ranges():
+    few, many = _interleaved_window(16), _interleaved_window(256)
+    assert not any(MEM_ORDER in labels for labels in build_dependences(many).labels.values())
+    ratio = (_per_record_seconds(lambda: build_dependences(many), 24 * 256, 3)
+             / _per_record_seconds(lambda: build_dependences(few), 24 * 16, 10))
+    assert ratio < 3, f"per-range time grew {ratio:.1f}x from 16 to 256 ranges a record"

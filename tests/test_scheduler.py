@@ -2,8 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_window_stream
+from sdvkit import scheduler
+from sdvkit.cli import main
+from sdvkit.errors import NotEquivalent
 from sdvkit.isa import Category, parse_instruction
 from sdvkit.scheduler import (MEM_ORDER, RAW, WAR, WAW, build_dependences,
                               reschedule, reschedule_order, schedule_stream,
@@ -41,6 +46,46 @@ def test_overlapping_store_load_ordered():
               _rec(1, "vle64.v v2, (x11)", Category.MEM_UNIT, addresses=((0x1400, 0x800),))]
     graph = build_dependences(window)
     assert MEM_ORDER in graph.edge_labels(0, 1)
+
+
+def _ranges_overlap(ranges_a, ranges_b) -> bool:
+    """The pairwise range check the scheduler's sweep replaced: the oracle."""
+    for base_a, len_a in ranges_a:
+        for base_b, len_b in ranges_b:
+            if max(base_a, base_b) < min(base_a + len_a, base_b + len_b):
+                return True
+    return False
+
+
+_TOP = 1 << 64
+_GATHER_SCATTER = {store: _rec(0, text, Category.MEM_INDEXED)
+                   for store, text in ((False, "vluxei64.v v1, (x10), v2"),
+                                       (True, "vsuxei64.v v3, (x11), v2"))}
+# dense small ranges, so zero-length, touching and overlapping ones are
+# common, within and across records; and ranges that end exactly at 2^64
+_RANGE = st.one_of(st.tuples(st.integers(0, 96), st.integers(0, 24)),
+                   st.integers(1, 40).map(lambda n: (_TOP - n, n)))
+_RECORD = st.tuples(st.booleans(), st.lists(_RANGE, max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_RECORD, min_size=1, max_size=40))
+@example([(True, [(0, 8), (4, 8), (12, 0)]),   # self-overlap, zero-length
+          (False, [(12, 4)]),                   # touches record 0's end
+          (False, [(_TOP - 8, 8)]),
+          (True, [(_TOP - 4, 4), (_TOP, 0)]),    # overlaps record 2 at 2^64
+          (False, [(0, 4)]),
+          (False, [(2, 4)])])                   # load-load with record 4
+def test_memory_edges_match_pairwise_check(records):
+    window = [_GATHER_SCATTER[store]._replace(seq=seq, addresses=tuple(ranges))
+              for seq, (store, ranges) in enumerate(records)]
+    expected = {(i, j) for j in range(len(window)) for i in range(j)
+                if (records[i][0] or records[j][0])
+                and _ranges_overlap(records[i][1], records[j][1])}
+    graph = build_dependences(window)
+    found = {pair for pair, labels in graph.labels.items() if MEM_ORDER in labels}
+    assert found == expected
+    assert all(records[i][0] or records[j][0] for i, j in found)
 
 
 def test_config_is_barrier():
@@ -109,6 +154,7 @@ def test_stream_equivalent_to_itself():
     rng = np.random.default_rng(2)
     text = random_window_stream(rng)
     assert verify_equivalence(None, text, text)
+    assert verify_equivalence(None, run(None, text)[0], parse_vstream(text))
 
 
 def test_random_windows_equivalence_and_never_worse():
@@ -141,6 +187,31 @@ def test_swapped_raw_pair_is_not_equivalent():
     original = prefix + "vle64.v v1, (x10)\nvfadd.vv v2, v1, v1\nvse64.v v2, (x11)\n"
     swapped = prefix + "vfadd.vv v2, v1, v1\nvle64.v v1, (x10)\nvse64.v v2, (x11)\n"
     assert not verify_equivalence(None, original, swapped)
+    assert not verify_equivalence(None, run(None, original)[0], run(None, swapped)[0])
+
+
+def test_non_equivalent_schedule_is_refused(tmp_path, capsys, monkeypatch):
+    text = (".xreg x1 4\nvsetvli x2, x1, e64, m1\n.memf64 0x1000 1 2 3 4\n"
+            ".xreg x10 0x1000\n.xreg x11 0x2000\n.window 1\n"
+            "vle64.v v1, (x10)\nvfadd.vv v2, v1, v1\nvse64.v v2, (x11)\n")
+    swapped = text.replace("vle64.v v1, (x10)\nvfadd.vv v2, v1, v1",
+                           "vfadd.vv v2, v1, v1\nvle64.v v1, (x10)")
+    # the illegal order is no slower, so only the equivalence check stops it
+    params = TimingParams()
+    assert simulate(run(None, swapped)[1], params)[1].total_cycles <= \
+        simulate(run(None, text)[1], params)[1].total_cycles
+    monkeypatch.setattr(scheduler, "reschedule_order",
+                        lambda window, params=None: [1, 0, *range(2, len(window))])
+    with pytest.raises(NotEquivalent):
+        schedule_stream(parse_vstream(text), params)
+
+    vs, out = tmp_path / "in.vs", tmp_path / "out.vs"
+    vs.write_text(text)
+    capsys.readouterr()
+    assert main(["schedule", str(vs), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: rescheduled stream is not equivalent to the input\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.vs"]
 
 
 def test_directives_split_windows():
