@@ -4,6 +4,11 @@ Phase boundaries come exclusively from the phase marks carried on trace
 records; there is no heuristic phase detection.  IPC counts scalar plus
 vector instructions over modeled cycles, so processing the same data with
 fewer, longer vector instructions lowers IPC by construction.
+
+`PhaseMetrics.modeled_cycles` is a span: from the phase's earliest issue
+cycle to its latest completion.  Queued instructions issue while the previous
+phase still runs, so the spans of consecutive phases may overlap, and their
+sum can exceed the run's total cycles.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def _cmd_to_prv(args) -> int:
     _write_file(pcf_path, pcf_text)
     _write_manifest(args.output, _base_manifest(
         args, input=args.input, timing=args.timing or "<none>",
-        output=args.output, pcf=pcf_path, events=len(doc.records)))
+        output=args.output, pcf=pcf_path, events=doc.record_count))
     print(f"wrote {args.output} and {pcf_path}")
     return 0
 

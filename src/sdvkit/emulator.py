@@ -14,7 +14,9 @@ error-free transformations and one round-to-odd addition (Boldo & Melquiond,
 "Emulation of FMA and correctly rounded sums: proved algorithms using rounding
 to odd", IEEE TC 2008), and hands the few lanes outside that algorithm's
 range (a non-finite operand, a zero factor, split overflow, product underflow
-or overflow) to an exact rational routine.
+or overflow) to an exact rational routine.  Overflow, underflow, inexact and
+invalid results are the IEEE results, which are the RVV results; the
+accrued exception flags (`fflags`) are not modeled, so no FP operation warns.
 """
 
 from __future__ import annotations
@@ -331,7 +333,8 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
     elif m == "vid.v":
         state.vregs[instr.vd, :vl] = np.arange(vl, dtype=_U64)
     elif m in _FP_VV_OPS:
-        result = _FP_VV_OPS[m](state.vfloats(instr.vs2, vl), state.vfloats(instr.vs1, vl))
+        with np.errstate(all="ignore"):  # overflow and NaN results are the RVV results
+            result = _FP_VV_OPS[m](state.vfloats(instr.vs2, vl), state.vfloats(instr.vs1, vl))
         state.vregs[instr.vd, :vl] = result.view(_U64)
     elif m == "vfmacc.vv":
         result = fused_madd(state.vfloats(instr.vs1, vl), state.vfloats(instr.vs2, vl),

@@ -12,13 +12,19 @@ Without a timeline the time axis is the instruction sequence index (one unit
 per record); with a timeline it is the modeled issue cycle.  The header
 carries a fixed epoch string so exports are byte-reproducible.  `EventRecord`
 and `StateRecord` are immutable named tuples with type-sensitive equality.
+
+`to_prv` builds the five ``(type, value)`` pairs once per distinct ``(phase,
+pc, vl, mnemonic)`` and keeps one ``(time, pairs)`` row per record; `emit_prv`
+formats each distinct ``pairs`` once, as event lines with a time slot, and
+labels the `.pcf` from them.  Each record is checked once: where a document
+is built by hand, per line in `parse_prv`, and per trace record in `to_prv`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyTrace, PrvFormatError, SdvError
 from .isa import MNEMONIC_IDS, Category
@@ -42,8 +48,17 @@ EVENT_TYPE_NAMES = {
 
 CATEGORY_IDS = {category: i for i, category in enumerate(Category)}
 
+# .pcf value labels that do not depend on the data; PCs and VLs show as numbers
+_FIXED_LABELS = {TYPE_PC: [], TYPE_VL: [],
+                 TYPE_CATEGORY: [(i, category.value) for category, i in CATEGORY_IDS.items()],
+                 TYPE_MNEMONIC: [(i, m) for m, i in MNEMONIC_IDS.items()]}
+
+# Every number in a .prv file has the one form `emit_prv` writes.
+_NUMBER = re.compile(r"0|[1-9][0-9]*")
 _HEADER_RE = re.compile(
-    r"^#Paraver \([^)]*\):(\d+)_ns:1\(1\):1:1\(1:1\)$")
+    rf"^#Paraver \([^)]*\):({_NUMBER.pattern})_ns:1\(1\):1:1\(1:1\)$")
+_EVENT_LINE = "2:1:1:1:1:{}:{}:{}"
+_STATE_LINE = "1:1:1:1:1:{}:{}:{}"
 
 
 @typed_equality
@@ -60,19 +75,40 @@ class StateRecord(NamedTuple):
     state: int
 
 
-@dataclass
 class PrvDocument:
-    duration: int
-    records: list = field(default_factory=list)
+    """A Paraver trace: its duration and its records in file order, held as
+    `rows` (a state record, or one time and its event pairs)."""
 
-    def __post_init__(self):
+    def __init__(self, duration: int, records: Sequence = ()):
+        self.duration, self.rows = duration, []
         last_event_time = 0
-        for record in self.records:
-            error = _domain_error(record, self.duration, last_event_time)
+        for record in records:
+            error = _domain_error(record, duration, last_event_time)
             if error:
                 raise SdvError(error)
             if isinstance(record, EventRecord):
                 last_event_time = record.time
+                record = (record.time, (record[1:],))
+            self.rows.append(record)
+
+    @cached_property
+    def records(self) -> list:
+        """Every record in file order, built from `rows` when first read."""
+        return [record for row in self.rows for record in (
+            [row] if isinstance(row, StateRecord) else
+            [EventRecord(row[0], etype, value) for etype, value in row[1]])]
+
+    @property
+    def record_count(self) -> int:
+        """len(records), without building them."""
+        return sum(1 if isinstance(row, StateRecord) else len(row[1]) for row in self.rows)
+
+    def __eq__(self, other):
+        return (isinstance(other, PrvDocument)
+                and (self.duration, self.records) == (other.duration, other.records))
+
+    def __repr__(self):
+        return f"PrvDocument(duration={self.duration!r}, records={self.records!r})"
 
 
 def _domain_error(record, duration: int, last_event_time: int) -> Optional[str]:
@@ -106,27 +142,43 @@ def to_prv(trace: Sequence[TraceRecord],
         times = [entry.issue_cycle for entry in timeline]
         duration = max(entry.complete_cycle for entry in timeline)
     else:
-        times = list(range(len(trace)))
+        times = range(len(trace))
         duration = len(trace)
-    records: list[EventRecord] = []
+    keyed: dict[tuple, tuple] = {}  # (phase, pc, vl, mnemonic) -> its five pairs
+    doc = PrvDocument(duration)  # each row below checked once, by time and by key
+    last_time = 0
     for rec, time in zip(trace, times):
-        records.append(EventRecord(time, TYPE_PHASE, rec.phase))
-        records.append(EventRecord(time, TYPE_PC, rec.pc))
-        records.append(EventRecord(time, TYPE_VL, rec.vl))
-        records.append(EventRecord(time, TYPE_CATEGORY, CATEGORY_IDS[rec.instr.category]))
-        records.append(EventRecord(time, TYPE_MNEMONIC, MNEMONIC_IDS[rec.instr.mnemonic]))
-    return PrvDocument(duration=duration, records=records)
+        if not last_time <= time <= duration:
+            raise SdvError(f"record {rec.seq}: time {time} outside [{last_time}, {duration}]")
+        last_time = time
+        key = (rec.phase, rec.pc, rec.vl, rec.instr.mnemonic)
+        pairs = keyed.get(key)
+        if pairs is None:
+            if min(key[:3]) < 0:
+                raise SdvError(f"negative phase, pc or vl in record {rec.seq}")
+            pairs = keyed[key] = (
+                (TYPE_PHASE, rec.phase), (TYPE_PC, rec.pc), (TYPE_VL, rec.vl),
+                (TYPE_CATEGORY, CATEGORY_IDS[rec.instr.category]),
+                (TYPE_MNEMONIC, MNEMONIC_IDS[rec.instr.mnemonic]))
+        doc.rows.append((time, pairs))
+    return doc
 
 
 def emit_prv(doc: PrvDocument) -> tuple[str, str]:
     """Serialize a document; returns (.prv text, .pcf text)."""
+    templates: dict[tuple, list[str]] = {}  # distinct pairs -> event lines split at the time
     lines = [f"#Paraver (01/01/00 at 00:00):{doc.duration}_ns:1(1):1:1(1:1)"]
-    for record in doc.records:
-        if isinstance(record, StateRecord):
-            lines.append(f"1:1:1:1:1:{record.begin}:{record.end}:{record.state}")
-        else:
-            lines.append(f"2:1:1:1:1:{record.time}:{record.etype}:{record.value}")
-    return "\n".join(lines) + "\n", _emit_pcf(doc)
+    for row in doc.rows:
+        if isinstance(row, StateRecord):
+            lines.append(_STATE_LINE.format(*row))
+            continue
+        time, pairs = row
+        template = templates.get(pairs)
+        if template is None:
+            template = templates[pairs] = "\n".join(
+                _EVENT_LINE.format("{}", etype, value) for etype, value in pairs).split("{}")
+        lines.append(str(time).join(template))
+    return "\n".join(lines) + "\n", _emit_pcf(templates)
 
 
 def parse_prv(text: str) -> PrvDocument:
@@ -140,43 +192,42 @@ def parse_prv(text: str) -> PrvDocument:
         duration = int(header.group(1))
     except ValueError as err:
         raise PrvFormatError(str(err), 1) from err
-    records: list[Union[EventRecord, StateRecord]] = []
+    doc = PrvDocument(duration)
     last_event_time = 0
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split(":")
+        if not all(map(_NUMBER.fullmatch, parts)):
+            raise PrvFormatError("field not in canonical decimal form", line_no)
         try:
-            kind = int(parts[0])
-            if kind == 1:
-                if len(parts) != 8:
-                    raise ValueError("state record needs 8 fields")
-                line_records = [StateRecord(int(parts[5]), int(parts[6]), int(parts[7]))]
-            elif kind == 2:
-                if len(parts) < 8 or len(parts) % 2 != 0:
-                    raise ValueError("event record needs time plus type:value pairs")
-                time = int(parts[5])
-                line_records = [EventRecord(time, int(parts[i]), int(parts[i + 1]))
-                                for i in range(6, len(parts), 2)]
-            else:
-                raise ValueError(f"unsupported record kind {kind}")
-        except (ValueError, IndexError) as err:
+            fields = [int(part) for part in parts]
+        except ValueError as err:  # more digits than int() converts
             raise PrvFormatError(str(err), line_no) from err
+        kind, count = fields[0], len(fields)
+        if kind == 1 and count == 8:
+            row = StateRecord(*fields[5:])
+            line_records = [row]
+        elif kind == 2 and count >= 8 and count % 2 == 0:
+            row = (fields[5], tuple(zip(fields[6::2], fields[7::2])))
+            line_records = [EventRecord(fields[5], *pair) for pair in row[1]]
+        else:
+            raise PrvFormatError(f"record kind {kind} cannot have {count} fields", line_no)
         for record in line_records:
             error = _domain_error(record, duration, last_event_time)
             if error:
                 raise PrvFormatError(error, line_no)
         if kind == 2:
-            last_event_time = time
-        records.extend(line_records)
-    return PrvDocument(duration=duration, records=records)
+            last_event_time = fields[5]
+        doc.rows.append(row)
+    return doc
 
 
-def _emit_pcf(doc: PrvDocument) -> str:
+def _emit_pcf(keys) -> str:
     used_types: dict[int, set[int]] = {}
-    for record in doc.records:
-        if isinstance(record, EventRecord):
-            used_types.setdefault(record.etype, set()).add(record.value)
+    for pairs in keys:
+        for etype, value in pairs:
+            used_types.setdefault(etype, set()).add(value)
 
     out = [
         "DEFAULT_OPTIONS", "",
@@ -189,21 +240,12 @@ def _emit_pcf(doc: PrvDocument) -> str:
         name = EVENT_TYPE_NAMES.get(etype, f"Event type {etype}")
         out.append("EVENT_TYPE")
         out.append(f"9    {etype}    {name}")
-        values = _value_labels(etype, used_types[etype])
+        values = _FIXED_LABELS.get(etype)
+        if values is None:  # labelled by the values used: phases, and unknown types
+            word = "phase" if etype == TYPE_PHASE else "value"
+            values = [(value, f"{word} {value}") for value in sorted(used_types[etype])]
         if values:
             out.append("VALUES")
             out.extend(f"{value}      {label}" for value, label in values)
         out.append("")
     return "\n".join(out) + "\n"
-
-
-def _value_labels(etype: int, seen: set[int]):
-    if etype == TYPE_CATEGORY:
-        return [(i, category.value) for category, i in CATEGORY_IDS.items()]
-    if etype == TYPE_MNEMONIC:
-        return [(i, m) for m, i in MNEMONIC_IDS.items()]
-    if etype == TYPE_PHASE:
-        return [(value, f"phase {value}") for value in sorted(seen)]
-    if etype in (TYPE_PC, TYPE_VL):
-        return []  # numeric timelines, rendered as values
-    return [(value, f"value {value}") for value in sorted(seen)]

@@ -59,12 +59,16 @@ class TraceRecord(NamedTuple):
 
 def write_trace(records: Sequence[TraceRecord]) -> str:
     lines = [HEADER]
+    # each distinct phase:scalar_before:vl:sew:category:mnemonic run formatted once
+    middles: dict[tuple, str] = {}
     for r in records:
+        key = (r.phase, r.scalar_before, r.vl, r.sew_bits, r.instr)
+        middle = middles.get(key)
+        if middle is None:
+            middle = middles[key] = (f"{r.phase}:{r.scalar_before}:{r.vl}:{r.sew_bits}:"
+                                     f"{r.instr.category.value}:{disassemble(r.instr)}")
         ranges = ",".join(f"0x{base:x}+0x{length:x}" for base, length in r.addresses)
-        lines.append(
-            f"{r.seq}:0x{r.pc:x}:{r.phase}:{r.scalar_before}:{r.vl}:{r.sew_bits}:"
-            f"{r.instr.category.value}:{disassemble(r.instr)}:{ranges}:{r.window_id}"
-        )
+        lines.append(f"{r.seq}:0x{r.pc:x}:{middle}:{ranges}:{r.window_id}")
     return "\n".join(lines) + "\n"
 
 

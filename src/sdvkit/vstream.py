@@ -184,6 +184,7 @@ def write_vstream(items: list[StreamItem]) -> str:
     pc = 0
     phase = 0
     window = 0
+    texts: dict[Instruction, str] = {}  # each distinct instruction disassembled once
     for item in items:
         if item.pc != pc:
             lines.append(f".pc 0x{item.pc:x}")
@@ -215,7 +216,10 @@ def write_vstream(items: list[StreamItem]) -> str:
         elif item.kind == ItemKind.INSTRUCTION:
             if item.scalar_before:
                 lines.append(f".scalar {item.scalar_before}")
-            lines.append(disassemble(item.instr))
+            text = texts.get(item.instr)
+            if text is None:
+                text = texts[item.instr] = disassemble(item.instr)
+            lines.append(text)
             pc = (item.pc + 4) & _U64_MASK
         else:  # pragma: no cover
             raise AssertionError(item.kind)

@@ -1,12 +1,14 @@
 import math
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdvkit.cli import main as cli_main
 from sdvkit.config import MachineConfig, Vtype
 from sdvkit.emulator import (Memory, MachineState, _coalesce, _exact_fused_madd,
                              apply_vsetvli, fused_madd, run, step)
@@ -238,6 +240,20 @@ def test_fused_madd_with_a_non_finite_operand(a, b, c, want):
         else:
             assert got == want
     assert fused_madd(*lanes)[1] == 5.0
+
+
+def test_fp_overflow_gives_ieee_results_without_warnings(tmp_path, capsys):
+    text = (".xreg x1 2\n.xreg x10 0x1000\n.memf64 0x1000 1e308 1e308\n"
+            "vsetvli x2, x1, e64, m1\nvle64.v v1, (x10)\n"
+            "vfadd.vv v2, v1, v1\nvfmul.vv v3, v1, v1\n")
+    stream = tmp_path / "overflow.vs"
+    stream.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, _ = run(None, text)
+        assert cli_main(["emulate", str(stream), "-o", str(tmp_path / "o.trace")]) == 0
+    assert _floats(state, 2, 2) == _floats(state, 3, 2) == [math.inf, math.inf]
+    assert capsys.readouterr().err == ""
 
 
 def _scaled(rng, n, low, high):

@@ -53,3 +53,13 @@ def test_instruction_text_only_at_file_boundaries():
             used[name] |= where
     for name, allowed in ALLOWED.items():
         assert used[name] == allowed, name
+
+
+def test_one_formatter_per_paraver_line_kind():
+    """Event and state lines of a .prv file are each spelled in one string
+    constant, through which every writer formats them."""
+    constants = [node.value for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    for prefix in ("2:1:1:1:1:", "1:1:1:1:1:"):
+        assert len([c for c in constants if c.startswith(prefix)]) == 1, prefix
