@@ -353,32 +353,26 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
     return ()
 
 
-def _init_words(memory: Memory, address: int, words: np.ndarray) -> None:
-    """Write a directive's consecutive 8-byte words with one call; a fault
-    names the first word that does not fit, and nothing is written."""
-    fits = max(0, (memory.limit - address) // 8)
-    if fits < len(words):
-        raise OutOfBoundsAccess(address + 8 * fits, fits)
-    memory.write_bytes(address, words.tobytes())
+_INIT_DTYPES = {ItemKind.INIT_MEM_F64: "<f8", ItemKind.INIT_MEM_U64: "<u8"}
 
 
 def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
     """Apply one stream item.  Directives mutate state silently; instructions
     return the trace record captured at execution time."""
     kind = item.kind
-    if kind == ItemKind.SET_XREG:
-        state.write_xreg(item.reg, item.ivalue)
-        return None
-    if kind == ItemKind.SET_FREG:
-        state.fregs[item.reg] = item.fvalue
-        return None
-    if kind == ItemKind.INIT_MEM_F64:
-        _init_words(state.memory, item.address, np.array(item.fvalues, dtype="<f8"))
-        return None
-    if kind == ItemKind.INIT_MEM_U64:
-        _init_words(state.memory, item.address, np.array(item.uvalues, dtype="<u8"))
-        return None
-    if kind in (ItemKind.PHASE_MARK, ItemKind.WINDOW_MARK):
+    if kind is not ItemKind.INSTRUCTION:
+        if kind is ItemKind.SET_XREG:
+            state.write_xreg(item.target, item.values[0])
+        elif kind is ItemKind.SET_FREG:
+            state.fregs[item.target] = item.values[0]
+        elif kind in _INIT_DTYPES:
+            # one write per directive; a fault names the first word that does
+            # not fit, and nothing is written
+            fits = max(0, (state.memory.limit - item.target) // 8)
+            if fits < len(item.values):
+                raise OutOfBoundsAccess(item.target + 8 * fits, fits)
+            words = np.array(item.values, dtype=_INIT_DTYPES[kind])
+            state.memory.write_bytes(item.target, words.tobytes())
         return None
 
     instr = item.instr

@@ -1,4 +1,9 @@
-"""Type-sensitive equality for the toolkit's immutable named-tuple records."""
+"""What the record formats share: type-sensitive equality for the toolkit's
+immutable named-tuple records, and the one written form of an unsigned
+integer in the trace and VSTREAM files."""
+
+DEC = r"(?:0|[1-9][0-9]*)"
+HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
 
 
 def _eq(self, other) -> bool:

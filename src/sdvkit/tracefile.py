@@ -24,16 +24,14 @@ from typing import NamedTuple, Sequence
 
 from .errors import SdvError, TraceFormatError
 from .isa import Category, Instruction, disassemble, parse_instruction
-from .records import typed_equality
+from .records import DEC, HEX, typed_equality
 
 HEADER = "#sdvkit-trace v1"
 
 # One record line, each number exactly as `write_trace` writes it.
-_DEC = r"(?:0|[1-9][0-9]*)"
-_HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
-_RANGE = rf"{_HEX}\+{_HEX}"
-_LINE = re.compile(rf"({_DEC}):({_HEX}):({_DEC}:{_DEC}:{_DEC}:{_DEC}:[^:]*:[^:]*):"
-                   rf"((?:{_RANGE}(?:,{_RANGE})*)?):({_DEC})")
+_RANGE = rf"{HEX}\+{HEX}"
+_LINE = re.compile(rf"({DEC}):({HEX}):({DEC}:{DEC}:{DEC}:{DEC}:[^:]*:[^:]*):"
+                   rf"((?:{_RANGE}(?:,{_RANGE})*)?):({DEC})")
 
 
 @typed_equality

@@ -17,20 +17,30 @@ Directives::
     .memf64 <addr> <f64>...   store doubles at addr, addr+8, ...
     .memu64 <addr> <u64>...   store 64-bit words at addr, addr+8, ...
 
+Integers (``<addr>``, ``<u32>``, ``<u64>``) are decimal ``0|[1-9][0-9]*``
+or ``0x`` and lowercase hex digits without leading zeros; an ``<f64>`` is
+ASCII text without ``_`` that `float` reads (``-0.0``, ``inf``, ``nan``).
+Any other number raises `MalformedNumber`.
+
 ``#`` starts a comment; every other non-blank line is one instruction in
 standard vector assembly.  A `StreamItem` is an immutable named tuple with
-type-sensitive equality.
+type-sensitive equality.  A register or memory directive's item holds the
+register or address as `target` and the value(s) as `values`; a phase or
+window mark has no payload, its id being the item's own `phase`/`window`.
+`StreamBuilder` applies the state rules for the parser and the generators.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
+import functools
+import re
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (AsmSyntaxError, MalformedNumber, SdvError,
                      StreamSyntaxError, UnknownDirective)
 from .isa import Instruction, disassemble, parse_instruction, parse_register
-from .records import typed_equality
+from .records import DEC, HEX, typed_equality
 
 
 class ItemKind(enum.Enum):
@@ -46,8 +56,9 @@ class ItemKind(enum.Enum):
 @typed_equality
 class StreamItem(NamedTuple):
     """One resolved stream element.  pc/phase/window reflect the directive
-    state at the item's position; scalar_before is only meaningful on
-    INSTRUCTION items."""
+    state at the item's position; scalar_before and instr are only
+    meaningful on INSTRUCTION items, target and values only on register and
+    memory directives."""
 
     kind: ItemKind
     pc: int
@@ -55,122 +66,133 @@ class StreamItem(NamedTuple):
     window: int = 0
     scalar_before: int = 0
     instr: Optional[Instruction] = None
-    reg: Optional[int] = None
-    ivalue: Optional[int] = None
-    fvalue: Optional[float] = None
-    address: Optional[int] = None
-    fvalues: tuple[float, ...] = ()
-    uvalues: tuple[int, ...] = ()
+    target: Optional[int] = None
+    values: tuple[Union[int, float], ...] = ()
 
 
 _U64_MASK = (1 << 64) - 1
+_is_uint = re.compile(f"{DEC}|{HEX}").fullmatch
 
 
-def _uint_token(token: str, bits: int, line_no: int) -> int:
-    try:
-        value = int(token, 0)
-    except ValueError:
-        raise MalformedNumber(f"bad integer {token!r}", line_no) from None
-    if not 0 <= value < 1 << bits:
-        raise MalformedNumber(f"{token!r} outside [0, 2^{bits})", line_no)
-    return value
+class StreamBuilder:
+    """Appends items under the format's state rules: the pc advances 4 mod
+    2^64 after each instruction, phase and window persist until a mark
+    changes them, and a `.scalar` count belongs to the next instruction.
+    Setting `pc` or `scalar` is what the `.pc` or `.scalar` directive does."""
+
+    def __init__(self):
+        self.items: list[StreamItem] = []
+        self.pc = self.phase = self.window = self.scalar = 0
+
+    def add(self, kind: ItemKind, target: Optional[int], *values) -> None:
+        """Append one directive item; a mark's one value becomes the phase or
+        window that it and the items after it carry."""
+        if kind is ItemKind.PHASE_MARK:
+            self.phase, values = values[0], ()
+        elif kind is ItemKind.WINDOW_MARK:
+            self.window, values = values[0], ()
+        self.items.append(StreamItem(kind, self.pc, self.phase, self.window,
+                                     0, None, target, values))
+
+    def instruction(self, instr: Instruction) -> None:
+        self.items.append(StreamItem(ItemKind.INSTRUCTION, self.pc, self.phase,
+                                     self.window, self.scalar, instr))
+        self.scalar = 0
+        self.pc = (self.pc + 4) & _U64_MASK
 
 
-def _float_token(token: str, line_no: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise MalformedNumber(f"bad float {token!r}", line_no) from None
+class _Operand(NamedTuple):
+    """How one kind of directive operand is read from and written to text."""
+    read: Callable[[str, int], Union[int, float]]
+    write: Callable[[Union[int, float]], str]
 
 
-def _reg_token(token: str, prefix: str, line_no: int) -> int:
-    try:
-        return parse_register(token, prefix)
-    except AsmSyntaxError:
-        raise StreamSyntaxError(f"bad register {token!r}", line_no) from None
+def _uint(bits: int, write: Callable[[int], str]) -> _Operand:
+    def read(token: str, line_no: int) -> int:
+        if not _is_uint(token):
+            raise MalformedNumber(f"bad integer {token!r}", line_no)
+        # over 20 digits is past 2^64, and int() refuses over 4300 digits
+        if len(token) > 20 or (value := int(token, 0)) >> bits:
+            raise MalformedNumber(f"{token!r} outside [0, 2^{bits})", line_no)
+        return value
+    return _Operand(read, write)
+
+
+def _read_f64(token: str, line_no: int) -> float:
+    if token.isascii() and "_" not in token:
+        try:
+            return float(token)
+        except ValueError:
+            pass
+    raise MalformedNumber(f"bad float {token!r}", line_no)
+
+
+def _register(prefix: str) -> _Operand:
+    def read(token: str, line_no: int) -> int:
+        try:
+            return parse_register(token, prefix)
+        except AsmSyntaxError:
+            raise StreamSyntaxError(f"bad register {token!r}", line_no) from None
+    return _Operand(read, lambda reg: f"{prefix}{reg}")
+
+
+_U32, _U64 = _uint(32, str), _uint(64, "0x{:x}".format)
+_F64 = _Operand(_read_f64, repr)
+
+# directive -> (item kind, target operand, value operand, several values);
+# .pc and .scalar make no item, they set the builder's state
+_DIRECTIVES = {
+    ".pc": (None, None, _U64, False),
+    ".phase": (ItemKind.PHASE_MARK, None, _U32, False),
+    ".window": (ItemKind.WINDOW_MARK, None, _U32, False),
+    ".scalar": (None, None, _U32, False),
+    ".xreg": (ItemKind.SET_XREG, _register("x"), _U64, False),
+    ".freg": (ItemKind.SET_FREG, _register("f"), _F64, False),
+    ".memf64": (ItemKind.INIT_MEM_F64, _U64, _F64, True),
+    ".memu64": (ItemKind.INIT_MEM_U64, _U64, _U64, True),
+}
+# the kinds whose items carry a payload, and the directive that writes each
+_PAYLOAD_DIRECTIVE = {kind: name for name, (kind, target, _, _) in _DIRECTIVES.items()
+                      if target}
 
 
 def parse_vstream(text: str) -> list[StreamItem]:
-    items: list[StreamItem] = []
-    pc = 0
-    phase = 0
-    window = 0
-    pending_scalar = 0
-    instrs: dict[str, Instruction] = {}  # each distinct instruction text parsed once
-
+    builder = StreamBuilder()
+    parse = functools.cache(parse_instruction)  # each distinct instruction text parsed once
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("."):
-            tokens = line.split()
-            directive, args = tokens[0], tokens[1:]
-            if directive == ".pc":
-                if len(args) != 1:
-                    raise StreamSyntaxError(".pc takes one address", line_no)
-                pc = _uint_token(args[0], 64, line_no)
-            elif directive == ".phase":
-                if len(args) != 1:
-                    raise StreamSyntaxError(".phase takes one id", line_no)
-                phase = _uint_token(args[0], 32, line_no)
-                items.append(StreamItem(ItemKind.PHASE_MARK, pc, phase, window,
-                                        ivalue=phase))
-            elif directive == ".window":
-                if len(args) != 1:
-                    raise StreamSyntaxError(".window takes one id", line_no)
-                window = _uint_token(args[0], 32, line_no)
-                items.append(StreamItem(ItemKind.WINDOW_MARK, pc, phase, window,
-                                        ivalue=window))
-            elif directive == ".scalar":
-                if len(args) != 1:
-                    raise StreamSyntaxError(".scalar takes one count", line_no)
-                pending_scalar = _uint_token(args[0], 32, line_no)
-            elif directive == ".xreg":
-                if len(args) != 2:
-                    raise StreamSyntaxError(".xreg takes register and value", line_no)
-                reg = _reg_token(args[0], "x", line_no)
-                value = _uint_token(args[1], 64, line_no)
-                items.append(StreamItem(ItemKind.SET_XREG, pc, phase, window,
-                                        reg=reg, ivalue=value))
-            elif directive == ".freg":
-                if len(args) != 2:
-                    raise StreamSyntaxError(".freg takes register and value", line_no)
-                reg = _reg_token(args[0], "f", line_no)
-                items.append(StreamItem(ItemKind.SET_FREG, pc, phase, window,
-                                        reg=reg, fvalue=_float_token(args[1], line_no)))
-            elif directive == ".memf64":
-                if len(args) < 2:
-                    raise StreamSyntaxError(".memf64 takes address and values", line_no)
-                addr = _uint_token(args[0], 64, line_no)
-                values = tuple(_float_token(a, line_no) for a in args[1:])
-                items.append(StreamItem(ItemKind.INIT_MEM_F64, pc, phase, window,
-                                        address=addr, fvalues=values))
-            elif directive == ".memu64":
-                if len(args) < 2:
-                    raise StreamSyntaxError(".memu64 takes address and values", line_no)
-                addr = _uint_token(args[0], 64, line_no)
-                values = tuple(_uint_token(a, 64, line_no) for a in args[1:])
-                items.append(StreamItem(ItemKind.INIT_MEM_U64, pc, phase, window,
-                                        address=addr, uvalues=values))
-            else:
-                raise UnknownDirective(f"unknown directive {directive!r}", line_no)
-            continue
-
-        instr = instrs.get(line)
-        if instr is None:
+        if not line.startswith("."):
             try:
-                instr = instrs[line] = parse_instruction(line)
+                builder.instruction(parse(line))
             except SdvError as err:
                 raise StreamSyntaxError(str(err), line_no) from err
-        items.append(StreamItem(ItemKind.INSTRUCTION, pc, phase, window,
-                                scalar_before=pending_scalar, instr=instr))
-        pending_scalar = 0
-        pc = (pc + 4) & _U64_MASK
-    return items
+            continue
+        directive, *args = line.split()
+        spec = _DIRECTIVES.get(directive)
+        if spec is None:
+            raise UnknownDirective(f"unknown directive {directive!r}", line_no)
+        kind, target_operand, value_operand, several = spec
+        first = 1 if target_operand else 0
+        if len(args) <= first or (len(args) > first + 1 and not several):
+            raise StreamSyntaxError(f"wrong operand count for {directive}", line_no)
+        target = target_operand.read(args[0], line_no) if target_operand else None
+        values = [value_operand.read(token, line_no) for token in args[first:]]
+        if directive == ".pc":
+            builder.pc = values[0]
+        elif directive == ".scalar":
+            builder.scalar = values[0]
+        else:
+            builder.add(kind, target, *values)
+    return builder.items
 
 
-def _fmt_float(value: float) -> str:
-    return repr(value)
+def _line(directive: str, target: Optional[int], values) -> str:
+    _, target_operand, value_operand, _ = _DIRECTIVES[directive]
+    words = [directive, target_operand.write(target)] if target_operand else [directive]
+    words.extend(map(value_operand.write, values))
+    return " ".join(words)
 
 
 def write_vstream(items: list[StreamItem]) -> str:
@@ -181,46 +203,24 @@ def write_vstream(items: list[StreamItem]) -> str:
     after instruction reordering has made pcs non-consecutive.
     """
     lines: list[str] = []
-    pc = 0
-    phase = 0
-    window = 0
-    texts: dict[Instruction, str] = {}  # each distinct instruction disassembled once
+    pc = phase = window = 0
+    text_of = functools.cache(disassemble)  # each distinct instruction disassembled once
     for item in items:
+        kind = item.kind
         if item.pc != pc:
-            lines.append(f".pc 0x{item.pc:x}")
             pc = item.pc
-        if item.kind == ItemKind.PHASE_MARK:
-            lines.append(f".phase {item.ivalue}")
-            phase = item.ivalue
-            continue
-        if item.kind == ItemKind.WINDOW_MARK:
-            lines.append(f".window {item.ivalue}")
-            window = item.ivalue
-            continue
-        if item.phase != phase:
-            lines.append(f".phase {item.phase}")
+            lines.append(_line(".pc", None, (pc,)))
+        if item.phase != phase or kind is ItemKind.PHASE_MARK:
             phase = item.phase
-        if item.window != window:
-            lines.append(f".window {item.window}")
+            lines.append(_line(".phase", None, (phase,)))
+        if item.window != window or kind is ItemKind.WINDOW_MARK:
             window = item.window
-        if item.kind == ItemKind.SET_XREG:
-            lines.append(f".xreg x{item.reg} 0x{item.ivalue:x}")
-        elif item.kind == ItemKind.SET_FREG:
-            lines.append(f".freg f{item.reg} {_fmt_float(item.fvalue)}")
-        elif item.kind == ItemKind.INIT_MEM_F64:
-            values = " ".join(_fmt_float(v) for v in item.fvalues)
-            lines.append(f".memf64 0x{item.address:x} {values}")
-        elif item.kind == ItemKind.INIT_MEM_U64:
-            values = " ".join(f"0x{v:x}" for v in item.uvalues)
-            lines.append(f".memu64 0x{item.address:x} {values}")
-        elif item.kind == ItemKind.INSTRUCTION:
+            lines.append(_line(".window", None, (window,)))
+        if kind is ItemKind.INSTRUCTION:
             if item.scalar_before:
-                lines.append(f".scalar {item.scalar_before}")
-            text = texts.get(item.instr)
-            if text is None:
-                text = texts[item.instr] = disassemble(item.instr)
-            lines.append(text)
+                lines.append(_line(".scalar", None, (item.scalar_before,)))
+            lines.append(text_of(item.instr))
             pc = (item.pc + 4) & _U64_MASK
-        else:  # pragma: no cover
-            raise AssertionError(item.kind)
+        elif kind in _PAYLOAD_DIRECTIVE:
+            lines.append(_line(_PAYLOAD_DIRECTIVE[kind], item.target, item.values))
     return "\n".join(lines) + ("\n" if lines else "")

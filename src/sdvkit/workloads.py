@@ -29,14 +29,15 @@ with each other and match the brute-force DFT oracle to rounding error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidSeed, InvalidSize
-from .vstream import ItemKind, StreamItem
-from .isa import Instruction, parse_instruction
+from .vstream import ItemKind, StreamBuilder
+from .isa import parse_instruction
 
 
 @dataclass(frozen=True)
@@ -91,64 +92,24 @@ def _body_pc(phase: int) -> int:
 _MEM_CHUNK = 8  # values per .memf64/.memu64 item
 
 
-class _Emitter:
-    """Builds a consistent StreamItem list: pc/phase/window state tracking."""
+class _Emitter(StreamBuilder):
+    """A StreamBuilder fed instruction text that numbers windows from 1 and
+    splits memory images into _MEM_CHUNK-value directives."""
 
     def __init__(self):
-        self.items: list[StreamItem] = []
-        self.pc = 0
-        self.phase = 0
-        self.window = 0
-        self._scalar = 0
-        self._instrs: dict[str, Instruction] = {}  # each distinct text parsed once
-
-    def phase_mark(self, phase: int):
-        self.phase = phase
-        self.items.append(StreamItem(ItemKind.PHASE_MARK, self.pc, phase,
-                                     self.window, ivalue=phase))
+        super().__init__()
+        self._parse = functools.cache(parse_instruction)  # each distinct text parsed once
 
     def window_mark(self):
-        self.window += 1
-        self.items.append(StreamItem(ItemKind.WINDOW_MARK, self.pc, self.phase,
-                                     self.window, ivalue=self.window))
+        self.add(ItemKind.WINDOW_MARK, None, self.window + 1)
 
-    def set_pc(self, pc: int):
-        self.pc = pc
-
-    def scalar(self, count: int):
-        self._scalar = count
-
-    def xreg(self, reg: int, value: int):
-        self.items.append(StreamItem(ItemKind.SET_XREG, self.pc, self.phase,
-                                     self.window, reg=reg, ivalue=value))
-
-    def freg(self, reg: int, value: float):
-        self.items.append(StreamItem(ItemKind.SET_FREG, self.pc, self.phase,
-                                     self.window, reg=reg, fvalue=float(value)))
-
-    def memf64(self, address: int, values):
+    def mem(self, kind: ItemKind, address: int, values: np.ndarray):
+        values = values.tolist()  # Python floats or ints, by the array's dtype
         for i in range(0, len(values), _MEM_CHUNK):
-            part = tuple(float(v) for v in values[i:i + _MEM_CHUNK])
-            self.items.append(StreamItem(ItemKind.INIT_MEM_F64, self.pc, self.phase,
-                                         self.window, address=address + 8 * i,
-                                         fvalues=part))
-
-    def memu64(self, address: int, values):
-        for i in range(0, len(values), _MEM_CHUNK):
-            part = tuple(int(v) for v in values[i:i + _MEM_CHUNK])
-            self.items.append(StreamItem(ItemKind.INIT_MEM_U64, self.pc, self.phase,
-                                         self.window, address=address + 8 * i,
-                                         uvalues=part))
+            self.add(kind, address + 8 * i, *values[i:i + _MEM_CHUNK])
 
     def instr(self, text: str):
-        instr = self._instrs.get(text)
-        if instr is None:
-            instr = self._instrs[text] = parse_instruction(text)
-        self.items.append(StreamItem(ItemKind.INSTRUCTION, self.pc, self.phase,
-                                     self.window, scalar_before=self._scalar,
-                                     instr=instr))
-        self._scalar = 0
-        self.pc += 4
+        self.instruction(self._parse(text))
 
 
 def _stage_phase(span: int) -> int:
@@ -182,9 +143,9 @@ def _twiddles(n: int):
 
 def _vsetvli_window(e: _Emitter, vl: int, phase: int):
     e.window_mark()
-    e.xreg(28, vl)
-    e.set_pc(_pro_pc(phase))
-    e.scalar(2)
+    e.add(ItemKind.SET_XREG, 28, vl)
+    e.pc = _pro_pc(phase)
+    e.scalar = 2
     e.instr("vsetvli x29, x28, e64, m1")
 
 
@@ -193,10 +154,10 @@ def _copy_pass(e: _Emitter, pairs, vl: int, phase: int, scalar: int = 4):
     for src, dst, elems in pairs:
         for off in range(0, elems, vl):
             e.window_mark()
-            e.xreg(10, src + 8 * off)
-            e.xreg(11, dst + 8 * off)
-            e.set_pc(_body_pc(phase))
-            e.scalar(scalar)
+            e.add(ItemKind.SET_XREG, 10, src + 8 * off)
+            e.add(ItemKind.SET_XREG, 11, dst + 8 * off)
+            e.pc = _body_pc(phase)
+            e.scalar = scalar
             e.instr("vle64.v v1, (x10)")
             e.instr("vse64.v v1, (x11)")
 
@@ -211,18 +172,18 @@ def _naive_butterfly_window(e: _Emitter, units, src_re, src_im, dst_re, dst_im,
         a_off = 8 * (span * p + j0)
         b_off = 8 * (span * (p + m) + j0)
         even_off = 8 * (2 * span * p + j0)
-        e.xreg(x + 0, src_re + a_off)
-        e.xreg(x + 1, src_im + a_off)
-        e.xreg(x + 2, src_re + b_off)
-        e.xreg(x + 3, src_im + b_off)
-        e.xreg(x + 4, dst_re + even_off)
-        e.xreg(x + 5, dst_im + even_off)
-        e.xreg(x + 6, dst_re + even_off + 8 * span)
-        e.xreg(x + 7, dst_im + even_off + 8 * span)
-        e.freg(1 + 2 * k, wre[p])
-        e.freg(2 + 2 * k, wim[p])
-    e.set_pc(_body_pc(phase))
-    e.scalar(8 * len(units))
+        e.add(ItemKind.SET_XREG, x + 0, src_re + a_off)
+        e.add(ItemKind.SET_XREG, x + 1, src_im + a_off)
+        e.add(ItemKind.SET_XREG, x + 2, src_re + b_off)
+        e.add(ItemKind.SET_XREG, x + 3, src_im + b_off)
+        e.add(ItemKind.SET_XREG, x + 4, dst_re + even_off)
+        e.add(ItemKind.SET_XREG, x + 5, dst_im + even_off)
+        e.add(ItemKind.SET_XREG, x + 6, dst_re + even_off + 8 * span)
+        e.add(ItemKind.SET_XREG, x + 7, dst_im + even_off + 8 * span)
+        e.add(ItemKind.SET_FREG, 1 + 2 * k, float(wre[p]))
+        e.add(ItemKind.SET_FREG, 2 + 2 * k, float(wim[p]))
+    e.pc = _body_pc(phase)
+    e.scalar = 8 * len(units)
     banks = [(1 + 13 * k, 2 + 8 * k, 1 + 2 * k) for k in range(len(units))]
     for v, x, _ in banks:
         e.instr(f"vle64.v v{v + 0}, (x{x + 0})")
@@ -254,23 +215,23 @@ def _wide_stage(e: _Emitter, q, span, m, n, wvl, layout, src_re, src_im,
     """Generic full-length kernel: contiguous loads, in-register twiddle
     replication, scattered stores through the stage's index table."""
     _vsetvli_window(e, wvl, phase)
-    e.xreg(3, layout.rep_idx + q * 256 * 8)
+    e.add(ItemKind.SET_XREG, 3, layout.rep_idx + q * 256 * 8)
     e.instr("vle64.v v3, (x3)")
     half = n // 2
     for off in range(0, half, wvl):
         e.window_mark()
-        e.xreg(4, src_re + 8 * off)
-        e.xreg(5, src_im + 8 * off)
-        e.xreg(6, src_re + 8 * (half + off))
-        e.xreg(7, src_im + 8 * (half + off))
-        e.xreg(8, layout.w_re + 8 * (w_off + off // span))
-        e.xreg(9, layout.w_im + 8 * (w_off + off // span))
-        e.xreg(10, layout.scatter_idx + 8 * (q * half + off))
-        e.xreg(11, dst_re)
-        e.xreg(12, dst_im)
-        e.xreg(13, 8 * span)
-        e.set_pc(_body_pc(phase))
-        e.scalar(12)
+        e.add(ItemKind.SET_XREG, 4, src_re + 8 * off)
+        e.add(ItemKind.SET_XREG, 5, src_im + 8 * off)
+        e.add(ItemKind.SET_XREG, 6, src_re + 8 * (half + off))
+        e.add(ItemKind.SET_XREG, 7, src_im + 8 * (half + off))
+        e.add(ItemKind.SET_XREG, 8, layout.w_re + 8 * (w_off + off // span))
+        e.add(ItemKind.SET_XREG, 9, layout.w_im + 8 * (w_off + off // span))
+        e.add(ItemKind.SET_XREG, 10, layout.scatter_idx + 8 * (q * half + off))
+        e.add(ItemKind.SET_XREG, 11, dst_re)
+        e.add(ItemKind.SET_XREG, 12, dst_im)
+        e.add(ItemKind.SET_XREG, 13, 8 * span)
+        e.pc = _body_pc(phase)
+        e.scalar = 12
         e.instr("vle64.v v1, (x10)")        # even-output byte offsets
         e.instr("vadd.vx v2, v1, x13")      # odd outputs sit one span later
         e.instr("vle64.v v4, (x4)")
@@ -317,15 +278,15 @@ def gen_fft(plan: FftPlan):
     wvl = min(256, n // 2)
 
     e = _Emitter()
-    e.phase_mark(0)
-    e.memf64(layout.in_re, re)
-    e.memf64(layout.in_im, im)
+    e.add(ItemKind.PHASE_MARK, None, 0)
+    e.mem(ItemKind.INIT_MEM_F64, layout.in_re, re)
+    e.mem(ItemKind.INIT_MEM_F64, layout.in_im, im)
     w_offsets = []
     off = 0
     for wre, wim in twiddles:
         w_offsets.append(off)
-        e.memf64(layout.w_re + 8 * off, wre)
-        e.memf64(layout.w_im + 8 * off, wim)
+        e.mem(ItemKind.INIT_MEM_F64, layout.w_re + 8 * off, wre)
+        e.mem(ItemKind.INIT_MEM_F64, layout.w_im + 8 * off, wim)
         off += len(wre)
     if plan.variant == "wide":
         half = n // 2
@@ -333,9 +294,9 @@ def gen_fft(plan: FftPlan):
             span = 1 << q
             j = np.arange(half)
             even = 8 * (j + span * (j // span))
-            e.memu64(layout.scatter_idx + 8 * q * half, even)
-            e.memu64(layout.rep_idx + 8 * q * 256, np.arange(wvl) // span)
-        e.memu64(layout.ident_idx, 8 * np.arange(n))
+            e.mem(ItemKind.INIT_MEM_U64, layout.scatter_idx + 8 * q * half, even)
+            e.mem(ItemKind.INIT_MEM_U64, layout.rep_idx + 8 * q * 256, np.arange(wvl) // span)
+        e.mem(ItemKind.INIT_MEM_U64, layout.ident_idx, 8 * np.arange(n))
 
     # phase 0: copy input into the ping buffer
     vl0 = wvl if plan.variant == "wide" else min(256, n)
@@ -352,7 +313,7 @@ def gen_fft(plan: FftPlan):
         m = n // (2 * span)
         phase = _stage_phase(span)
         if phase != e.phase:
-            e.phase_mark(phase)
+            e.add(ItemKind.PHASE_MARK, None, phase)
         src_re, src_im = buffers[cur]
         dst_re, dst_im = buffers[1 - cur]
         if plan.variant == "naive":
@@ -373,7 +334,7 @@ def gen_fft(plan: FftPlan):
 
     # phase 3 always ends with the output pass
     if e.phase != 3:
-        e.phase_mark(3)
+        e.add(ItemKind.PHASE_MARK, None, 3)
     src_re, src_im = buffers[cur]
     if plan.variant == "naive":
         _vsetvli_window(e, 64, 3)
@@ -383,13 +344,13 @@ def gen_fft(plan: FftPlan):
         _vsetvli_window(e, wvl, 3)
         for off in range(0, n, wvl):
             e.window_mark()
-            e.xreg(10, layout.ident_idx + 8 * off)
-            e.xreg(11, src_re + 8 * off)
-            e.xreg(12, src_im + 8 * off)
-            e.xreg(13, layout.out_re)
-            e.xreg(14, layout.out_im)
-            e.set_pc(_body_pc(3))
-            e.scalar(6)
+            e.add(ItemKind.SET_XREG, 10, layout.ident_idx + 8 * off)
+            e.add(ItemKind.SET_XREG, 11, src_re + 8 * off)
+            e.add(ItemKind.SET_XREG, 12, src_im + 8 * off)
+            e.add(ItemKind.SET_XREG, 13, layout.out_re)
+            e.add(ItemKind.SET_XREG, 14, layout.out_im)
+            e.pc = _body_pc(3)
+            e.scalar = 6
             e.instr("vle64.v v1, (x10)")
             e.instr("vle64.v v2, (x11)")
             e.instr("vle64.v v3, (x12)")
@@ -436,21 +397,21 @@ def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
     x_base, y_base = _AXPY_X, _AXPY_Y
 
     e = _Emitter()
-    e.phase_mark(0)
-    e.memf64(x_base, x)
-    e.memf64(y_base, y)
-    e.freg(1, a)
+    e.add(ItemKind.PHASE_MARK, None, 0)
+    e.mem(ItemKind.INIT_MEM_F64, x_base, x)
+    e.mem(ItemKind.INIT_MEM_F64, y_base, y)
+    e.add(ItemKind.SET_FREG, 1, float(a))
     remaining, offset = n, 0
     strips = []
     while remaining:
         vl = min(256, remaining)
         strips.append(vl)
         e.window_mark()
-        e.xreg(1, remaining)
-        e.xreg(10, x_base + 8 * offset)
-        e.xreg(11, y_base + 8 * offset)
-        e.set_pc(_body_pc(0))
-        e.scalar(5)
+        e.add(ItemKind.SET_XREG, 1, remaining)
+        e.add(ItemKind.SET_XREG, 10, x_base + 8 * offset)
+        e.add(ItemKind.SET_XREG, 11, y_base + 8 * offset)
+        e.pc = _body_pc(0)
+        e.scalar = 5
         e.instr("vsetvli x2, x1, e64, m1")
         e.instr("vle64.v v1, (x10)")
         e.instr("vle64.v v2, (x11)")

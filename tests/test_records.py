@@ -14,10 +14,10 @@ _INSTR = parse_instruction("vle64.v v1, (x10)")
 
 # type -> field names in order, and a function building an instance afresh
 RECORDS = {
-    StreamItem: (("kind", "pc", "phase", "window", "scalar_before", "instr", "reg",
-                  "ivalue", "fvalue", "address", "fvalues", "uvalues"),
+    StreamItem: (("kind", "pc", "phase", "window", "scalar_before", "instr", "target",
+                  "values"),
                  lambda: StreamItem(ItemKind.INIT_MEM_F64, 0x40, 2, 1,
-                                    address=0x1000, fvalues=(0.5, -1.0))),
+                                    target=0x1000, values=(0.5, -1.0))),
     TraceRecord: (("seq", "pc", "phase", "scalar_before", "instr", "vl", "sew_bits",
                    "addresses", "window_id"),
                   lambda: TraceRecord(3, 0x1000, 1, 5, _INSTR, 8, 64,

@@ -44,10 +44,10 @@ def _parse_vstream(trace):
     for rec in trace:
         if rec.seq % len(_MIX) == 0:  # a few directives between instructions
             items.append(StreamItem(ItemKind.SET_XREG, rec.pc, rec.phase, rec.window_id,
-                                    reg=10, ivalue=0x1000 + rec.seq))
+                                    target=10, values=(0x1000 + rec.seq,)))
             items.append(StreamItem(ItemKind.INIT_MEM_F64, rec.pc, rec.phase,
-                                    rec.window_id, address=0x1000,
-                                    fvalues=(0.5, -1.25, float(rec.seq))))
+                                    rec.window_id, target=0x1000,
+                                    values=(0.5, -1.25, float(rec.seq))))
         items.append(StreamItem(ItemKind.INSTRUCTION, rec.pc, rec.phase, rec.window_id,
                                 scalar_before=rec.scalar_before, instr=rec.instr))
     text = write_vstream(items)

@@ -13,7 +13,7 @@ PACKAGE = Path(sdvkit.__file__).parent
 # converter -> the functions allowed to use it, as module.[Class.]function
 ALLOWED = {
     "parse_instruction": {"vstream.parse_vstream", "tracefile.read_trace",
-                          "workloads._Emitter.instr"},
+                          "workloads._Emitter.__init__"},
     "disassemble": {"vstream.write_vstream", "tracefile.write_trace",
                     "tracefile.read_trace", "tracefile.TraceRecord.mnemonic_text"},
     # `emulator.run` keeps its `str` branch only because `perfbench/cases.py`
@@ -63,3 +63,18 @@ def test_one_formatter_per_paraver_line_kind():
                  if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     for prefix in ("2:1:1:1:1:", "1:1:1:1:1:"):
         assert len([c for c in constants if c.startswith(prefix)]) == 1, prefix
+
+
+def test_stream_items_are_built_only_in_vstream():
+    """Only `vstream` calls `StreamItem(...)`: every other producer appends
+    through `StreamBuilder`, the one holder of the pc, phase, window and
+    pending-scalar rules."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "StreamItem":
+                    callers.add(path.stem)
+    assert callers == {"vstream"}

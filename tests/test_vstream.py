@@ -1,8 +1,16 @@
+import math
+import struct
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdvkit.errors import (MalformedNumber, StreamSyntaxError, UnknownDirective)
-from sdvkit.isa import Instruction
-from sdvkit.vstream import ItemKind, StreamItem, parse_vstream, write_vstream
+from sdvkit.isa import Instruction, parse_instruction
+from sdvkit.vstream import (ItemKind, StreamBuilder, StreamItem, parse_vstream,
+                            write_vstream)
+from sdvkit.workloads import FftPlan, gen_axpy, gen_fft
 
 
 def _instructions(items):
@@ -17,7 +25,7 @@ def test_phase_and_scalar_resolution():
     assert instrs[0].scalar_before == 17
     assert instrs[0].instr == Instruction("vfadd.vv", vd=1, vs2=2, vs1=3)
     marks = [i for i in items if i.kind == ItemKind.PHASE_MARK]
-    assert len(marks) == 1 and marks[0].ivalue == 2
+    assert len(marks) == 1 and marks[0].phase == 2 and marks[0].values == ()
 
 
 def test_scalar_is_one_shot():
@@ -29,7 +37,7 @@ def test_scalar_is_one_shot():
 def test_xreg_then_instruction():
     items = parse_vstream(".xreg x10 0x1000\nvle64.v v4, (x10)\n")
     assert items[0].kind == ItemKind.SET_XREG
-    assert items[0].reg == 10 and items[0].ivalue == 0x1000
+    assert items[0].target == 10 and items[0].values == (0x1000,)
     assert items[1].kind == ItemKind.INSTRUCTION
     assert items[1].instr.rs1 == 10
 
@@ -64,6 +72,10 @@ def test_malformed_number():
     ".window -1", ".window 4294967296", ".scalar -1", ".scalar 0x100000000",
     ".memf64 -8 1.0", ".memu64 0x10000000000000000 1",
     ".xreg x1 0x10000000000000005", ".memu64 0x100 -2",
+    # numbers outside the canonical forms
+    ".xreg x1 1_6", ".phase +3", ".scalar 0o7", ".memu64 0x100 0X10", ".xreg x1 0b101",
+    ".pc 0x0010", ".xreg x1 \u0661\u0666", ".phase \uff13", ".freg f1 \u0661.\u0665",
+    ".memf64 0x10 1_0.5", ".xreg x1 " + "1" * 5000,
 ])
 def test_out_of_domain_value_is_malformed(line):
     with pytest.raises(MalformedNumber) as excinfo:
@@ -116,10 +128,11 @@ def test_memory_init_directives():
     items = parse_vstream(
         ".memf64 0x1000 1.5 -2.25\n.memu64 0x2000 0x10 7\n.freg f3 0.5\n")
     assert items[0].kind == ItemKind.INIT_MEM_F64
-    assert items[0].address == 0x1000 and items[0].fvalues == (1.5, -2.25)
+    assert items[0].target == 0x1000 and items[0].values == (1.5, -2.25)
     assert items[1].kind == ItemKind.INIT_MEM_U64
-    assert items[1].uvalues == (0x10, 7)
-    assert items[2].kind == ItemKind.SET_FREG and items[2].fvalue == 0.5
+    assert items[1].target == 0x2000 and items[1].values == (0x10, 7)
+    assert items[2].kind == ItemKind.SET_FREG
+    assert items[2].target == 3 and items[2].values == (0.5,)
 
 
 def test_window_marks_persist():
@@ -147,3 +160,79 @@ def test_write_parse_roundtrip_nonconsecutive_pcs():
 
 def test_write_empty():
     assert write_vstream([]) == ""
+
+
+def _bits(items):
+    """Items with each float value replaced by its bit pattern, so -0.0 differs
+    from 0.0 and a NaN equals itself."""
+    return [item._replace(values=tuple(struct.pack("<d", v) if isinstance(v, float) else v
+                                       for v in item.values)) for item in items]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_fft(FftPlan(64, "naive")), lambda: gen_fft(FftPlan(256, "naive")),
+    lambda: gen_fft(FftPlan(64, "wide")), lambda: gen_fft(FftPlan(256, "wide")),
+    lambda: gen_axpy(300, 2.0),
+], ids=["fft-naive-64", "fft-naive-256", "fft-wide-64", "fft-wide-256", "axpy-300"])
+def test_generated_streams_follow_the_parser(make):
+    items, _ = make()
+    assert _bits(parse_vstream(write_vstream(items))) == _bits(items)
+
+
+_WORDS = st.sampled_from([
+    ".pc", ".phase", ".window", ".scalar", ".xreg", ".freg", ".memf64", ".memu64",
+    ".bogus", "x1", "f2", "x32", "0", "0x10", "0x00", "1e5", "nan", "-0.0", "inf",
+    "1_0", "\u0661", "0x" + "f" * 17, "9" * 5000, "vid.v", "v1,", "vle64.v", "(x10)",
+    "#", ",",
+]) | st.text(max_size=6)
+_TEXT = st.lists(st.lists(_WORDS, max_size=5).map(" ".join), max_size=8).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXT | st.text())
+def test_any_text_parses_or_raises_stream_syntax_error(text):
+    try:
+        items = parse_vstream(text)
+    except StreamSyntaxError:
+        return
+    assert all(type(item) is StreamItem for item in items)
+    if not any(v != v for item in items for v in item.values):  # NaN signs are not kept
+        assert _bits(parse_vstream(write_vstream(items))) == _bits(items)
+
+
+_U32S = st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 2**32 - 1)
+_U64S = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+_F64S = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                         sys.float_info.min, sys.float_info.max]) | st.floats(allow_nan=False)
+_INSTRS = [parse_instruction(text) for text in
+           ("vid.v v1", "vsetvli x1, x2, e64, m1", "vle64.v v2, (x10)",
+            "vfmacc.vv v3, v1, v2", "vsuxei64.v v4, (x11), v1")]
+# (operation, target, values) for StreamBuilder: every item kind, .pc and .scalar
+_OPS = st.one_of(
+    st.tuples(st.just("pc"), st.none(), _U64S.map(lambda v: [v])),
+    st.tuples(st.just("scalar"), st.none(), _U32S.map(lambda v: [v])),
+    st.tuples(st.just(ItemKind.INSTRUCTION), st.sampled_from(_INSTRS), st.just([])),
+    st.tuples(st.sampled_from([ItemKind.PHASE_MARK, ItemKind.WINDOW_MARK]), st.none(),
+              _U32S.map(lambda v: [v])),
+    st.tuples(st.just(ItemKind.SET_XREG), st.integers(0, 31), _U64S.map(lambda v: [v])),
+    st.tuples(st.just(ItemKind.SET_FREG), st.integers(0, 31), _F64S.map(lambda v: [v])),
+    st.tuples(st.just(ItemKind.INIT_MEM_F64), _U64S, st.lists(_F64S, min_size=1, max_size=9)),
+    st.tuples(st.just(ItemKind.INIT_MEM_U64), _U64S, st.lists(_U64S, min_size=1, max_size=9)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OPS, max_size=30))
+def test_built_items_write_and_parse_back_bit_exact(ops):
+    builder = StreamBuilder()
+    for op, target, values in ops:
+        if op == "pc":
+            builder.pc = values[0]
+        elif op == "scalar":
+            builder.scalar = values[0]
+        elif op is ItemKind.INSTRUCTION:
+            builder.instruction(target)
+        else:
+            builder.add(op, target, *values)
+    items = builder.items
+    assert _bits(parse_vstream(write_vstream(items))) == _bits(items)
