@@ -42,17 +42,12 @@ def phase_metrics(trace: Sequence[TraceRecord],
     if not trace:
         raise EmptyTrace("cannot analyze an empty trace")
 
-    order: list[int] = []
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}  # phase -> its record indices, in first-appearance order
     for i, rec in enumerate(trace):
-        if rec.phase not in groups:
-            order.append(rec.phase)
-            groups[rec.phase] = []
-        groups[rec.phase].append(i)
+        groups.setdefault(rec.phase, []).append(i)
 
     results = []
-    for phase in order:
-        idxs = groups[phase]
+    for phase, idxs in groups.items():
         records = [trace[i] for i in idxs]
         metrics = PhaseMetrics(phase=phase)
         metrics.vector_instr_count = len(records)

@@ -11,18 +11,18 @@ the register fields, so only the configuration forms get a branch of their own.
 from __future__ import annotations
 
 from .errors import UnsupportedInstruction
-from .isa import LMUL_CODES, OP_V, OPCFG, ROLE_FIELDS, SEW_CODES, SPEC, Instruction
+from .isa import LMUL_CODES, OP_V, OPCFG, ROLES, SEW_CODES, SPEC, Instruction
 
-# Bit offset of the 5-bit field each operand role occupies.
-_SLOT = {"vd": 7, "vs3": 7, "rd": 7, "vs1": 15, "rs1": 15, "mem": 15, "fs1": 15,
-         "uimm": 15, "vs2": 20, "rs2": 20}
+# Bit offsets of the 5-bit operand slots.
+_SLOTS = {slot for _, _, slot in ROLES.values()} - {None}
 
 
 def _row(mnemonic: str, roles: tuple[str, ...], fixed: int = 0):
-    """(mnemonic, (field, offset) per register role, mask of the slots no role
-    uses, the bits those slots must hold)."""
-    fields = tuple((ROLE_FIELDS.get(r, (r,))[0], _SLOT[r]) for r in roles if r in _SLOT)
-    unused = sum(0x1F << offset for offset in set(_SLOT.values()) - {o for _, o in fields})
+    """(mnemonic, (field, offset) per role with a slot, mask of the slots no
+    role uses, the bits those slots must hold)."""
+    fields = tuple((names[0], slot) for names, _, slot in map(ROLES.get, roles)
+                   if slot is not None)
+    unused = sum(0x1F << offset for offset in _SLOTS - {o for _, o in fields})
     return mnemonic, fields, unused, fixed
 
 

@@ -231,7 +231,7 @@ class MachineState:
 
     def write_xreg(self, reg: int, value: int) -> None:
         if reg != 0:
-            self.xregs[reg] = value & 0xFFFFFFFFFFFFFFFF
+            self.xregs[reg] = value & _U64_MASK
 
     def velems(self, reg: int, vl: int) -> np.ndarray:
         return self.vregs[reg, :vl]

@@ -9,7 +9,6 @@ Masked forms (vm=0) are rejected.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,12 +30,29 @@ OP_V, LOAD_FP, STORE_FP = 0b1010111, 0b0000111, 0b0100111
 OPIVV, OPFVV, OPMVV, OPIVI, OPIVX, OPFVF, OPMVX, OPCFG = range(8)
 E64 = 0b111  # memory-op width field: 64-bit elements
 
+
+# Every operand role, in Instruction field order: role -> (the Instruction
+# field(s) it fills, its register prefix or None, the bit offset of its 5-bit
+# slot in an encoding or None).  mem is the parenthesized base register of a
+# memory op, uimm an unsigned 5-bit immediate, vtype the "e<sew>, m<lmul>"
+# token pair, which the decoder reads in a branch of its own.
+ROLES: dict[str, tuple[tuple[str, ...], Optional[str], Optional[int]]] = {
+    "vd": (("vd",), "v", 7),
+    "vs1": (("vs1",), "v", 15),
+    "vs2": (("vs2",), "v", 20),
+    "vs3": (("vs3",), "v", 7),
+    "rd": (("rd",), "x", 7),
+    "rs1": (("rs1",), "x", 15),
+    "rs2": (("rs2",), "x", 20),
+    "mem": (("rs1",), "x", 15),
+    "fs1": (("fs1",), "f", 15),
+    "uimm": (("imm",), None, 15),
+    "vtype": (("sew", "lmul"), None, None),
+}
+
 # The subset, one entry per mnemonic: (category, operand roles in assembly
 # order, binary encoding).  Every other per-mnemonic fact, the binary decoder
-# included, is derived from this table.  Roles:
-#   vd/vs1/vs2/vs3 - vector registers;  rd/rs1/rs2 - scalar registers;
-#   mem - parenthesized base register (populates rs1);  fs1 - FP scalar;
-#   uimm - unsigned 5-bit immediate;  vtype - "e<sew>, m<lmul>" token pair.
+# included, is derived from this table and `ROLES`.
 # A memory op with vd is a load and one with vs3 is a store.
 # Note the multiply-accumulate family orders sources vs1, vs2 while other
 # .vv forms order vs2, vs1; both follow standard vector assembly.
@@ -73,8 +89,9 @@ MNEMONICS: tuple[str, ...] = tuple(SPEC)
 # Stable numeric ids, used by the Paraver exporter's value tables.
 MNEMONIC_IDS: dict[str, int] = {m: i for i, m in enumerate(MNEMONICS)}
 
-# Instruction fields a role populates, where they are not the role's own name.
-ROLE_FIELDS = {"mem": ("rs1",), "uimm": ("imm",), "vtype": ("sew", "lmul")}
+# Instruction operand field -> whether it holds a register id, in field order
+_REGISTER_FIELD = {name: prefix is not None
+                   for names, prefix, _ in ROLES.values() for name in names}
 
 # vtype vsew/vlmul field encodings; the e<sew>/m<lmul> assembly tokens, the
 # binary decoder and the emulator's vsetvl all take the legal values from here.
@@ -122,13 +139,13 @@ class Instruction:
             category, roles, _encoding = SPEC[self.mnemonic]
         except KeyError:
             raise UnsupportedMnemonic(self.mnemonic) from None
-        expected = {name for role in roles for name in ROLE_FIELDS.get(role, (role,))}
-        for name in ("vd", "vs1", "vs2", "vs3", "rd", "rs1", "rs2", "fs1", "imm", "sew", "lmul"):
+        expected = {name for role in roles for name in ROLES[role][0]}
+        for name, is_register in _REGISTER_FIELD.items():
             value = getattr(self, name)
             if name in expected:
                 if value is None:
                     raise ValueError(f"{self.mnemonic}: missing operand field {name}")
-                if name not in ("imm", "sew", "lmul") and not 0 <= value < 32:
+                if is_register and not 0 <= value < 32:
                     raise ValueError(f"{self.mnemonic}: register id {name}={value} out of range")
             elif value is not None:
                 raise ValueError(f"{self.mnemonic}: unexpected operand field {name}={value}")
@@ -149,9 +166,6 @@ class Instruction:
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-
-
-_TOKEN_RE = re.compile(r"\S+")
 
 
 def parse_register(token: str, prefix: str, column: int = 0) -> int:
@@ -181,14 +195,11 @@ def parse_instruction(text: str) -> Instruction:
     line = text.strip()
     if not line:
         raise AsmSyntaxError("empty instruction", 0)
-    m = _TOKEN_RE.match(line)
-    mnemonic = m.group(0).lower()
+    word, *rest = line.split(None, 1)
+    mnemonic = word.lower()
     if mnemonic not in SPEC:
-        raise UnsupportedMnemonic(m.group(0))
-    rest = line[m.end():].strip()
-    operands = [op.strip() for op in rest.split(",")] if rest else []
-    if operands == [""]:
-        operands = []
+        raise UnsupportedMnemonic(word)
+    operands = [op.strip() for op in rest[0].split(",")] if rest else []
 
     roles = SPEC[mnemonic][1]
     fields: dict[str, int] = {}
@@ -196,20 +207,15 @@ def parse_instruction(text: str) -> Instruction:
     for role in roles:
         if role == "vtype":
             # consumes "e<sew>, m<lmul>" plus optional policy tokens
-            if idx >= len(operands):
-                raise AsmSyntaxError(f"{mnemonic}: missing element-width token", len(line))
-            sew_tok = operands[idx].lower()
-            if sew_tok not in _SEW_TOKENS:
-                raise AsmSyntaxError(f"bad element width {operands[idx]!r}", line.find(operands[idx]))
-            fields["sew"] = _SEW_TOKENS[sew_tok]
-            idx += 1
-            if idx >= len(operands):
-                raise AsmSyntaxError(f"{mnemonic}: missing group-multiplier token", len(line))
-            lmul_tok = operands[idx].lower()
-            if lmul_tok not in _LMUL_TOKENS:
-                raise AsmSyntaxError(f"bad group multiplier {operands[idx]!r}", line.find(operands[idx]))
-            fields["lmul"] = _LMUL_TOKENS[lmul_tok]
-            idx += 1
+            for name, legal, what in (("sew", _SEW_TOKENS, "element width"),
+                                      ("lmul", _LMUL_TOKENS, "group multiplier")):
+                if idx >= len(operands):
+                    raise AsmSyntaxError(f"{mnemonic}: missing {what.replace(' ', '-')} token",
+                                         len(line))
+                if operands[idx].lower() not in legal:
+                    raise AsmSyntaxError(f"bad {what} {operands[idx]!r}", line.find(operands[idx]))
+                fields[name] = legal[operands[idx].lower()]
+                idx += 1
             while idx < len(operands) and operands[idx].lower() in _POLICY_TOKENS:
                 idx += 1
             continue
@@ -217,51 +223,42 @@ def parse_instruction(text: str) -> Instruction:
             raise AsmSyntaxError(f"{mnemonic}: missing operand #{idx + 1}", len(line))
         token = operands[idx]
         idx += 1
-        if role == "mem":
-            mt = token.strip()
-            if not (mt.startswith("(") and mt.endswith(")")):
-                raise AsmSyntaxError(f"expected (x<base>), got {token!r}", line.find(token))
-            fields["rs1"] = parse_register(mt[1:-1], "x", line.find(mt[1:-1]))
-        elif role in ("vd", "vs1", "vs2", "vs3"):
-            fields[role] = parse_register(token, "v", line.find(token))
-        elif role in ("rd", "rs1", "rs2"):
-            fields[role] = parse_register(token, "x", line.find(token))
-        elif role == "fs1":
-            fields["fs1"] = parse_register(token, "f", line.find(token))
-        elif role == "uimm":
-            t = token.strip().lower()
+        (name,), prefix, _ = ROLES[role]
+        if prefix:
+            if role == "mem":
+                if not (token.startswith("(") and token.endswith(")")):
+                    raise AsmSyntaxError(f"expected ({prefix}<base>), got {token!r}",
+                                         line.find(token))
+                token = token[1:-1]
+            fields[name] = parse_register(token, prefix, line.find(token))
+        else:  # uimm
             try:
-                value = int(t, 0)
+                value = int(token.lower(), 0)
             except ValueError:
                 raise AsmSyntaxError(f"bad immediate {token!r}", line.find(token)) from None
             if not 0 <= value < 32:
                 raise AsmSyntaxError(f"immediate {value} outside 0..31", line.find(token))
-            fields["imm"] = value
-        else:  # pragma: no cover - table and roles stay in sync
-            raise AssertionError(role)
+            fields[name] = value
     if idx != len(operands):
         raise AsmSyntaxError(f"{mnemonic}: unexpected operand {operands[idx]!r}",
                              line.find(operands[idx]))
     return Instruction(mnemonic=mnemonic, **fields)
 
 
+def _operand_text(role: str) -> str:
+    """A role's canonical text, as a format string over Instruction fields."""
+    if role == "vtype":
+        return "e{sew}, m{lmul}"
+    (name,), prefix, _ = ROLES[role]
+    text = f"{prefix or ''}{{{name}}}"
+    return f"({text})" if role == "mem" else text
+
+
+# mnemonic -> its canonical text, as a format string over Instruction fields
+_ASM = {mnemonic: " ".join([mnemonic, ", ".join(map(_operand_text, roles))]) if roles
+        else mnemonic for mnemonic, (_, roles, _) in SPEC.items()}
+
+
 def disassemble(instr: Instruction) -> str:
     """Canonical one-line text; parse_instruction(disassemble(i)) == i."""
-    parts: list[str] = []
-    for role in SPEC[instr.mnemonic][1]:
-        if role == "vtype":
-            parts.append(f"e{instr.sew}")
-            parts.append(f"m{instr.lmul}")
-        elif role == "mem":
-            parts.append(f"(x{instr.rs1})")
-        elif role in ("vd", "vs1", "vs2", "vs3"):
-            parts.append(f"v{getattr(instr, role)}")
-        elif role in ("rd", "rs1", "rs2"):
-            parts.append(f"x{getattr(instr, role)}")
-        elif role == "fs1":
-            parts.append(f"f{instr.fs1}")
-        elif role == "uimm":
-            parts.append(str(instr.imm))
-    if not parts:
-        return instr.mnemonic
-    return f"{instr.mnemonic} " + ", ".join(parts)
+    return _ASM[instr.mnemonic].format_map(vars(instr))

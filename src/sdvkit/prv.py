@@ -18,6 +18,8 @@ pc, vl, mnemonic)`` and keeps one ``(time, pairs)`` row per record; `emit_prv`
 formats each distinct ``pairs`` once, as event lines with a time slot, and
 labels the `.pcf` from them.  Each record is checked once: where a document
 is built by hand, per line in `parse_prv`, and per trace record in `to_prv`.
+`parse_prv` reads every number in the decimal form `emit_prv` writes,
+``0|[1-9][0-9]*`` with at most 20 digits; any other is a format error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyTrace, PrvFormatError, SdvError
 from .isa import MNEMONIC_IDS, Category
-from .records import typed_equality
+from .records import DEC, typed_equality
 from .tracefile import TraceRecord
 from .timing import TimelineEntry
 
@@ -54,7 +56,7 @@ _FIXED_LABELS = {TYPE_PC: [], TYPE_VL: [],
                  TYPE_MNEMONIC: [(i, m) for m, i in MNEMONIC_IDS.items()]}
 
 # Every number in a .prv file has the one form `emit_prv` writes.
-_NUMBER = re.compile(r"0|[1-9][0-9]*")
+_NUMBER = re.compile(DEC)
 _HEADER_RE = re.compile(
     rf"^#Paraver \([^)]*\):({_NUMBER.pattern})_ns:1\(1\):1:1\(1:1\)$")
 _EVENT_LINE = "2:1:1:1:1:{}:{}:{}"
@@ -188,10 +190,7 @@ def parse_prv(text: str) -> PrvDocument:
     header = _HEADER_RE.match(lines[0])
     if header is None:
         raise PrvFormatError(f"bad header {lines[0]!r}", 1)
-    try:
-        duration = int(header.group(1))
-    except ValueError as err:
-        raise PrvFormatError(str(err), 1) from err
+    duration = int(header.group(1))
     doc = PrvDocument(duration)
     last_event_time = 0
     for line_no, line in enumerate(lines[1:], start=2):
@@ -200,10 +199,7 @@ def parse_prv(text: str) -> PrvDocument:
         parts = line.split(":")
         if not all(map(_NUMBER.fullmatch, parts)):
             raise PrvFormatError("field not in canonical decimal form", line_no)
-        try:
-            fields = [int(part) for part in parts]
-        except ValueError as err:  # more digits than int() converts
-            raise PrvFormatError(str(err), line_no) from err
+        fields = [int(part) for part in parts]
         kind, count = fields[0], len(fields)
         if kind == 1 and count == 8:
             row = StateRecord(*fields[5:])

@@ -1,8 +1,9 @@
 """What the record formats share: type-sensitive equality for the toolkit's
 immutable named-tuple records, and the one written form of an unsigned
-integer in the trace and VSTREAM files."""
+integer in the trace, VSTREAM and Paraver files.  A decimal has at most 20
+digits, enough for any u64, so no reader converts a longer one."""
 
-DEC = r"(?:0|[1-9][0-9]*)"
+DEC = r"(?:0|[1-9][0-9]{0,19})"
 HEX = r"0x(?:0|[1-9a-f][0-9a-f]*)"
 
 

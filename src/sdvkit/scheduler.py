@@ -34,10 +34,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .config import MachineConfig
-from .emulator import MachineState, run
+from .emulator import _PAGE_SIZE, MachineState, run
 from .errors import NotEquivalent, SdvError
 from .isa import Category
-from .timing import Pipeline, TimingParams, occupancy, pipeline_of, simulate
+from .timing import PIPELINES, Pipeline, TimingParams, occupancy, pipeline_of, simulate
 from .tracefile import TraceRecord
 from .vstream import ItemKind, StreamItem
 
@@ -46,17 +46,11 @@ RAW, WAR, WAW, MEM_ORDER = "RAW", "WAR", "WAW", "MEM_ORDER"
 
 @dataclass
 class DependenceGraph:
-    count: int
     labels: dict = field(default_factory=dict)   # (src, dst) -> set of labels
-    succs: dict = field(default_factory=dict)    # src -> set of dst
-    preds: dict = field(default_factory=dict)    # dst -> set of src
 
     def add(self, src: int, dst: int, label: str):
-        if src == dst:
-            return
-        self.labels.setdefault((src, dst), set()).add(label)
-        self.succs.setdefault(src, set()).add(dst)
-        self.preds.setdefault(dst, set()).add(src)
+        if src != dst:
+            self.labels.setdefault((src, dst), set()).add(label)
 
     def edge_labels(self, src: int, dst: int) -> set:
         return self.labels.get((src, dst), set())
@@ -97,7 +91,7 @@ def _memory_conflicts(window: Sequence[TraceRecord]) -> set[tuple[int, int]]:
 
 def build_dependences(window: Sequence[TraceRecord]) -> DependenceGraph:
     """Dependence graph over one contiguous window of trace records."""
-    graph = DependenceGraph(count=len(window))
+    graph = DependenceGraph()
     instrs = [r.instr for r in window]
 
     # per register file: reg -> its last writer, reg -> its readers since then
@@ -149,30 +143,28 @@ def reschedule_order(window: Sequence[TraceRecord],
     params = params or TimingParams()
     graph = build_dependences(window)
     pipes = [pipeline_of(r.instr.category) for r in window]
+    succs: list[list[int]] = [[] for _ in range(n)]  # each in ascending order
+    indegree = [0] * n
+    for src, dst in sorted(graph.labels):
+        succs[src].append(dst)
+        indegree[dst] += 1
 
     weight = [occupancy(window[i], params) + params.latency_of(pipes[i]) for i in range(n)]
     critical = [0] * n
     for i in range(n - 1, -1, -1):
-        below = max((critical[j] for j in graph.succs.get(i, ())), default=0)
+        below = max((critical[j] for j in succs[i]), default=0)
         critical[i] = weight[i] + below
 
-    indegree = [len(graph.preds.get(i, ())) for i in range(n)]
     ready = [i for i in range(n) if indegree[i] == 0]
     order: list[int] = []
-    last_pipe: Optional[Pipeline] = None
+    partner: Optional[Pipeline] = None  # the pipeline that overlaps the last pick's
     while ready:
-        pool = ready
-        if last_pipe == Pipeline.MEM:
-            preferred = [i for i in ready if pipes[i] == Pipeline.ARITH]
-            pool = preferred or ready
-        elif last_pipe == Pipeline.ARITH:
-            preferred = [i for i in ready if pipes[i] == Pipeline.MEM]
-            pool = preferred or ready
+        pool = [i for i in ready if pipes[i] == partner] or ready
         pick = max(pool, key=lambda i: (critical[i], -i))
         ready.remove(pick)
         order.append(pick)
-        last_pipe = pipes[pick]
-        for succ in sorted(graph.succs.get(pick, ())):
+        _, partner = PIPELINES[pipes[pick]]
+        for succ in succs[pick]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 ready.append(succ)
@@ -221,18 +213,13 @@ def schedule_stream(items: Sequence[StreamItem],
     before = simulate(records, params)[1].total_cycles
 
     positions = [i for i, item in enumerate(items) if item.kind == ItemKind.INSTRUCTION]
-    units: list[list[int]] = []
-    current: list[int] = []
+    units: list[list[int]] = []  # runs of adjacent instructions in one window
     for k, pos in enumerate(positions):
-        if current and pos == positions[current[-1]] + 1 \
-                and records[k].window_id == records[current[0]].window_id:
-            current.append(k)
+        if units and pos == positions[units[-1][-1]] + 1 \
+                and records[k].window_id == records[units[-1][0]].window_id:
+            units[-1].append(k)
         else:
-            if current:
-                units.append(current)
-            current = [k]
-    if current:
-        units.append(current)
+            units.append([k])
 
     new_items = list(items)
     changed = False
@@ -259,10 +246,6 @@ def schedule_stream(items: Sequence[StreamItem],
     return new_items, before, after
 
 
-def _same_float(a: float, b: float) -> bool:
-    return pack("<d", a) == pack("<d", b)
-
-
 def verify_equivalence(config: Optional[MachineConfig],
                        stream_a: Union[str, Sequence[StreamItem], MachineState],
                        stream_b: Union[str, Sequence[StreamItem], MachineState]
@@ -277,7 +260,7 @@ def verify_equivalence(config: Optional[MachineConfig],
                         for stream in (stream_a, stream_b))
     if state_a.xregs != state_b.xregs:
         return False
-    if not all(_same_float(a, b) for a, b in zip(state_a.fregs, state_b.fregs)):
+    if any(pack("<d", a) != pack("<d", b) for a, b in zip(state_a.fregs, state_b.fregs)):
         return False
     if state_a.vl != state_b.vl or state_a.vtype != state_b.vtype:
         return False
@@ -285,7 +268,7 @@ def verify_equivalence(config: Optional[MachineConfig],
         return False
     pages_a = state_a.memory.touched_pages()
     pages_b = state_b.memory.touched_pages()
-    zero = bytes(4096)
+    zero = bytes(_PAGE_SIZE)
     for index in set(pages_a) | set(pages_b):
         if pages_a.get(index, zero) != pages_b.get(index, zero):
             return False

@@ -25,6 +25,10 @@ Model rules, all deliberately simple and in-order:
   far below the unit-stride rate, which is the load-bearing ordering for
   gather/scatter-heavy code.
 
+One table, `CATEGORIES`, maps each category to its pipeline and rate knob,
+and `PIPELINES` gives each pipeline its latency knob and the pipeline it
+overlaps with; every cost, counter and the scheduler's pairing reads them.
+
 The counters (busy, overlap and idle cycles per pipeline) are added up in the
 same pass that places each instruction; no second walk over the timeline.
 Rates and latencies are configurable defaults, not calibrated hardware data.
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
 from .isa import Category
@@ -48,19 +52,29 @@ class Pipeline(enum.Enum):
     CONFIG = "CONFIG"
 
 
-_PIPELINE_OF = {
-    Category.CONFIG: Pipeline.CONFIG,
-    Category.MEM_UNIT: Pipeline.MEM,
-    Category.MEM_STRIDED: Pipeline.MEM,
-    Category.MEM_INDEXED: Pipeline.MEM,
-    Category.ARITH_INT: Pipeline.ARITH,
-    Category.ARITH_FP: Pipeline.ARITH,
-    Category.PERM: Pipeline.ARITH,
+# category -> (the pipeline that runs it, its TimingParams rate knob or None
+# for one cycle at any vl)
+CATEGORIES: dict[Category, tuple[Pipeline, Optional[str]]] = {
+    Category.CONFIG: (Pipeline.CONFIG, None),
+    Category.MEM_UNIT: (Pipeline.MEM, "unit_stride_elems_per_cycle"),
+    Category.MEM_STRIDED: (Pipeline.MEM, "strided_elems_per_cycle"),
+    Category.MEM_INDEXED: (Pipeline.MEM, "indexed_elems_per_cycle"),
+    Category.ARITH_INT: (Pipeline.ARITH, "arith_elems_per_cycle"),
+    Category.ARITH_FP: (Pipeline.ARITH, "arith_elems_per_cycle"),
+    Category.PERM: (Pipeline.ARITH, "arith_elems_per_cycle"),
 }
+# pipeline -> (its latency knob or None for none, the pipeline it overlaps with)
+PIPELINES: dict[Pipeline, tuple[Optional[str], Optional[Pipeline]]] = {
+    Pipeline.MEM: ("mem_latency_cycles", Pipeline.ARITH),
+    Pipeline.ARITH: ("arith_latency_cycles", Pipeline.MEM),
+    Pipeline.CONFIG: (None, None),
+}
+_RATE_KNOBS = {knob for _, knob in CATEGORIES.values()} - {None}
+_LATENCY_KNOBS = {knob for knob, _ in PIPELINES.values()} - {None}
 
 
 def pipeline_of(category: Category) -> Pipeline:
-    return _PIPELINE_OF[category]
+    return CATEGORIES[category][0]
 
 
 @dataclass
@@ -76,12 +90,10 @@ class TimingParams:
     chaining: bool = False
 
     def __post_init__(self):
-        for name in ("unit_stride_elems_per_cycle", "indexed_elems_per_cycle",
-                     "strided_elems_per_cycle", "arith_elems_per_cycle"):
-            if getattr(self, name) < 1:
+        for name in (f.name for f in fields(self)):  # in field order
+            if name in _RATE_KNOBS and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1 element/cycle")
-        for name in ("mem_latency_cycles", "arith_latency_cycles"):
-            if getattr(self, name) < 1:
+            if name in _LATENCY_KNOBS and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.vector_queue_depth < 1:
             raise ValueError("vector_queue_depth must be >= 1")
@@ -89,22 +101,12 @@ class TimingParams:
             raise ValueError("scalar_cycles_per_instr must be >= 0")
 
     def rate_of(self, category: Category) -> Optional[int]:
-        if category == Category.CONFIG:  # one cycle at any vl
-            return None
-        if category == Category.MEM_UNIT:
-            return self.unit_stride_elems_per_cycle
-        if category == Category.MEM_STRIDED:
-            return self.strided_elems_per_cycle
-        if category == Category.MEM_INDEXED:
-            return self.indexed_elems_per_cycle
-        return self.arith_elems_per_cycle
+        _, knob = CATEGORIES[category]
+        return None if knob is None else getattr(self, knob)
 
     def latency_of(self, pipeline: Pipeline) -> int:
-        if pipeline == Pipeline.MEM:
-            return self.mem_latency_cycles
-        if pipeline == Pipeline.ARITH:
-            return self.arith_latency_cycles
-        return 0
+        knob, _ = PIPELINES[pipeline]
+        return 0 if knob is None else getattr(self, knob)
 
 
 @typed_equality
@@ -142,16 +144,16 @@ def occupancy(record, params: TimingParams) -> int:
 def simulate(trace: Sequence, params: Optional[TimingParams] = None):
     """Run the cycle model over a trace; returns (timeline entries, counters)."""
     params = params or TimingParams()
-    # pipeline -> (its lane in the lists below, its overlap_cycles partner's lane)
-    lanes = {Pipeline.MEM: (0, 1), Pipeline.ARITH: (1, 0), Pipeline.CONFIG: (2, None)}
-    rows = {category: (pipe, *lanes[pipe], params.rate_of(category), params.latency_of(pipe))
-            for category, pipe in _PIPELINE_OF.items()}
+    lanes = {pipe: i for i, pipe in enumerate(PIPELINES)}  # its index in the lists below
+    rows = {category: (pipe, lanes[pipe], lanes.get(PIPELINES[pipe][1]),
+                       params.rate_of(category), params.latency_of(pipe))
+            for category, (pipe, _) in CATEGORIES.items()}
     cost, chaining = params.scalar_cycles_per_instr, params.chaining
     entries: list[TimelineEntry] = []
     scalar_time = 0
     last_issue = last_start = -1
-    free = [0, 0, 0]  # per lane: the cycle its pipeline is next free
-    busy = [0, 0, 0]
+    free = [0] * len(lanes)  # per lane: the cycle its pipeline is next free
+    busy = [0] * len(lanes)
     writers: dict[int, tuple] = {}  # reg -> (start + latency, occupancy, complete)
     reader_complete: dict[int, int] = {}
     # min-heap of the vector_queue_depth latest completions, padded with zeros
@@ -211,7 +213,7 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
         scalar_time = issue + 1
 
     total = max(free)  # each pipeline completes its instructions in order
-    mem_busy, arith_busy, _ = busy
+    mem_busy, arith_busy = busy[lanes[Pipeline.MEM]], busy[lanes[Pipeline.ARITH]]
     counters = CounterSet(
         total_cycles=total, vector_instr_count=len(entries),
         scalar_instr_count=scalar_total, mem_busy_cycles=mem_busy,

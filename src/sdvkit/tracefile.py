@@ -7,14 +7,14 @@ Header line ``#sdvkit-trace v1``, then::
 with pc in hex (a u64) and addr_ranges as comma-separated ``base+length`` hex
 pairs, each with base in [0, 2^64) and base + length <= 2^64; the field is
 empty for non-memory instructions.  Every number has the one form
-`write_trace` gives it: decimal ``0|[1-9][0-9]*`` or hex ``0x`` followed by
-lowercase digits without leading zeros.  The mnemonic field is the instruction's
-canonical ``disassemble`` text; the category column is derived from its
-mnemonic, and reading checks both, so a record carries one instruction and
-nothing that can contradict it.  Single-line records keep downstream tools
-line-parallel; writing is deterministic so identical runs produce
-byte-identical files.  A `TraceRecord` is an immutable named tuple with
-type-sensitive equality.
+`write_trace` gives it: decimal ``0|[1-9][0-9]*`` of at most 20 digits, or
+hex ``0x`` followed by lowercase digits without leading zeros.  The mnemonic
+field is the instruction's canonical ``disassemble`` text; the category
+column is derived from its mnemonic, and reading checks both, so a record
+carries one instruction and nothing that can contradict it.  Single-line
+records keep downstream tools line-parallel; writing is deterministic so
+identical runs produce byte-identical files.  A `TraceRecord` is an immutable
+named tuple with type-sensitive equality.
 """
 
 from __future__ import annotations

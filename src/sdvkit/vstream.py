@@ -18,9 +18,10 @@ Directives::
     .memu64 <addr> <u64>...   store 64-bit words at addr, addr+8, ...
 
 Integers (``<addr>``, ``<u32>``, ``<u64>``) are decimal ``0|[1-9][0-9]*``
-or ``0x`` and lowercase hex digits without leading zeros; an ``<f64>`` is
-ASCII text without ``_`` that `float` reads (``-0.0``, ``inf``, ``nan``).
-Any other number raises `MalformedNumber`.
+of at most 20 digits, or ``0x`` and lowercase hex digits without leading
+zeros; an ``<f64>`` is ASCII text without ``_`` that `float` reads
+(``-0.0``, ``inf``, ``nan``, ``-nan``).  Any other number raises
+`MalformedNumber`.
 
 ``#`` starts a comment; every other non-blank line is one instruction in
 standard vector assembly.  A `StreamItem` is an immutable named tuple with
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import re
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -111,8 +113,7 @@ def _uint(bits: int, write: Callable[[int], str]) -> _Operand:
     def read(token: str, line_no: int) -> int:
         if not _is_uint(token):
             raise MalformedNumber(f"bad integer {token!r}", line_no)
-        # over 20 digits is past 2^64, and int() refuses over 4300 digits
-        if len(token) > 20 or (value := int(token, 0)) >> bits:
+        if (value := int(token, 0)) >> bits:
             raise MalformedNumber(f"{token!r} outside [0, 2^{bits})", line_no)
         return value
     return _Operand(read, write)
@@ -136,8 +137,12 @@ def _register(prefix: str) -> _Operand:
     return _Operand(read, lambda reg: f"{prefix}{reg}")
 
 
+def _write_f64(value: float) -> str:
+    return "-nan" if value != value and math.copysign(1.0, value) < 0 else repr(value)
+
+
 _U32, _U64 = _uint(32, str), _uint(64, "0x{:x}".format)
-_F64 = _Operand(_read_f64, repr)
+_F64 = _Operand(_read_f64, _write_f64)
 
 # directive -> (item kind, target operand, value operand, several values);
 # .pc and .scalar make no item, they set the builder's state

@@ -1,7 +1,8 @@
-"""`isa.SPEC` is the only per-mnemonic table.  This scans the package source
-for string constants equal to a mnemonic and pins the modules that may name
-one: the table itself, the emulator's per-mnemonic semantics, and the
-decoder's branch for the configuration forms."""
+"""`isa.SPEC` is the only per-mnemonic table and `isa.ROLES` the only
+per-operand-role one.  These scan the package source for string constants
+equal to a mnemonic or a role name and pin the modules that may name one:
+for mnemonics, the table itself, the emulator's per-mnemonic semantics, and
+the decoder's branch for the configuration forms; for roles, only `isa`."""
 
 import ast
 from pathlib import Path
@@ -18,12 +19,27 @@ ALLOWED = {
     "decoding": {m for m, (category, *_) in SPEC.items() if category is Category.CONFIG},
 }
 
+# every operand role the table uses, taken from SPEC so this reads any tree
+ROLE_NAMES = {role for _, roles, _ in SPEC.values() for role in roles}
+
+
+def _named(path: Path, names: set) -> set:
+    """The string constants in a source file that are in ``names``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value in names}
+
 
 def test_mnemonics_are_named_only_where_allowed():
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        named = {node.value for node in ast.walk(tree)
-                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                 and node.value in SPEC}
+        named = _named(path, set(SPEC))
         assert named <= ALLOWED.get(path.stem, set()), \
             f"{path.name} names {sorted(named - ALLOWED.get(path.stem, set()))}"
+
+
+def test_operand_roles_are_named_only_in_isa():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "isa":
+            assert not _named(path, ROLE_NAMES), \
+                f"{path.name} names roles {sorted(_named(path, ROLE_NAMES))}"

@@ -349,6 +349,7 @@ def test_to_prv_refuses_negative_event_value():
     "2:1:1:1:1:1_0:1000:3", "2:1:1:1:1:5:1000:+3", "2:1:1:1:1: 12 :1000:3",
     "2:1:1:1:1:012:1000:3", "2:1:1:1:1:5:1000:-0", "1:1:1:1:1:4:+5:1",
     "2:1:1:1:1:\u0663:1000:1",  # an Arabic-Indic digit three
+    "2:1:1:1:1:" + "1" * 21 + ":1000:1",  # more digits than any u64 has
 ])
 def test_non_canonical_number_carries_line(line):
     text = "#Paraver (01/01/00 at 00:00):100_ns:1(1):1:1(1:1)\n2:1:1:1:1:3:1000:1\n"

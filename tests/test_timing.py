@@ -30,6 +30,37 @@ def test_occupancy_defaults():
     assert occupancy(_rec(0, "vlse64.v v1, (x10), x2", Category.MEM_STRIDED, 256), p) == 256
 
 
+# Which pipeline runs each category and which knobs set its costs, written
+# out here rather than read from `timing`, so that a knob wired to the wrong
+# category or pipeline there changes a cost this test checks.
+_CATEGORY_COSTS = {  # category -> (example, pipeline, rate knob)
+    Category.CONFIG: ("vsetvli x1, x2, e64, m1", Pipeline.CONFIG, None),
+    Category.MEM_UNIT: ("vle64.v v1, (x10)", Pipeline.MEM, "unit_stride_elems_per_cycle"),
+    Category.MEM_STRIDED: ("vlse64.v v1, (x10), x2", Pipeline.MEM, "strided_elems_per_cycle"),
+    Category.MEM_INDEXED: ("vluxei64.v v1, (x10), v2", Pipeline.MEM,
+                           "indexed_elems_per_cycle"),
+    Category.ARITH_INT: ("vadd.vv v1, v2, v3", Pipeline.ARITH, "arith_elems_per_cycle"),
+    Category.ARITH_FP: ("vfadd.vv v1, v2, v3", Pipeline.ARITH, "arith_elems_per_cycle"),
+    Category.PERM: ("vrgather.vv v1, v2, v3", Pipeline.ARITH, "arith_elems_per_cycle"),
+}
+_LATENCY_KNOBS = {Pipeline.MEM: "mem_latency_cycles", Pipeline.ARITH: "arith_latency_cycles",
+                  Pipeline.CONFIG: None}
+
+
+@pytest.mark.parametrize("knob", [
+    None, "unit_stride_elems_per_cycle", "indexed_elems_per_cycle", "strided_elems_per_cycle",
+    "arith_elems_per_cycle", "mem_latency_cycles", "arith_latency_cycles"])
+def test_each_knob_sets_only_its_own_costs(knob):
+    vl = 64
+    params = TimingParams(**({knob: getattr(TimingParams(), knob) + 3} if knob else {}))
+    for category, (text, pipe, rate) in _CATEGORY_COSTS.items():
+        assert pipeline_of(category) is pipe, category
+        cycles = 1 if rate is None else -(-vl // getattr(params, rate))
+        assert occupancy(_rec(0, text, category, vl), params) == cycles, category
+    for pipe, latency in _LATENCY_KNOBS.items():
+        assert params.latency_of(pipe) == (getattr(params, latency) if latency else 0), pipe
+
+
 def test_independent_pair_overlaps():
     # hand-computed: load starts at 0, completes 0+32+30=62;
     # independent add issues at 1, starts at 1, completes 1+32+6=39

@@ -94,7 +94,8 @@ def test_bad_category():
 
 # Negative fields, then numbers `int()` takes but `write_trace` never writes:
 # underscores, non-ASCII digits, a space, a sign, leading zeros, an upper-case
-# or missing 0x prefix.
+# or missing 0x prefix, and decimals longer than 20 digits, one of them longer
+# than `int()` converts.
 @pytest.mark.parametrize("line", ["0:-0x4:0:0:8:64:ARITH_INT:vid.v v1::0",
                                   "0:0x0:-3:0:8:64:ARITH_INT:vid.v v1::0",
                                   "0:0x0:0:0:8:64:ARITH_INT:vid.v v1::-1",
@@ -106,7 +107,9 @@ def test_bad_category():
                                   "0:0X0:0:0:16:64:ARITH_INT:vid.v v1::0",
                                   "0:0:0:0:16:64:ARITH_INT:vid.v v1::0",
                                   "0:0x0:0:0:2:64:MEM_UNIT:vle64.v v1, (x10):0x1_0+0X40:0",
-                                  "0:0x0:0:0:2:64:MEM_UNIT:vle64.v v1, (x10):10+40:0"])
+                                  "0:0x0:0:0:2:64:MEM_UNIT:vle64.v v1, (x10):10+40:0",
+                                  "1" * 21 + ":0x0:0:0:8:64:ARITH_INT:vid.v v1::0",
+                                  "1" * 5000 + ":0x0:0:0:8:64:ARITH_INT:vid.v v1::0"])
 def test_negative_field(line):
     with pytest.raises(TraceFormatError) as excinfo:
         read_trace(HEADER + "\n" + line + "\n")
