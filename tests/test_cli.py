@@ -120,6 +120,27 @@ def test_compare_self(tmp_path, capsys):
     assert "REGRESSION" not in out and "IMPROVEMENT" not in out
 
 
+def test_compare_csv_to_file_writes_report_and_manifest(tmp_path, capsys):
+    vs, trace_a, trace_b = tmp_path / "a.vs", tmp_path / "a.trace", tmp_path / "b.trace"
+    report = tmp_path / "ab.csv"
+    run_cli("gen", "fft", "--n", 64, "--variant", "naive", "-o", vs)
+    run_cli("emulate", vs, "-o", trace_a)
+    run_cli("emulate", vs, "-o", trace_b)
+    capsys.readouterr()
+    assert run_cli("compare", trace_a, trace_b, "--csv") == 0
+    printed = capsys.readouterr().out
+    assert run_cli("compare", trace_a, trace_b, "--csv", "-o", report) == 0
+    assert capsys.readouterr().out == f"wrote {report}\n"
+    assert report.read_text() == printed
+    assert printed.startswith("phase,cycles_a,cycles_b,")
+    manifest = dict(line.split(" = ", 1) for line in
+                    (tmp_path / "ab.csv.manifest").read_text().splitlines())
+    assert manifest["command"] == "compare"
+    assert {key: manifest[key] for key in ("input_a", "input_b", "timing", "output")} == {
+        "input_a": str(trace_a), "input_b": str(trace_b),
+        "timing": "<defaults>", "output": str(report)}
+
+
 def test_missing_input_is_exit_2(tmp_path, capsys):
     assert run_cli("emulate", tmp_path / "missing.vs", "-o", tmp_path / "x.trace") == 2
     assert "no such file" in capsys.readouterr().err

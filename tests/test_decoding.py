@@ -101,6 +101,9 @@ REJECT_CASES = [
     ("vfmv.v.f", 26, 6, 0b000000, "OPFVF vfadd.vf"),
     ("vmul.vx", 26, 6, 0b100100, "OPMVX vmulhu.vx"),
     ("vluxei64.v", 26, 2, 0b11, "ordered-indexed load"),
+    ("vsetvli", 23, 3, 0b100, "reserved element width"),
+    ("vsetvli", 20, 3, 0b100, "reserved group multiplier"),
+    ("vadd.vv", 32, 1, 0b1, "not a 32-bit word"),
 ]
 
 

@@ -48,6 +48,34 @@ def test_unsupported_vtype_sets_vill():
     assert state.vtype.vill
 
 
+E64_M1_BITS = 0b011 << 3  # vsew=e64 in bits 5:3, vlmul=m1 in bits 2:0
+
+
+@pytest.mark.parametrize("avl, vl", [(300, 256), (100, 100)])
+def test_vsetvl_takes_the_type_from_rs2(avl, vl):
+    state, records = _run(f".xreg x1 {avl}\n.xreg x3 {E64_M1_BITS}\nvsetvl x2, x1, x3\n")
+    assert (state.vl, state.xregs[2], records[-1].vl) == (vl, vl, vl)
+    assert state.vtype == Vtype(64, 1)
+
+
+@pytest.mark.parametrize("bits", [E64_M1_BITS | 1 << 63, E64_M1_BITS | 1 << 8,
+                                  E64_M1_BITS | 1 << 62, 0b010 << 3, E64_M1_BITS | 0b100],
+                         ids=["vill bit", "reserved bit 8", "reserved bit 62", "e32",
+                              "reserved vlmul"])
+def test_vsetvl_rejects_an_unsupported_type_in_rs2(bits):
+    text = f".xreg x1 4\n.xreg x3 {bits}\nvsetvl x2, x1, x3\n"
+    with pytest.raises(EmulationError) as excinfo:
+        _run(text)
+    assert isinstance(excinfo.value.cause, UnsupportedVtype)
+    state = MachineState.create()
+    *directives, vsetvl = parse_vstream(text)
+    for item in directives:
+        step(state, item)
+    with pytest.raises(UnsupportedVtype):
+        step(state, vsetvl)
+    assert state.vtype.vill
+
+
 def test_vsetvli_writes_rd_and_x0_is_discarded():
     _, records = _run(".xreg x2 100\nvsetvli x1, x2, e64, m1\n")
     state, _ = _run(".xreg x2 100\nvsetvli x1, x2, e64, m1\n")
@@ -114,6 +142,15 @@ def test_vl_zero_leaves_destination_untouched():
     state, records = _run(text)
     assert _floats(state, 1, 4) == [1.0, 2.0, 3.0, 4.0]
     assert records[-1].vl == 0
+
+
+def test_strided_and_indexed_at_vl_zero_touch_only_the_base():
+    text = (".xreg x1 0\nvsetvli x2, x1, e64, m1\n.xreg x10 0x1000\n.xreg x11 8\n"
+            "vlse64.v v1, (x10), x11\nvsse64.v v1, (x10), x11\n"
+            "vluxei64.v v1, (x10), v2\nvsuxei64.v v1, (x10), v2\n")
+    state, records = _run(text)
+    assert [r.addresses for r in records[1:]] == [((0x1000, 0),)] * 4
+    assert state.memory.touched_pages() == {}
 
 
 def test_tail_elements_undisturbed():

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from conftest import random_window_stream
 from sdvkit import scheduler
 from sdvkit.cli import main
 from sdvkit.errors import NotEquivalent
-from sdvkit.isa import Category, parse_instruction
+from sdvkit.isa import MNEMONICS, ROLES, SPEC, Category, Instruction, parse_instruction
 from sdvkit.scheduler import (MEM_ORDER, RAW, WAR, WAW, build_dependences,
                               reschedule, reschedule_order, schedule_stream,
                               trace_windows, verify_equivalence)
@@ -95,6 +97,79 @@ def test_config_is_barrier():
     graph = build_dependences(window)
     assert WAR in graph.edge_labels(0, 1)
     assert RAW in graph.edge_labels(1, 2)
+
+
+def _resources(instr):
+    """(read, written) resources of an instruction: ("v", n) and ("x", n)
+    registers, and "vl" for vl/vtype, which CONFIG writes and all else reads."""
+    config = instr.category == Category.CONFIG
+    reads = {("v", r) for r in instr.vreg_uses} | {("x", r) for r in instr.xreg_uses}
+    writes = {("v", r) for r in instr.vreg_defs} | {("x", r) for r in instr.xreg_defs}
+    (writes if config else reads).add("vl")
+    return reads, writes
+
+
+def _last_writer_labels(instrs) -> dict:
+    """Brute-force oracle: (i, j) -> labels, from each resource's last writer."""
+    access = [_resources(instr) for instr in instrs]
+
+    def last_writer(resource, j):
+        return max((k for k in range(j) if resource in access[k][1]), default=-1)
+
+    labels = {}
+    for j, (reads_j, writes_j) in enumerate(access):
+        for i in range(j):
+            found = set()
+            if any(last_writer(r, j) == i for r in reads_j):
+                found.add(RAW)
+            if any(last_writer(r, j) == i for r in writes_j):
+                found.add(WAW)
+            # i read r, and nothing in [i, j) wrote it before j does
+            if any(last_writer(r, j) < i for r in writes_j & access[i][0]):
+                found.add(WAR)
+            if found:
+                labels[(i, j)] = found
+    return labels
+
+
+@st.composite
+def _instruction(draw, mnemonics):
+    """An instruction over registers 0-3, so hazards are common."""
+    mnemonic = draw(st.sampled_from(mnemonics))
+    fields = {}
+    for role in SPEC[mnemonic][1]:
+        names, prefix, _ = ROLES[role]
+        if prefix is not None:
+            fields[names[0]] = draw(st.integers(0, 3))
+        elif len(names) == 1:  # an immediate
+            fields[names[0]] = draw(st.integers(0, 31))
+        else:  # the element width and group multiplier
+            fields.update(zip(names, (64, 1)))
+    return Instruction(mnemonic, **fields)
+
+
+_CONFIGS = [m for m in MNEMONICS if SPEC[m][0] == Category.CONFIG]
+
+
+@st.composite
+def _mixed_window(draw):
+    """Vector, scalar-reading and at least two CONFIG instructions, mixed."""
+    instrs = draw(st.lists(_instruction(MNEMONICS), max_size=12))
+    for config in draw(st.lists(_instruction(_CONFIGS), min_size=2, max_size=4)):
+        instrs.insert(draw(st.integers(0, len(instrs))), config)
+    return [TraceRecord(seq=i, pc=4 * i, phase=0, scalar_before=0, instr=instr,
+                        vl=8, sew_bits=64, addresses=(), window_id=1)
+            for i, instr in enumerate(instrs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_window())
+def test_register_and_vl_labels_match_last_writer_oracle(window):
+    expected = _last_writer_labels([record.instr for record in window])
+    assert build_dependences(window).labels == expected
+    configs = [i for i, record in enumerate(window) if record.instr.category == Category.CONFIG]
+    # consecutive configurations are ordered by their vl/vtype write alone
+    assert WAW in expected[(configs[0], configs[1])]
 
 
 def test_scalar_register_dependence():
@@ -188,6 +263,73 @@ def test_swapped_raw_pair_is_not_equivalent():
     swapped = prefix + "vfadd.vv v2, v1, v1\nvle64.v v1, (x10)\nvse64.v v2, (x11)\n"
     assert not verify_equivalence(None, original, swapped)
     assert not verify_equivalence(None, run(None, original)[0], run(None, swapped)[0])
+
+
+_EQUIVALENCE_BASE = (".xreg x1 4\nvsetvli x2, x1, e64, m1\n.xreg x5 7\n.freg f1 1.5\n"
+                     ".memf64 0x1000 1 2 3 4\n.xreg x10 0x1000\n.xreg x11 0x2000\n"
+                     "vle64.v v1, (x10)\nvse64.v v1, (x11)\n")
+_QNAN = 0x7FF8000000000000
+
+
+def _freg_bits(bits):
+    """Sets f1 to a new float object with exactly these bits."""
+    def change(state):
+        state.fregs[1] = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    return change
+
+
+def _unchanged(state):
+    pass
+
+
+def _bump_xreg(state):
+    state.xregs[5] += 1
+
+
+def _shorten_vl(state):
+    state.vl -= 1
+
+
+def _set_vill(state):
+    state.vtype = dataclasses.replace(state.vtype, vill=True)
+
+
+def _flip_vreg_element(state):
+    state.vregs[1, 3] ^= np.uint64(1)
+
+
+def _flip_stored_byte(state):
+    byte = state.memory.read_bytes(0x2003, 1)[0]
+    state.memory.write_bytes(0x2003, bytes([byte ^ 1]))
+
+
+def _store_zeros_in_fresh_page(state):
+    state.memory.write_bytes(0x9000, bytes(8))
+
+
+# (change to one final state, change to the other, whether they stay equivalent)
+EQUIVALENCE_CASES = {
+    "xreg": (_bump_xreg, _unchanged, False),
+    "freg +0.0 vs -0.0": (_freg_bits(0), _freg_bits(1 << 63), False),
+    "freg NaN payloads": (_freg_bits(_QNAN | 1), _freg_bits(_QNAN | 2), False),
+    "vl": (_shorten_vl, _unchanged, False),
+    "vtype": (_set_vill, _unchanged, False),
+    "vreg element": (_flip_vreg_element, _unchanged, False),
+    "stored byte": (_flip_stored_byte, _unchanged, False),
+    "same NaN bits": (_freg_bits(_QNAN | 1), _freg_bits(_QNAN | 1), True),
+    "zeros written vs untouched page": (_store_zeros_in_fresh_page, _unchanged, True),
+}
+
+
+@pytest.mark.parametrize("change_a,change_b,equivalent", EQUIVALENCE_CASES.values(),
+                         ids=EQUIVALENCE_CASES.keys())
+def test_equivalence_compares_each_state_component(change_a, change_b, equivalent):
+    state_a, state_b = run(None, _EQUIVALENCE_BASE)[0], run(None, _EQUIVALENCE_BASE)[0]
+    assert verify_equivalence(None, state_a, state_b)
+    change_a(state_a)
+    change_b(state_b)
+    assert verify_equivalence(None, state_a, state_b) is equivalent
+    assert verify_equivalence(None, state_b, state_a) is equivalent
 
 
 def test_non_equivalent_schedule_is_refused(tmp_path, capsys, monkeypatch):
