@@ -181,23 +181,21 @@ def compare(metrics_a: Sequence[PhaseMetrics],
             delta_instr=m_b.vector_instr_count - m_a.vector_instr_count,
             flag=flag))
 
-    overall_a = _overall_ipc(metrics_a)
-    overall_b = _overall_ipc(metrics_b)
-    total_a = sum(m.modeled_cycles for m in metrics_a) if all(
-        m.modeled_cycles is not None for m in metrics_a) else None
-    total_b = sum(m.modeled_cycles for m in metrics_b) if all(
-        m.modeled_cycles is not None for m in metrics_b) else None
+    total_a, overall_a = _totals(metrics_a)
+    total_b, overall_b = _totals(metrics_b)
     return CompareReport(phases=deltas, overall_ipc_a=overall_a,
                          overall_ipc_b=overall_b,
                          total_cycles_a=total_a, total_cycles_b=total_b)
 
 
-def _overall_ipc(metrics: Sequence[PhaseMetrics]) -> Optional[float]:
+def _totals(metrics: Sequence[PhaseMetrics]) -> tuple[Optional[int], Optional[float]]:
+    """(summed modeled cycles, overall IPC) of a run, or Nones if a phase has
+    no modeled cycles."""
     if any(m.modeled_cycles is None for m in metrics):
-        return None
+        return None, None
     cycles = sum(m.modeled_cycles for m in metrics)
     instrs = sum(m.vector_instr_count + m.scalar_instr_sum for m in metrics)
-    return instrs / max(1, cycles)
+    return cycles, instrs / max(1, cycles)
 
 
 def metrics_to_text(metrics: Sequence[PhaseMetrics]) -> str:

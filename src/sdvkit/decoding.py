@@ -29,6 +29,7 @@ def _row(mnemonic: str, roles: tuple[str, ...], fixed: int = 0):
 # (opcode, funct3, funct6) -> _row
 _BY_ENCODING = {encoding[:3]: _row(mnemonic, roles, *encoding[3:])
                 for mnemonic, (_, roles, encoding) in SPEC.items()}
+_VSETVLI_FIELDS = _BY_ENCODING[OP_V, OPCFG, None][1]
 
 
 def _decode_vtype(word: int) -> Instruction:
@@ -41,8 +42,8 @@ def _decode_vtype(word: int) -> Instruction:
         raise UnsupportedInstruction(word, "reserved element width")
     if lmul is None:
         raise UnsupportedInstruction(word, "fractional or reserved group multiplier")
-    return Instruction("vsetvli", rd=(word >> 7) & 0x1F, rs1=(word >> 15) & 0x1F,
-                       sew=sew, lmul=lmul)
+    return Instruction("vsetvli", sew=sew, lmul=lmul,
+                       **{name: (word >> offset) & 0x1F for name, offset in _VSETVLI_FIELDS})
 
 
 def decode_word(word: int) -> Instruction:

@@ -33,10 +33,9 @@ from .errors import (EmulationError, OutOfBoundsAccess, SdvError,
                      UnsupportedVtype)
 from .isa import LMUL_CODES, SEW_CODES, Category, Instruction
 from .tracefile import TraceRecord
-from .vstream import ItemKind, StreamItem, parse_vstream
+from .vstream import _U64_MASK, ItemKind, StreamItem, parse_vstream
 
 _U64 = np.uint64
-_U64_MASK = (1 << 64) - 1
 _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
 _WORD_BYTES = np.arange(8, dtype=_U64)

@@ -1,10 +1,10 @@
 """Dependence-aware list scheduling of instructions inside explicit windows.
 
 Legality comes from a dependence graph built over the *dynamic* trace: register
-hazards (vector and scalar), vl/vtype configuration ordering, and exact memory
-disambiguation using the concrete byte ranges each instruction touched, so
-disjointness needs no conservative may-alias reasoning.  Configuration
-instructions are scheduling barriers for everything that depends on vl.
+hazards, with vl/vtype as one more register that configuration instructions
+write and all others read, and exact memory disambiguation using the concrete
+byte ranges each instruction touched, so disjointness needs no conservative
+may-alias reasoning.
 
 Memory dependences come from one sweep over the window's ranges.  Each
 record's ranges are first merged into disjoint intervals; all intervals are
@@ -20,8 +20,8 @@ so rescheduling never loses cycles.
 
 `schedule_stream` emulates the input and, when anything moved, the scheduled
 stream, once each.  It compares the two final states with
-`verify_equivalence` before it trusts the new order, and raises
-`NotEquivalent` if they differ.
+`verify_equivalence`, which compares one bit-exact snapshot of each, before
+it trusts the new order, and raises `NotEquivalent` if they differ.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from heapq import heappop, heappush
 from struct import pack
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .config import MachineConfig
-from .emulator import _PAGE_SIZE, MachineState, run
+from .emulator import MachineState, run
 from .errors import NotEquivalent, SdvError
 from .isa import Category
 from .timing import PIPELINES, Pipeline, TimingParams, occupancy, pipeline_of, simulate
@@ -42,6 +40,14 @@ from .tracefile import TraceRecord
 from .vstream import ItemKind, StreamItem
 
 RAW, WAR, WAW, MEM_ORDER = "RAW", "WAR", "WAW", "MEM_ORDER"
+
+# a stream as text or items, or the final state of one already emulated
+_StreamOrState = Union[str, Sequence[StreamItem], MachineState]
+
+# (uses, defs) of the one register in the vl/vtype file: a configuration
+# instruction writes it, every other instruction reads it
+_VL = frozenset((0,))
+_VL_READ, _VL_WRITE = (_VL, frozenset()), (frozenset(), _VL)
 
 
 @dataclass
@@ -92,30 +98,15 @@ def _memory_conflicts(window: Sequence[TraceRecord]) -> set[tuple[int, int]]:
 def build_dependences(window: Sequence[TraceRecord]) -> DependenceGraph:
     """Dependence graph over one contiguous window of trace records."""
     graph = DependenceGraph()
-    instrs = [r.instr for r in window]
-
-    # per register file: reg -> its last writer, reg -> its readers since then
-    vregs: tuple[dict[int, int], dict[int, list[int]]] = ({}, {})
-    xregs: tuple[dict[int, int], dict[int, list[int]]] = ({}, {})
-    last_config: Optional[int] = None
-    vl_readers: list[int] = []
-
-    for i, instr in enumerate(instrs):
-        if instr.category == Category.CONFIG:
-            # orders after every vl consumer so far, before every one to come
-            for reader in vl_readers:
-                graph.add(reader, i, WAR)
-            if last_config is not None:
-                graph.add(last_config, i, WAW)
-            last_config = i
-            vl_readers = []
-        else:
-            if last_config is not None:
-                graph.add(last_config, i, RAW)
-            vl_readers.append(i)
-
-        for (writer, readers), uses, defs in ((vregs, instr.vreg_uses, instr.vreg_defs),
-                                             (xregs, instr.xreg_uses, instr.xreg_defs)):
+    # per register file (vector, scalar, vl/vtype): reg -> its last writer,
+    # reg -> its readers since then
+    vregs, xregs, vl = ({}, {}), ({}, {}), ({}, {})
+    for i, record in enumerate(window):
+        instr = record.instr
+        for (writer, readers), (uses, defs) in (
+                (vregs, (instr.vreg_uses, instr.vreg_defs)),
+                (xregs, (instr.xreg_uses, instr.xreg_defs)),
+                (vl, _VL_WRITE if instr.category == Category.CONFIG else _VL_READ)):
             for reg in uses:
                 if reg in writer:
                     graph.add(writer[reg], i, RAW)
@@ -246,33 +237,25 @@ def schedule_stream(items: Sequence[StreamItem],
     return new_items, before, after
 
 
-def verify_equivalence(config: Optional[MachineConfig],
-                       stream_a: Union[str, Sequence[StreamItem], MachineState],
-                       stream_b: Union[str, Sequence[StreamItem], MachineState]
-                       ) -> bool:
-    """True iff both streams leave bit-identical architectural state: every
-    register file, vl/vtype, and all touched memory.
+def _snapshot(config: Optional[MachineConfig], stream: _StreamOrState) -> tuple:
+    """The architectural state `verify_equivalence` compares, bit-exact."""
+    state = stream if isinstance(stream, MachineState) else run(config, stream)[0]
+    return (state.xregs, pack(f"<{len(state.fregs)}d", *state.fregs),
+            state.vl, state.vtype, state.vregs.shape, state.vregs.tobytes(),
+            {index: page for index, page in state.memory.touched_pages().items()
+             if any(page)})
+
+
+def verify_equivalence(config: Optional[MachineConfig], stream_a: _StreamOrState,
+                       stream_b: _StreamOrState) -> bool:
+    """True iff both streams leave bit-identical architectural state, compared
+    as one snapshot each: the xregs, the fregs' bits, vl and vtype, the vregs'
+    shape and bytes, and the touched pages that are not all zero, so a page
+    written with zeros equals an untouched one.
 
     Each argument is a stream, as text or items, which is emulated here under
     ``config``, or the final `MachineState` of a stream already emulated."""
-    state_a, state_b = (stream if isinstance(stream, MachineState)
-                        else run(config, stream)[0]
-                        for stream in (stream_a, stream_b))
-    if state_a.xregs != state_b.xregs:
-        return False
-    if any(pack("<d", a) != pack("<d", b) for a, b in zip(state_a.fregs, state_b.fregs)):
-        return False
-    if state_a.vl != state_b.vl or state_a.vtype != state_b.vtype:
-        return False
-    if not np.array_equal(state_a.vregs, state_b.vregs):
-        return False
-    pages_a = state_a.memory.touched_pages()
-    pages_b = state_b.memory.touched_pages()
-    zero = bytes(_PAGE_SIZE)
-    for index in set(pages_a) | set(pages_b):
-        if pages_a.get(index, zero) != pages_b.get(index, zero):
-            return False
-    return True
+    return _snapshot(config, stream_a) == _snapshot(config, stream_b)
 
 
 def trace_windows(records: Sequence[TraceRecord]) -> list[list[TraceRecord]]:

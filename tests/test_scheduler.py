@@ -124,7 +124,7 @@ def _last_writer_labels(instrs) -> dict:
                 found.add(RAW)
             if any(last_writer(r, j) == i for r in writes_j):
                 found.add(WAW)
-            # i read r, and nothing in [i, j) wrote it before j does
+            # i read r, and nothing from i itself up to j wrote r
             if any(last_writer(r, j) < i for r in writes_j & access[i][0]):
                 found.add(WAR)
             if found:
@@ -168,7 +168,7 @@ def test_register_and_vl_labels_match_last_writer_oracle(window):
     expected = _last_writer_labels([record.instr for record in window])
     assert build_dependences(window).labels == expected
     configs = [i for i, record in enumerate(window) if record.instr.category == Category.CONFIG]
-    # consecutive configurations are ordered by their vl/vtype write alone
+    # every window has a config->config WAW edge, from the vl/vtype writes
     assert WAW in expected[(configs[0], configs[1])]
 
 
