@@ -252,12 +252,28 @@ def apply_vsetvli(state: MachineState, avl: int, req: Vtype) -> int:
     return state.vl
 
 
-def _vtype_from_bits(bits: int) -> Vtype:
+def _vsetvl_request(state: MachineState, bits: int) -> Vtype:
+    """The type a vsetvl rs2 value requests.  Any value but e64/m1 marks the
+    type ill-formed and raises, naming the raw value and why it was refused."""
     sew = SEW_CODES.get((bits >> 3) & 0x7)
     lmul = LMUL_CODES.get(bits & 0x7)
-    if sew is None or lmul is None or (bits >> 8) & 0x7FFFFFFFFFFFFF:
-        return Vtype(sew_bits=0, lmul=0, vill=True)
-    return Vtype(sew_bits=sew, lmul=lmul, vill=bool(bits >> 63))
+    reserved = (bits >> 8) & 0x7FFFFFFFFFFFFF
+    if bits >> 63:
+        why = "vill bit set"
+    elif reserved:
+        why = "reserved bits 8-62 set"
+    elif sew is None:
+        why = "reserved element width"
+    elif lmul is None:
+        why = "fractional or reserved group multiplier"
+    elif (sew, lmul) != (64, 1):
+        why = f"unsupported type e{sew}/m{lmul}"
+    else:
+        return Vtype(sew_bits=sew, lmul=lmul)
+    state.vtype = Vtype(sew_bits=0, lmul=0, vill=True) \
+        if sew is None or lmul is None or reserved \
+        else Vtype(sew_bits=sew, lmul=lmul, vill=True)
+    raise UnsupportedVtype(f"vsetvl rs2 value 0x{bits:x} rejected: {why}")
 
 
 def _coalesce(addrs: np.ndarray, width: int) -> tuple[tuple[int, int], ...]:
@@ -288,7 +304,7 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
     if category == Category.CONFIG:
         avl = _config_avl(state, instr)
         req = Vtype(sew_bits=instr.sew, lmul=instr.lmul) if instr.rs2 is None \
-            else _vtype_from_bits(state.read_xreg(instr.rs2))  # vsetvl: type in rs2
+            else _vsetvl_request(state, state.read_xreg(instr.rs2))  # vsetvl: type in rs2
         state.write_xreg(instr.rd, apply_vsetvli(state, avl, req))
         return ()
 

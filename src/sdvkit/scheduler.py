@@ -18,6 +18,13 @@ longest critical path, then original order.  If the heuristic ever produces a
 slower schedule under the cycle model, the original order is returned instead,
 so rescheduling never loses cycles.
 
+`schedule_stream` orders each distinct window shape once per call.  A
+window's order depends only on each record's ``(instr, vl, scalar_before)``
+and on the window-relative set of overlapping record pairs, since
+`reschedule_order`, `build_dependences`, `occupancy`, `pipeline_of` and the
+window's `simulate` read nothing else.  FFT loop bodies repeat, so most
+windows reuse an order already chosen.
+
 `schedule_stream` emulates the input and, when anything moved, the scheduled
 stream, once each.  It compares the two final states with
 `verify_equivalence`, which compares one bit-exact snapshot of each, before
@@ -193,6 +200,13 @@ def schedule_stream(items: Sequence[StreamItem],
     from the emulations made here; when nothing moved, or the whole stream got
     slower and the input is returned, ``cycles_after == cycles_before``.
 
+    Each unit is keyed by the ``(instr, vl, scalar_before)`` of its records and
+    the set of its record pairs whose byte ranges conflict, and
+    `reschedule_order` runs only for a key not seen before in this call.  The
+    key is complete: the order reads only those three fields of a record, plus
+    the overlap set, so ``seq``, ``pc``, ``phase``, ``sew_bits`` and the raw
+    addresses never change it.
+
     Each stream is emulated once.  When anything moved, the final state of the
     scheduled stream is compared with the input's by `verify_equivalence`, and
     `NotEquivalent` is raised if they differ, even if the input would have been
@@ -214,10 +228,16 @@ def schedule_stream(items: Sequence[StreamItem],
 
     new_items = list(items)
     changed = False
+    orders: dict[tuple, list[int]] = {}  # unit key -> its order, for this call
     for unit in units:
         if len(unit) < 2:
             continue
-        order = reschedule_order([records[k] for k in unit], params)
+        window = [records[k] for k in unit]
+        key = (tuple((r.instr, r.vl, r.scalar_before) for r in window),
+               frozenset(_memory_conflicts(window)))
+        order = orders.get(key)
+        if order is None:
+            order = orders[key] = reschedule_order(window, params)
         if order == sorted(order):
             continue
         changed = True

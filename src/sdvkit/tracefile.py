@@ -13,8 +13,10 @@ field is the instruction's canonical ``disassemble`` text; the category
 column is derived from its mnemonic, and reading checks both, so a record
 carries one instruction and nothing that can contradict it.  Single-line
 records keep downstream tools line-parallel; writing is deterministic so
-identical runs produce byte-identical files.  A `TraceRecord` is an immutable
-named tuple with type-sensitive equality.
+identical runs produce byte-identical files.  Reading skips blank lines, so
+a trace that reads is written back byte for byte but for them and its line
+ends.  A `TraceRecord` is an immutable named tuple with type-sensitive
+equality.
 """
 
 from __future__ import annotations

@@ -58,11 +58,21 @@ def test_vsetvl_takes_the_type_from_rs2(avl, vl):
     assert state.vtype == Vtype(64, 1)
 
 
-@pytest.mark.parametrize("bits", [E64_M1_BITS | 1 << 63, E64_M1_BITS | 1 << 8,
-                                  E64_M1_BITS | 1 << 62, 0b010 << 3, E64_M1_BITS | 0b100],
-                         ids=["vill bit", "reserved bit 8", "reserved bit 62", "e32",
-                              "reserved vlmul"])
-def test_vsetvl_rejects_an_unsupported_type_in_rs2(bits):
+# (rs2 value, the reason its message gives, the ill-formed type it leaves)
+_VSETVL_REJECTIONS = {
+    "vill bit": (E64_M1_BITS | 1 << 63, "vill bit set", Vtype(64, 1, vill=True)),
+    "reserved bit 8": (E64_M1_BITS | 1 << 8, "reserved bits 8-62 set", Vtype(0, 0, vill=True)),
+    "reserved bit 62": (E64_M1_BITS | 1 << 62, "reserved bits 8-62 set", Vtype(0, 0, vill=True)),
+    "e32": (0b010 << 3, "unsupported type e32/m1", Vtype(32, 1, vill=True)),
+    "reserved vsew": (0b100 << 3, "reserved element width", Vtype(0, 0, vill=True)),
+    "reserved vlmul": (E64_M1_BITS | 0b100, "fractional or reserved group multiplier",
+                       Vtype(0, 0, vill=True)),
+}
+
+
+@pytest.mark.parametrize("bits, why, vtype", _VSETVL_REJECTIONS.values(),
+                         ids=_VSETVL_REJECTIONS.keys())
+def test_vsetvl_rejects_an_unsupported_type_in_rs2(bits, why, vtype):
     text = f".xreg x1 4\n.xreg x3 {bits}\nvsetvl x2, x1, x3\n"
     with pytest.raises(EmulationError) as excinfo:
         _run(text)
@@ -71,9 +81,11 @@ def test_vsetvl_rejects_an_unsupported_type_in_rs2(bits):
     *directives, vsetvl = parse_vstream(text)
     for item in directives:
         step(state, item)
-    with pytest.raises(UnsupportedVtype):
+    with pytest.raises(UnsupportedVtype) as excinfo:
         step(state, vsetvl)
-    assert state.vtype.vill
+    # the message names the value asked for and why it was refused
+    assert str(excinfo.value) == f"vsetvl rs2 value 0x{bits:x} rejected: {why}"
+    assert state.vtype == vtype
 
 
 def test_vsetvli_writes_rd_and_x0_is_discarded():

@@ -1,14 +1,16 @@
 """Per-record linearity guards for the layers a trace passes through besides
 `simulate` and `run`, modelled on `test_simulate_scales_linearly`: from a
 short input to one 16 times as long, the best per-record time of a layer may
-not grow 3 times.  The scheduler has two: `schedule_stream` per record as the
-stream grows, and `build_dependences` per address range as the ranges of
-each record grow."""
+not grow 3 times.  The scheduler has three: `schedule_stream` per record as
+the stream grows, once with every window alike and once with no two alike,
+and `build_dependences` per address range as the ranges of each record
+grow."""
 
 import time
 
 import pytest
 
+from sdvkit import scheduler
 from sdvkit.analysis import phase_metrics
 from sdvkit.isa import parse_instruction
 from sdvkit.prv import emit_prv, to_prv
@@ -95,12 +97,14 @@ _WINDOW = ("vle64.v v1, (x10)", "vfadd.vv v2, v1, v1", "vfmul.vv v4, v2, v2",
            "vse64.v v4, (x13)", "vsuxei64.v v6, (x11), v8")
 
 
-def _window_stream(windows):
+def _window_stream(windows, distinct=False):
+    """`windows` copies of `_WINDOW`; with `distinct`, window k's first op
+    gets a `.scalar k`, so no two windows share a scheduling key."""
     lines = [".xreg x1 16", "vsetvli x2, x1, e64, m1", "vid.v v8", "vsll.vi v8, v8, 3",
              ".memf64 0x10000 " + " ".join(str(float(k)) for k in range(16))]
     lines += [f".xreg x{10 + k} 0x{0x10000 * (k + 1):x}" for k in range(4)]
     for window in range(1, windows + 1):
-        lines += [f".window {window}", *_WINDOW]
+        lines += [f".window {window}", *[f".scalar {window}"] * distinct, *_WINDOW]
     return parse_vstream("\n".join(lines) + "\n")
 
 
@@ -111,6 +115,22 @@ def test_schedule_stream_scales_linearly():
     assert records == [3 + 16 * 8, 3 + 256 * 8]
     scheduled, before, after = schedule_stream(long)
     assert after < before  # the windows move, so both emulations and the check run
+    ratio = (_per_record_seconds(lambda: schedule_stream(long), records[1], 2)
+             / _per_record_seconds(lambda: schedule_stream(short), records[0], 5))
+    assert ratio < 3, f"per-record time grew {ratio:.1f}x from 131 to 2,051 records"
+
+
+def test_schedule_stream_scales_linearly_over_distinct_windows(monkeypatch):
+    short, long = _window_stream(16, distinct=True), _window_stream(256, distinct=True)
+    records = [sum(item.kind == ItemKind.INSTRUCTION for item in items)
+               for items in (short, long)]
+    calls, original = [], scheduler.reschedule_order
+    monkeypatch.setattr(scheduler, "reschedule_order",
+                        lambda window, params=None: calls.append(window) or original(window, params))
+    scheduled, before, after = schedule_stream(long)
+    assert after < before
+    assert len(calls) == 1 + 256  # the 3-op prologue and every window: none reused
+    monkeypatch.undo()
     ratio = (_per_record_seconds(lambda: schedule_stream(long), records[1], 2)
              / _per_record_seconds(lambda: schedule_stream(short), records[0], 5))
     assert ratio < 3, f"per-record time grew {ratio:.1f}x from 131 to 2,051 records"

@@ -19,6 +19,7 @@ from sdvkit.timing import TimingParams, simulate
 from sdvkit.tracefile import TraceRecord
 from sdvkit.vstream import ItemKind, parse_vstream
 from sdvkit.emulator import run
+from sdvkit.workloads import FftPlan, gen_fft
 
 
 def _rec(seq, mnemonic, category, vl=8, addresses=(), window=1):
@@ -378,3 +379,131 @@ def test_trace_windows_grouping():
                _rec(2, "vid.v v3", Category.ARITH_INT, window=2)]
     windows = trace_windows(records)
     assert [len(w) for w in windows] == [2, 1]
+
+
+def _units(items):
+    """The records of a stream, the item position of each, and the slice of
+    records each unit spans: adjacent instructions of one window."""
+    _, records = run(None, items)
+    positions = [i for i, item in enumerate(items) if item.kind == ItemKind.INSTRUCTION]
+    starts = [k for k in range(len(records)) if k == 0 or positions[k] != positions[k - 1] + 1
+              or records[k].window_id != records[k - 1].window_id]
+    return records, positions, [slice(*ends) for ends in zip(starts, starts[1:] + [len(records)])]
+
+
+def _schedule_without_reuse(items, params):
+    """`schedule_stream` with `reschedule_order` called on every unit: the
+    oracle for the orders `schedule_stream` reuses between equal units."""
+    records, positions, units = _units(items)
+    before = simulate(records, params)[1].total_cycles
+    scheduled, changed = list(items), False
+    for unit in units:
+        order = reschedule_order(records[unit], params)
+        changed = changed or order != sorted(order)
+        for slot, source in enumerate(order):
+            scheduled[positions[unit.start] + slot] = items[positions[unit.start] + source]
+    if not changed:
+        return scheduled, before, before
+    after = simulate(run(None, scheduled)[1], params)[1].total_cycles
+    return (scheduled, before, after) if after <= before else (list(items), before, before)
+
+
+# What the windows of a reuse test are made of: loads, a gather and stores
+# through x10 and x11, and arithmetic between them.  At vl > 8 the first two
+# bases overlap, so a base address can change a window's overlap set.
+_BODY = ("vle64.v v1, (x10)", "vle64.v v2, (x11)", "vluxei64.v v4, (x10), v8",
+         "vfadd.vv v3, v1, v1", "vfmul.vv v5, v2, v2", "vfmacc.vv v6, v4, v5",
+         "vse64.v v3, (x11)", "vse64.v v5, (x10)")
+_VLS = (4, 12, 16)
+_BASES = (0x10000, 0x10040, 0x20000)
+_SCALARS = (0, 2, 60)
+
+
+@st.composite
+def _window_shape(draw):
+    """(body as indices into _BODY, vl, x10, x11, scalar_before of each op)"""
+    body = draw(st.lists(st.integers(0, len(_BODY) - 1), min_size=2, max_size=6))
+    return (tuple(body), draw(st.sampled_from(_VLS)), draw(st.sampled_from(_BASES)),
+            draw(st.sampled_from(_BASES)),
+            tuple(draw(st.sampled_from(_SCALARS)) for _ in body))
+
+
+@st.composite
+def _windows(draw):
+    """Windows drawn from one or two shapes, each as drawn or with one thing
+    changed: its vl, one base address, or one op's scalar_before."""
+    shapes = draw(st.lists(_window_shape(), min_size=1, max_size=2))
+    windows = []
+    for _ in range(draw(st.integers(1, 4))):
+        body, vl, x10, x11, scalars = draw(st.sampled_from(shapes))
+        change = draw(st.sampled_from(["none", "vl", "x10", "x11", "scalar"]))
+        if change == "vl":
+            vl = draw(st.sampled_from(_VLS))
+        elif change == "x10":
+            x10 = draw(st.sampled_from(_BASES))
+        elif change == "x11":
+            x11 = draw(st.sampled_from(_BASES))
+        elif change == "scalar":
+            op = draw(st.integers(0, len(body) - 1))
+            scalars = (*scalars[:op], draw(st.sampled_from(_SCALARS)), *scalars[op + 1:])
+        windows.append((body, vl, x10, x11, scalars))
+    return windows
+
+
+def _reuse_stream(windows):
+    """A stream of one window per tuple, each behind its own vsetvli and
+    base addresses."""
+    lines = [".xreg x1 16", "vsetvli x2, x1, e64, m1", "vid.v v8", "vsll.vi v8, v8, 3",
+             ".memf64 0x10000 " + " ".join(str(float(k)) for k in range(24))]
+    for number, (body, vl, x10, x11, scalars) in enumerate(windows, start=1):
+        lines += [f".xreg x1 {vl}", "vsetvli x2, x1, e64, m1", f".window {number}",
+                  f".xreg x10 {x10:#x}", f".xreg x11 {x11:#x}"]
+        for op, scalar in zip(body, scalars):
+            lines += [f".scalar {scalar}"] * (scalar > 0) + [_BODY[op]]
+    return parse_vstream("\n".join(lines) + "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_windows())
+# pairs whose orders differ only through scalar_before, vl or the overlap set
+@example([((1, 0, 0), 4, 0x10000, 0x10000, (0, 0, 0)),
+          ((1, 0, 0), 4, 0x10000, 0x10000, (0, 2, 0))])
+@example([((0, 4, 6, 2, 2), 4, 0x20000, 0x10000, (0, 0, 60, 60, 0)),
+          ((0, 4, 6, 2, 2), 12, 0x20000, 0x10000, (0, 0, 60, 60, 0))])
+@example([((0, 0, 0, 1, 6), 4, 0x10000, 0x10000, (0, 0, 0, 0, 0)),
+          ((0, 0, 0, 1, 6), 4, 0x10040, 0x10000, (0, 0, 0, 0, 0))])
+def test_reused_orders_match_scheduling_every_window(windows):
+    items = _reuse_stream(windows + windows)  # every window shape twice
+    params = TimingParams()
+    assert schedule_stream(items, params) == _schedule_without_reuse(items, params)
+
+
+def _unit_keys(items):
+    """The key of each unit of two or more instructions, in stream order."""
+    records, _, units = _units(items)
+    return [(tuple((r.instr, r.vl, r.scalar_before) for r in records[unit]),
+             frozenset(scheduler._memory_conflicts(records[unit])))
+            for unit in units if unit.stop - unit.start > 1]
+
+
+def test_each_distinct_unit_is_ordered_once_per_call(monkeypatch):
+    items, _ = gen_fft(FftPlan(n=128, variant="naive", seed=1))
+    keys = _unit_keys(items)
+    assert (len(keys), len(set(keys))) == (75, 7)
+    calls, original = [], scheduler.reschedule_order
+    monkeypatch.setattr(scheduler, "reschedule_order",
+                        lambda window, params=None: calls.append(window) or original(window, params))
+    first = schedule_stream(items)
+    assert len(calls) == 7
+    # no order outlives its call
+    assert schedule_stream(items) == first
+    assert len(calls) == 14
+    assert first[1:] == (42655, 38474)
+
+    # under two sets of timing parameters, in either order, each call gives
+    # what it gives alone
+    params = (TimingParams(), TimingParams(mem_latency_cycles=200, indexed_elems_per_cycle=4))
+    in_order = [schedule_stream(items, p) for p in params]
+    reversed_order = [schedule_stream(items, p) for p in reversed(params)][::-1]
+    assert in_order == reversed_order
+    assert in_order[0] == first and in_order[1] != first

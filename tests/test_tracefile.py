@@ -1,5 +1,7 @@
+from datetime import timedelta
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdvkit.errors import TraceFormatError
@@ -161,3 +163,55 @@ def test_address_ranges_at_the_domain_edges():
     assert first.addresses == ((0xfffffffffffffff8, 8),)
     assert second.addresses == ((0x10, 0),)
     assert write_trace([first, second]) == text
+
+
+# Field values a fuzzed line is built from: the canonical forms, the near
+# misses of `test_negative_field`, separators, and short arbitrary text.
+_FIELDS = st.sampled_from(
+    ["", "0", "7", "64", "01", "-1", "+1", "1_0", " 1", "\u0661", "9" * 20, "9" * 21,
+     "0x0", "0x10", "0X10", "0x01", "0xG", "0x10+0x8", "0x10+0x8,0x0+0x0", "0x8+",
+     "ARITH_INT", "ARITH_FP", "MEM_UNIT", "CONFIG", "vid.v v1", "vfadd.vv v1, v2, v3",
+     "vle64.v v4, (x10)", "vsetvli x1, x2, e64, m1", ":", "+", ","]) | st.text(max_size=6)
+_LINES = (st.sampled_from(["", " ", "0:0x4:0:0:8:64:ARITH_INT:vid.v v1::0",
+                           "1:0x0:3:17:256:64:MEM_UNIT:vle64.v v4, (x10):0x10+0x8,0x0+0x0:7"])
+          | st.lists(_FIELDS, min_size=8, max_size=11).map(":".join) | st.text(max_size=12))
+_TEXT = st.lists(_LINES, max_size=4).map(lambda lines: "\n".join([HEADER, *lines]) + "\n")
+
+
+def _written_back(text):
+    """What `write_trace` gives back for a text that reads: its lines without
+    the blank ones, each ended by one newline."""
+    return "".join(line + "\n" for line in text.splitlines() if line.strip())
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(_TEXT | st.text())
+@example(HEADER)
+@example(HEADER + "\r\n\n0:0x4:0:0:8:64:ARITH_INT:vid.v v1::0\r\n  \n")
+@example(HEADER + "\n" + "1" * 5000 + ":0x0:0:0:8:64:ARITH_INT:vid.v v1::0\n")
+def test_any_text_reads_back_byte_for_byte_or_raises_trace_format_error(text):
+    try:
+        records = read_trace(text)
+    except TraceFormatError:
+        return
+    assert write_trace(records) == _written_back(text)
+
+
+# one line break-free field value: a trace line stays one line
+_FIELD = _FIELDS.filter(lambda field: "".join(field.splitlines()) == field)
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(records().filter(bool), st.data())
+def test_one_mutated_field_reads_back_byte_for_byte_or_raises(recs, data):
+    lines = write_trace(recs).splitlines()
+    line = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[line].split(":")
+    fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_FIELD)
+    lines[line] = ":".join(fields)
+    text = "\n".join(lines) + "\n"
+    try:
+        records = read_trace(text)
+    except TraceFormatError:
+        return
+    assert write_trace(records) == text
