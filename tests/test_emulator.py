@@ -196,6 +196,63 @@ def test_integer_ops():
     assert state.vregs[6, :4].tolist() == [0, 4, 8, 12]
 
 
+_U64_MAX = 2 ** 64 - 1
+
+# The registers every compute case starts from: four lanes each, given as
+# u64 words (ints) or doubles (floats); every other lane is 0.
+_COMPUTE_INIT = {
+    1: [_U64_MAX, 3, 2 ** 63, 11],
+    2: [5, _U64_MAX - 1, 7, 12],
+    3: [1.5, -2.0, 8.0, 100.0],
+    4: [0.25, 3.0, -0.5, 200.0],
+    5: [2, 0, 300, 13],  # gather indices; 300 is past VLMAX
+    6: [10.0, 1.0, -4.0, 300.0],
+    8: [111, 222, 333, 444],
+}
+
+# instruction -> its destination's four lanes after it runs at vl=3; the
+# fourth lane is the tail and keeps its old value
+_COMPUTE_CASES = {
+    "vadd.vv v8, v2, v1": [4, 1, 2 ** 63 + 7, 444],
+    "vadd.vx v8, v1, x5": [_U64_MAX - 1, 2, 2 ** 63 - 1, 444],
+    "vmul.vx v8, v1, x5": [1, _U64_MAX - 2, 2 ** 63, 444],
+    "vand.vx v8, v2, x6": [1, 2, 3, 444],
+    "vsll.vi v8, v1, 4": [_U64_MAX - 15, 48, 0, 444],
+    "vid.v v8": [0, 1, 2, 444],
+    "vfadd.vv v8, v3, v4": [1.75, 1.0, 7.5, 444],
+    "vfsub.vv v8, v3, v4": [1.25, -5.0, 8.5, 444],  # vs2 - vs1
+    "vfmul.vv v8, v3, v4": [0.375, -6.0, -4.0, 444],
+    "vfmacc.vv v6, v3, v4": [10.375, -5.0, -8.0, 300.0],  # vd + vs1*vs2
+    "vfmacc.vv v3, v3, v4": [1.875, -8.0, 4.0, 100.0],  # vd aliases vs1
+    "vfmv.v.f v8, f1": [2.5, 2.5, 2.5, 444],
+    "vrgather.vv v8, v2, v5": [7, 5, 0, 444],  # vs2[vs1]
+    "vrgather.vv v2, v2, v5": [7, 5, 0, 12],  # vd aliases vs2
+    "vrgather.vv v5, v2, v5": [7, 5, 0, 13],  # vd aliases vs1
+}
+
+
+def _words(lanes) -> list[int]:
+    return [int(np.float64(v).view(np.uint64)) if isinstance(v, float) else v
+            for v in lanes]
+
+
+@pytest.mark.parametrize("vl", [3, 0])
+@pytest.mark.parametrize("text", _COMPUTE_CASES)
+def test_compute_semantics_per_element(text, vl):
+    state = MachineState.create()
+    for reg, lanes in _COMPUTE_INIT.items():
+        state.vregs[reg, :4] = _words(lanes)
+    state.xregs[5], state.xregs[6], state.fregs[1] = _U64_MAX, 3, 2.5
+    apply_vsetvli(state, vl, Vtype(64, 1))
+    want = state.vregs.copy()
+    (item,) = parse_vstream(text)
+    if vl:
+        want[item.instr.vd, :4] = _words(_COMPUTE_CASES[text])
+    assert step(state, item).vl == vl
+    # every other register and lane, the sources included, is untouched
+    assert state.vregs.tolist() == want.tolist()
+
+
 def test_fused_madd_single_rounding():
     eps = 2.0 ** -52
     a = 1.0 + eps
