@@ -109,11 +109,13 @@ class PhaseDelta:
 
 @dataclass
 class CompareReport:
+    """Per-phase deltas, and each run's sum of phase spans with its overall IPC
+    taken over that sum.  Spans overlap, so the sum is not `simulate`'s total."""
     phases: list[PhaseDelta]
     overall_ipc_a: Optional[float]
     overall_ipc_b: Optional[float]
-    total_cycles_a: Optional[int]
-    total_cycles_b: Optional[int]
+    phase_span_sum_a: Optional[int]
+    phase_span_sum_b: Optional[int]
 
     def to_text(self) -> str:
         lines = ["phase  cycles_a  cycles_b  d_cycles  avg_vl_a  avg_vl_b  "
@@ -125,8 +127,8 @@ class CompareReport:
                 f"{_f(d.ipc_a):>7} {_f(d.ipc_b):>7} {d.delta_instr:>8}  {d.flag}")
         if self.overall_ipc_a is not None:
             lines.append(f"overall ipc: {self.overall_ipc_a:.4f} -> "
-                         f"{self.overall_ipc_b:.4f}; total cycles: "
-                         f"{self.total_cycles_a} -> {self.total_cycles_b}")
+                         f"{self.overall_ipc_b:.4f}; sum of phase spans: "
+                         f"{self.phase_span_sum_a} -> {self.phase_span_sum_b} cycles")
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
@@ -164,11 +166,7 @@ def compare(metrics_a: Sequence[PhaseMetrics],
         m_b = by_phase_b[m_a.phase]
         have_cycles = m_a.modeled_cycles is not None and m_b.modeled_cycles is not None
         delta_cycles = m_b.modeled_cycles - m_a.modeled_cycles if have_cycles else None
-        flag = ""
-        if have_cycles and delta_cycles > 0:
-            flag = "REGRESSION"
-        elif have_cycles and delta_cycles < 0:
-            flag = "IMPROVEMENT"
+        flag = "" if not delta_cycles else "REGRESSION" if delta_cycles > 0 else "IMPROVEMENT"
         deltas.append(PhaseDelta(
             phase=m_a.phase,
             cycles_a=m_a.modeled_cycles, cycles_b=m_b.modeled_cycles,
@@ -181,16 +179,14 @@ def compare(metrics_a: Sequence[PhaseMetrics],
             delta_instr=m_b.vector_instr_count - m_a.vector_instr_count,
             flag=flag))
 
-    total_a, overall_a = _totals(metrics_a)
-    total_b, overall_b = _totals(metrics_b)
-    return CompareReport(phases=deltas, overall_ipc_a=overall_a,
-                         overall_ipc_b=overall_b,
-                         total_cycles_a=total_a, total_cycles_b=total_b)
+    span_sum_a, overall_a = _span_sum(metrics_a)
+    span_sum_b, overall_b = _span_sum(metrics_b)
+    return CompareReport(deltas, overall_a, overall_b, span_sum_a, span_sum_b)
 
 
-def _totals(metrics: Sequence[PhaseMetrics]) -> tuple[Optional[int], Optional[float]]:
-    """(summed modeled cycles, overall IPC) of a run, or Nones if a phase has
-    no modeled cycles."""
+def _span_sum(metrics: Sequence[PhaseMetrics]) -> tuple[Optional[int], Optional[float]]:
+    """(sum of the phase spans, IPC over that sum) of a run, or Nones if a
+    phase has no modeled cycles."""
     if any(m.modeled_cycles is None for m in metrics):
         return None, None
     cycles = sum(m.modeled_cycles for m in metrics)

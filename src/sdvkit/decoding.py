@@ -28,7 +28,7 @@ def _row(mnemonic: str, roles: tuple[str, ...], fixed: int = 0):
 
 # (opcode, funct3, funct6) -> _row
 _BY_ENCODING = {encoding[:3]: _row(mnemonic, roles, *encoding[3:])
-                for mnemonic, (_, roles, encoding) in SPEC.items()}
+                for mnemonic, (_, roles, encoding, _) in SPEC.items()}
 _VSETVLI_FIELDS = _BY_ENCODING[OP_V, OPCFG, None][1]
 
 

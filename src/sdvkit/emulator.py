@@ -7,31 +7,33 @@ vectors for 64-bit data must be pre-scaled by 8.  Strided and indexed element
 addresses wrap modulo 2^64.  Destination tail elements (index >= vl) are always
 left undisturbed, which keeps runs deterministic and bit-comparable.
 
-Each instruction works on whole vectors.  All FP arithmetic is IEEE-754
-double, round-to-nearest-even.  The multiply-accumulate op is a true fused
+Each instruction works on whole vectors.  A compute instruction applies the
+element operation of its `isa.SPEC` row to the operands its roles name, bound
+once per distinct instruction.  All FP arithmetic is IEEE-754 double,
+round-to-nearest-even.  The multiply-accumulate op is a true fused
 multiply-add (single rounding): `fused_madd` computes it lane-wise with
 error-free transformations and one round-to-odd addition (Boldo & Melquiond,
 "Emulation of FMA and correctly rounded sums: proved algorithms using rounding
-to odd", IEEE TC 2008), and hands the few lanes outside that algorithm's
-range (a non-finite operand, a zero factor, split overflow, product underflow
-or overflow) to an exact rational routine.  Overflow, underflow, inexact and
-invalid results are the IEEE results, which are the RVV results; the
-accrued exception flags (`fflags`) are not modeled, so no FP operation warns.
+to odd", IEEE TC 2008), and hands the few lanes outside that algorithm's range
+(a non-finite operand, a zero factor, split overflow, product underflow or
+overflow) to an exact rational routine.  Overflow, underflow, inexact and
+invalid results are the IEEE results, which are the RVV results; the accrued
+exception flags (`fflags`) are not modeled, so no FP operation warns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .config import MachineConfig, Vtype
-from .errors import (EmulationError, OutOfBoundsAccess, SdvError,
-                     UnsupportedVtype)
-from .isa import LMUL_CODES, SEW_CODES, Category, Instruction
+from .errors import EmulationError, OutOfBoundsAccess, SdvError, UnsupportedVtype
+from .isa import LMUL_CODES, ROLES, SEW_CODES, SPEC, Category, Instruction
 from .tracefile import TraceRecord
 from .vstream import _U64_MASK, ItemKind, StreamItem, parse_vstream
 
@@ -39,8 +41,6 @@ _U64 = np.uint64
 _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
 _WORD_BYTES = np.arange(8, dtype=_U64)
-_INT_VX_OPS = {"vadd.vx": np.add, "vmul.vx": np.multiply, "vand.vx": np.bitwise_and}
-_FP_VV_OPS = {"vfadd.vv": np.add, "vfsub.vv": np.subtract, "vfmul.vv": np.multiply}
 
 # Veltkamp's constant 2^27 + 1 splits a double into two 26-bit halves.
 _SPLITTER = float((1 << 27) + 1)
@@ -116,6 +116,17 @@ def _page_runs(where: np.ndarray):
         yield int(pages[lo]), slice(lo, hi), offsets[lo:hi]
 
 
+def _page_walk(addr: int, nbytes: int):
+    """(page index, in-page offset, position, length) of each page's part of
+    the byte range [addr, addr+nbytes)."""
+    pos = 0
+    while pos < nbytes:
+        offset = (addr + pos) & (_PAGE_SIZE - 1)
+        take = min(nbytes - pos, _PAGE_SIZE - offset)
+        yield (addr + pos) >> _PAGE_BITS, offset, pos, take
+        pos += take
+
+
 class Memory:
     """Sparse byte-addressable memory, zero-initialized, bounds-checked.
 
@@ -137,31 +148,22 @@ class Memory:
     def _page(self, index: int) -> bytearray:
         page = self._pages.get(index)
         if page is None:
-            page = bytearray(_PAGE_SIZE)
-            self._pages[index] = page
+            page = self._pages[index] = bytearray(_PAGE_SIZE)
         return page
 
     def read_bytes(self, addr: int, nbytes: int) -> bytes:
         self.check(addr, nbytes)
         out = bytearray(nbytes)
-        pos = 0
-        while pos < nbytes:
-            index, offset = (addr + pos) >> _PAGE_BITS, (addr + pos) & (_PAGE_SIZE - 1)
-            take = min(nbytes - pos, _PAGE_SIZE - offset)
+        for index, offset, pos, take in _page_walk(addr, nbytes):
             page = self._pages.get(index)
             if page is not None:
                 out[pos:pos + take] = page[offset:offset + take]
-            pos += take
         return bytes(out)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         self.check(addr, len(data))
-        pos = 0
-        while pos < len(data):
-            index, offset = (addr + pos) >> _PAGE_BITS, (addr + pos) & (_PAGE_SIZE - 1)
-            take = min(len(data) - pos, _PAGE_SIZE - offset)
+        for index, offset, pos, take in _page_walk(addr, len(data)):
             self._page(index)[offset:offset + take] = data[pos:pos + take]
-            pos += take
 
     def _word_bytes(self, addr) -> np.ndarray:
         """The byte addresses of the 8-byte words at `addr`, word by word,
@@ -216,13 +218,14 @@ class MachineState:
     vtype: Vtype
     memory: Memory
     instret: int = 0  # trace records emitted so far
+    # compute instruction -> its `_bind` result, one per distinct instruction run
+    bindings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def create(cls, config: Optional[MachineConfig] = None) -> "MachineState":
         config = config or MachineConfig()
-        vlmax = config.vlmax(64)
         return cls(config=config, xregs=[0] * 32, fregs=[0.0] * 32,
-                   vregs=np.zeros((32, vlmax), dtype=_U64), vl=0,
+                   vregs=np.zeros((32, config.vlmax(64)), dtype=_U64), vl=0,
                    vtype=Vtype(), memory=Memory(config.memory_bytes))
 
     def read_xreg(self, reg: int) -> int:
@@ -232,20 +235,13 @@ class MachineState:
         if reg != 0:
             self.xregs[reg] = value & _U64_MASK
 
-    def velems(self, reg: int, vl: int) -> np.ndarray:
-        return self.vregs[reg, :vl]
-
-    def vfloats(self, reg: int, vl: int) -> np.ndarray:
-        return self.vregs[reg, :vl].view(np.float64)
-
 
 def apply_vsetvli(state: MachineState, avl: int, req: Vtype) -> int:
     """Set vl = min(avl, VLMAX) for the requested type; only e64/m1 is
     accepted here, anything else marks the type ill-formed and raises."""
     if req.vill or req.sew_bits != 64 or req.lmul != 1:
         state.vtype = Vtype(sew_bits=req.sew_bits, lmul=req.lmul, vill=True)
-        raise UnsupportedVtype(
-            f"unsupported vector type e{req.sew_bits}/m{req.lmul}")
+        raise UnsupportedVtype(f"unsupported vector type e{req.sew_bits}/m{req.lmul}")
     vlmax = state.config.vlmax(req.sew_bits, req.lmul)
     state.vtype = Vtype(sew_bits=req.sew_bits, lmul=req.lmul, vill=False)
     state.vl = min(avl, vlmax)
@@ -295,6 +291,42 @@ def _config_avl(state: MachineState, instr: Instruction) -> int:
     return state.vl  # type change only, vl retained
 
 
+# element operation (SPEC's last column) -> its numpy expression over vl and
+# the sources in SPEC order; integers wrap mod 2^64, a gather index >= vl gives 0
+_OPERATIONS = {
+    "add": lambda vl, a, b: a + b,
+    "sub": lambda vl, a, b: a - b,
+    "mul": lambda vl, a, b: a * b,
+    "and": lambda vl, a, b: a & b,
+    "sll": lambda vl, a, b: a << b,
+    "index": lambda vl: np.arange(vl, dtype=_U64),
+    "splat": lambda vl, value: value,
+    "macc": lambda vl, a, b, acc: fused_madd(a, b, acc),
+    "gather": lambda vl, src, index: np.where(index < vl, src[np.minimum(index, vl - 1)], 0),
+}
+
+# a source role's register prefix (None: the immediate) -> (state, vector
+# register lanes, vl, its register or immediate) -> the operand
+_READERS = {
+    "v": lambda state, lanes, vl, reg: lanes[reg, :vl],
+    "x": lambda state, lanes, vl, reg: _U64(state.read_xreg(reg)),
+    "f": lambda state, lanes, vl, reg: np.float64(state.fregs[reg]),
+    None: lambda state, lanes, vl, imm: _U64(imm),
+}
+
+
+def _bind(state: MachineState, instr: Instruction) -> tuple:
+    """A compute instruction's operation, a (reader, register) pair per
+    source operand and whether its lanes are float64, kept in `state`."""
+    category, (dest, *sources), _, operation = SPEC[instr.mnemonic]
+    if operation == "macc":
+        sources.append(dest)  # the accumulator
+    readers = [(_READERS[ROLES[role][1]], getattr(instr, ROLES[role][0][0])) for role in sources]
+    bound = _OPERATIONS[operation], readers, category is Category.ARITH_FP
+    state.bindings[instr] = bound
+    return bound
+
+
 def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], ...]:
     """Apply one instruction to the state; returns the touched address ranges."""
     mem = state.memory
@@ -312,10 +344,9 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
         base = state.read_xreg(instr.rs1)
         nbytes = 8 * vl
         if instr.is_load:
-            data = np.frombuffer(mem.read_bytes(base, nbytes), dtype="<u8")
-            state.vregs[instr.vd, :vl] = data
+            state.vregs[instr.vd, :vl] = np.frombuffer(mem.read_bytes(base, nbytes), dtype="<u8")
         else:
-            mem.write_bytes(base, state.velems(instr.vs3, vl).astype("<u8").tobytes())
+            mem.write_bytes(base, state.vregs[instr.vs3, :vl].astype("<u8").tobytes())
         return ((base, nbytes),)
 
     if category == Category.MEM_STRIDED or category == Category.MEM_INDEXED:
@@ -326,45 +357,22 @@ def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], 
             # uint64 arithmetic: a negative stride is its two's complement
             offsets = np.arange(vl, dtype=_U64) * _U64(state.read_xreg(instr.rs2))
         else:
-            offsets = state.velems(instr.vs2, vl)
+            offsets = state.vregs[instr.vs2, :vl]
         addrs = _U64(base) + offsets  # wraps modulo 2^64
         if instr.is_load:
             state.vregs[instr.vd, :vl] = mem.read_u64(addrs)
         else:
-            mem.write_u64(addrs, state.velems(instr.vs3, vl))
+            mem.write_u64(addrs, state.vregs[instr.vs3, :vl])
         return _coalesce(addrs, 8)
 
     if vl == 0:
         return ()
 
-    m = instr.mnemonic
-    if m == "vadd.vv":
-        state.vregs[instr.vd, :vl] = state.velems(instr.vs2, vl) + state.velems(instr.vs1, vl)
-    elif m in _INT_VX_OPS:
-        state.vregs[instr.vd, :vl] = _INT_VX_OPS[m](state.velems(instr.vs2, vl),
-                                                    _U64(state.read_xreg(instr.rs1)))
-    elif m == "vsll.vi":
-        state.vregs[instr.vd, :vl] = state.velems(instr.vs2, vl) << _U64(instr.imm)
-    elif m == "vid.v":
-        state.vregs[instr.vd, :vl] = np.arange(vl, dtype=_U64)
-    elif m in _FP_VV_OPS:
-        with np.errstate(all="ignore"):  # overflow and NaN results are the RVV results
-            result = _FP_VV_OPS[m](state.vfloats(instr.vs2, vl), state.vfloats(instr.vs1, vl))
-        state.vregs[instr.vd, :vl] = result.view(_U64)
-    elif m == "vfmacc.vv":
-        result = fused_madd(state.vfloats(instr.vs1, vl), state.vfloats(instr.vs2, vl),
-                            state.vfloats(instr.vd, vl))
-        state.vregs[instr.vd, :vl] = result.view(_U64)
-    elif m == "vfmv.v.f":
-        value = np.float64(state.fregs[instr.fs1])
-        state.vregs[instr.vd, :vl] = np.full(vl, value, dtype=np.float64).view(_U64)
-    elif m == "vrgather.vv":
-        indices = state.velems(instr.vs1, vl)
-        source = state.velems(instr.vs2, vl).copy()  # vd may alias a source
-        safe = np.minimum(indices, _U64(vl - 1)).astype(np.int64)
-        state.vregs[instr.vd, :vl] = np.where(indices < _U64(vl), source[safe], _U64(0))
-    else:  # pragma: no cover - subset table keeps this unreachable
-        raise SdvError(f"no semantics for {m}")
+    operation, readers, fp = state.bindings.get(instr) or _bind(state, instr)
+    lanes = state.vregs.view(np.float64) if fp else state.vregs  # FP works on float64 lanes
+    # overflow and NaN results are the RVV results
+    with np.errstate(all="ignore") if fp else nullcontext():
+        lanes[instr.vd, :vl] = operation(vl, *[read(state, lanes, vl, reg) for read, reg in readers])
     return ()
 
 
@@ -390,19 +398,11 @@ def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
             state.memory.write_bytes(item.target, words.tobytes())
         return None
 
-    instr = item.instr
-    addresses = _execute(state, instr)
-    record = TraceRecord(
-        seq=state.instret,
-        pc=item.pc,
-        phase=item.phase,
-        scalar_before=item.scalar_before,
-        instr=instr,
-        vl=state.vl,
-        sew_bits=state.vtype.sew_bits,
-        addresses=addresses,
-        window_id=item.window,
-    )
+    addresses = _execute(state, item.instr)  # before vl is read: a config op sets it
+    record = TraceRecord(seq=state.instret, pc=item.pc, phase=item.phase,
+                         scalar_before=item.scalar_before, instr=item.instr, vl=state.vl,
+                         sew_bits=state.vtype.sew_bits, addresses=addresses,
+                         window_id=item.window)
     state.instret += 1
     return record
 

@@ -51,37 +51,37 @@ ROLES: dict[str, tuple[tuple[str, ...], Optional[str], Optional[int]]] = {
 }
 
 # The subset, one entry per mnemonic: (category, operand roles in assembly
-# order, binary encoding).  Every other per-mnemonic fact, the binary decoder
-# included, is derived from this table and `ROLES`.
-# A memory op with vd is a load and one with vs3 is a store.
-# Note the multiply-accumulate family orders sources vs1, vs2 while other
-# .vv forms order vs2, vs1; both follow standard vector assembly.
+# order, binary encoding, element operation or None); every other per-mnemonic
+# fact, emulation included, comes from it and `ROLES`.  A memory op with vd is
+# a load, one with vs3 a store.  A compute op's operation reads the roles after
+# vd in assembly order (vs1, vs2 for the multiply-accumulate family, vs2, vs1
+# for other .vv forms), then vd for "macc", its accumulator, and writes vd.
 # The encoding is (major opcode, funct3, funct6); for memory ops funct3 is the
 # width and funct6 is nf|mew|mop (mop: unit 00, strided 10, indexed-unordered
 # 01).  Operand slots no role uses must hold 0, or the optional fourth value's
 # bits.  vsetvli's vtype immediate overlaps funct6, so it has none.
-SPEC: dict[str, tuple[Category, tuple[str, ...], tuple[Optional[int], ...]]] = {
-    "vsetvli": (Category.CONFIG, ("rd", "rs1", "vtype"), (OP_V, OPCFG, None)),
-    "vsetvl": (Category.CONFIG, ("rd", "rs1", "rs2"), (OP_V, OPCFG, 0b100000)),
-    "vle64.v": (Category.MEM_UNIT, ("vd", "mem"), (LOAD_FP, E64, 0b000000)),
-    "vse64.v": (Category.MEM_UNIT, ("vs3", "mem"), (STORE_FP, E64, 0b000000)),
-    "vlse64.v": (Category.MEM_STRIDED, ("vd", "mem", "rs2"), (LOAD_FP, E64, 0b000010)),
-    "vsse64.v": (Category.MEM_STRIDED, ("vs3", "mem", "rs2"), (STORE_FP, E64, 0b000010)),
-    "vluxei64.v": (Category.MEM_INDEXED, ("vd", "mem", "vs2"), (LOAD_FP, E64, 0b000001)),
-    "vsuxei64.v": (Category.MEM_INDEXED, ("vs3", "mem", "vs2"), (STORE_FP, E64, 0b000001)),
-    "vadd.vv": (Category.ARITH_INT, ("vd", "vs2", "vs1"), (OP_V, OPIVV, 0b000000)),
-    "vadd.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1"), (OP_V, OPIVX, 0b000000)),
-    "vmul.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1"), (OP_V, OPMVX, 0b100101)),
-    "vsll.vi": (Category.ARITH_INT, ("vd", "vs2", "uimm"), (OP_V, OPIVI, 0b100101)),
-    "vand.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1"), (OP_V, OPIVX, 0b001001)),
+SPEC: dict[str, tuple[Category, tuple[str, ...], tuple[Optional[int], ...], Optional[str]]] = {
+    "vsetvli": (Category.CONFIG, ("rd", "rs1", "vtype"), (OP_V, OPCFG, None), None),
+    "vsetvl": (Category.CONFIG, ("rd", "rs1", "rs2"), (OP_V, OPCFG, 0b100000), None),
+    "vle64.v": (Category.MEM_UNIT, ("vd", "mem"), (LOAD_FP, E64, 0b000000), None),
+    "vse64.v": (Category.MEM_UNIT, ("vs3", "mem"), (STORE_FP, E64, 0b000000), None),
+    "vlse64.v": (Category.MEM_STRIDED, ("vd", "mem", "rs2"), (LOAD_FP, E64, 0b000010), None),
+    "vsse64.v": (Category.MEM_STRIDED, ("vs3", "mem", "rs2"), (STORE_FP, E64, 0b000010), None),
+    "vluxei64.v": (Category.MEM_INDEXED, ("vd", "mem", "vs2"), (LOAD_FP, E64, 0b000001), None),
+    "vsuxei64.v": (Category.MEM_INDEXED, ("vs3", "mem", "vs2"), (STORE_FP, E64, 0b000001), None),
+    "vadd.vv": (Category.ARITH_INT, ("vd", "vs2", "vs1"), (OP_V, OPIVV, 0b000000), "add"),
+    "vadd.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1"), (OP_V, OPIVX, 0b000000), "add"),
+    "vmul.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1"), (OP_V, OPMVX, 0b100101), "mul"),
+    "vsll.vi": (Category.ARITH_INT, ("vd", "vs2", "uimm"), (OP_V, OPIVI, 0b100101), "sll"),
+    "vand.vx": (Category.ARITH_INT, ("vd", "vs2", "rs1"), (OP_V, OPIVX, 0b001001), "and"),
     # vid.v is the VMUNARY0 form with 0b10001 in its vs1 slot (bits 19-15)
-    "vid.v": (Category.ARITH_INT, ("vd",), (OP_V, OPMVV, 0b010100, 0b10001 << 15)),
-    "vfadd.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1"), (OP_V, OPFVV, 0b000000)),
-    "vfsub.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1"), (OP_V, OPFVV, 0b000010)),
-    "vfmul.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1"), (OP_V, OPFVV, 0b100100)),
-    "vfmacc.vv": (Category.ARITH_FP, ("vd", "vs1", "vs2"), (OP_V, OPFVV, 0b101100)),
-    "vfmv.v.f": (Category.ARITH_FP, ("vd", "fs1"), (OP_V, OPFVF, 0b010111)),
-    "vrgather.vv": (Category.PERM, ("vd", "vs2", "vs1"), (OP_V, OPIVV, 0b001100)),
+    "vid.v": (Category.ARITH_INT, ("vd",), (OP_V, OPMVV, 0b010100, 0b10001 << 15), "index"),
+    "vfadd.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1"), (OP_V, OPFVV, 0b000000), "add"),
+    "vfsub.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1"), (OP_V, OPFVV, 0b000010), "sub"),
+    "vfmul.vv": (Category.ARITH_FP, ("vd", "vs2", "vs1"), (OP_V, OPFVV, 0b100100), "mul"),
+    "vfmacc.vv": (Category.ARITH_FP, ("vd", "vs1", "vs2"), (OP_V, OPFVV, 0b101100), "macc"),
+    "vfmv.v.f": (Category.ARITH_FP, ("vd", "fs1"), (OP_V, OPFVF, 0b010111), "splat"),
+    "vrgather.vv": (Category.PERM, ("vd", "vs2", "vs1"), (OP_V, OPIVV, 0b001100), "gather"),
 }
 
 MNEMONICS: tuple[str, ...] = tuple(SPEC)
@@ -136,7 +136,7 @@ class Instruction:
 
     def __post_init__(self):
         try:
-            category, roles, _encoding = SPEC[self.mnemonic]
+            category, roles, _encoding, operation = SPEC[self.mnemonic]
         except KeyError:
             raise UnsupportedMnemonic(self.mnemonic) from None
         expected = {name for role in roles for name in ROLES[role][0]}
@@ -158,8 +158,8 @@ class Instruction:
             "is_load": "mem" in roles and "vd" in roles,
             "is_store": "mem" in roles and "vs3" in roles,
             "vreg_defs": regs("vd"),
-            # the multiply-accumulate destination is also its accumulator input
-            "vreg_uses": regs("vs1", "vs2", "vs3", "vd") if self.mnemonic == "vfmacc.vv"
+            # "macc" also reads its destination, the accumulator
+            "vreg_uses": regs("vs1", "vs2", "vs3", "vd") if operation == "macc"
             else regs("vs1", "vs2", "vs3"),
             "xreg_defs": regs("rd"),
             "xreg_uses": regs("rs1", "rs2"),
@@ -256,7 +256,7 @@ def _operand_text(role: str) -> str:
 
 # mnemonic -> its canonical text, as a format string over Instruction fields
 _ASM = {mnemonic: " ".join([mnemonic, ", ".join(map(_operand_text, roles))]) if roles
-        else mnemonic for mnemonic, (_, roles, _) in SPEC.items()}
+        else mnemonic for mnemonic, (_, roles, *_) in SPEC.items()}
 
 
 def disassemble(instr: Instruction) -> str:

@@ -49,6 +49,9 @@ def test_per_layer_metrics_name_plain_functions():
         assert hook.__module__ == f"sdvkit.{layer}", f"{where} is defined elsewhere"
 
 
+_MEMORY_HOOKS = ("read_bytes", "write_bytes", "read_u64", "write_u64")
+
+
 def _hook_counts(items) -> Counter:
     """Calls of each counted emulator hook in one `run` of ``items``, taken
     after a warm run so that anything bound once per distinct instruction is
@@ -67,9 +70,6 @@ def _hook_counts(items) -> Counter:
             mp.setattr(owner, name, counted)
         emulator.run(None, items)
     return calls
-
-
-_MEMORY_HOOKS = ("read_bytes", "write_bytes", "read_u64", "write_u64")
 
 
 @pytest.mark.parametrize("stream", ["naive", "wide", "axpy"])

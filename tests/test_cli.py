@@ -1,4 +1,5 @@
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,25 @@ def test_compare_self(tmp_path, capsys):
     assert run_cli("compare", trace, trace) == 0
     out = capsys.readouterr().out
     assert "REGRESSION" not in out and "IMPROVEMENT" not in out
+
+
+def test_no_compare_line_named_total_cycles_disagrees_with_simulate(tmp_path, capsys):
+    traces, totals = [], []
+    for variant in ("naive", "wide"):
+        vs, trace = tmp_path / f"{variant}.vs", tmp_path / f"{variant}.trace"
+        run_cli("gen", "fft", "--n", 64, "--variant", variant, "-o", vs)
+        run_cli("emulate", vs, "-o", trace)
+        capsys.readouterr()
+        run_cli("simulate", trace, "-o", tmp_path / f"{variant}.csv")
+        totals.append(re.search(r"total_cycles=(\d+)", capsys.readouterr().out).group(1))
+        traces.append(trace)
+    assert run_cli("compare", *traces) == 0
+    out = capsys.readouterr().out
+    # phase spans overlap, so their sum is labeled as such and is not a total
+    assert "sum of phase spans:" in out
+    for line in out.splitlines():
+        if "total cycles" in line:
+            assert re.search(r"total cycles: (\d+) -> (\d+)", line).groups() == tuple(totals)
 
 
 def test_compare_csv_to_file_writes_report_and_manifest(tmp_path, capsys):

@@ -207,5 +207,5 @@ def test_instruction_field_validation():
 
 def test_encodings_are_distinct():
     # the decoder looks rows up by (opcode, funct3, funct6)
-    keys = [encoding[:3] for _, _, encoding in SPEC.values()]
+    keys = [encoding[:3] for _, _, encoding, _ in SPEC.values()]
     assert len(set(keys)) == len(keys)

@@ -1,13 +1,16 @@
 """`isa.SPEC` is the only per-mnemonic table and `isa.ROLES` the only
 per-operand-role one.  These scan the package source for string constants
 equal to a mnemonic or a role name and pin the modules that may name one:
-for mnemonics, the table itself, the emulator's per-mnemonic semantics, and
-the decoder's branch for the configuration forms; for roles, only `isa`."""
+for mnemonics, the table itself and the decoder's branch for the
+configuration forms; for roles, only `isa`.  The emulator takes what an
+instruction computes from SPEC's element-operation column, so its operation
+table must cover exactly the operations SPEC names."""
 
 import ast
 from pathlib import Path
 
 import sdvkit
+from sdvkit.emulator import _OPERATIONS
 from sdvkit.isa import SPEC, Category
 
 PACKAGE = Path(sdvkit.__file__).parent
@@ -15,12 +18,11 @@ PACKAGE = Path(sdvkit.__file__).parent
 # module -> the mnemonics it may name
 ALLOWED = {
     "isa": set(SPEC),
-    "emulator": set(SPEC),
     "decoding": {m for m, (category, *_) in SPEC.items() if category is Category.CONFIG},
 }
 
 # every operand role the table uses, taken from SPEC so this reads any tree
-ROLE_NAMES = {role for _, roles, _ in SPEC.values() for role in roles}
+ROLE_NAMES = {role for _, roles, _, _ in SPEC.values() for role in roles}
 
 
 def _named(path: Path, names: set) -> set:
@@ -43,3 +45,8 @@ def test_operand_roles_are_named_only_in_isa():
         if path.stem != "isa":
             assert not _named(path, ROLE_NAMES), \
                 f"{path.name} names roles {sorted(_named(path, ROLE_NAMES))}"
+
+
+def test_emulator_has_one_expression_per_spec_operation():
+    operations = {operation for *_, operation in SPEC.values()} - {None}
+    assert operations == set(_OPERATIONS)
