@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import time
@@ -14,9 +15,10 @@ from sdvkit.emulator import (Memory, MachineState, _coalesce, _exact_fused_madd,
                              apply_vsetvli, fused_madd, run, step)
 from sdvkit.errors import (EmulationError, OutOfBoundsAccess,
                            UnsupportedVtype)
+from sdvkit.scheduler import _snapshot
 from sdvkit.tracefile import write_trace
 from sdvkit.vstream import ItemKind, parse_vstream
-from sdvkit.workloads import gen_axpy, oracle_axpy, read_f64_array
+from sdvkit.workloads import FftPlan, gen_axpy, gen_fft, oracle_axpy, read_f64_array
 
 
 def _run(text, config=None):
@@ -619,3 +621,30 @@ def test_axpy_against_oracle():
     got = read_f64_array(state.memory, manifest["y"], 1000)
     expected = oracle_axpy(3.0, x, y)
     assert np.array_equal(got, expected)  # exact for integer-valued doubles
+
+
+# stream -> sha256 of its trace text and of its final architectural state,
+# recorded from the emulator before it bound one handler per instruction
+_PINNED_DIGESTS = {
+    "naive n=64": ("7cfc020e2ac3b0c163e718a46b4dec37b7638567b3d35e4bac4aebef264ba849",
+                   "0627ebe4de40cb3ad58721d9d25c896175e01591978fab9df109947fb8f2b9ce"),
+    "wide n=64": ("60596a14944fd4655ede0b9bac9c01c36a658591088a1c655a1c1b515942a4b9",
+                  "75e2ddd3f67180bbedddfeb1f973064a46b35355733812eaf6572fc8331cd468"),
+    "axpy n=300": ("5f5ca5a82fdb0205f408c687559088b9019268b16a07cca09bc3cd35d8761529",
+                   "934022b2ac600355ffe445908c65d4a01a2472eb939c5825c56fba7da94612a2"),
+}
+
+
+@pytest.mark.parametrize("stream", _PINNED_DIGESTS)
+def test_emulator_outputs_match_pinned_digests(stream):
+    """Trace bytes and the final-state snapshot `verify_equivalence` compares
+    (pages in address order) stay bit-identical; axpy n=300 ends in a tail
+    strip."""
+    kind, n = stream.split(" n=")
+    items = gen_axpy(int(n), 2.0)[0] if kind == "axpy" \
+        else gen_fft(FftPlan(n=int(n), variant=kind, seed=1))[0]
+    state, records = run(None, items)
+    *registers, pages = _snapshot(None, state)
+    snapshot = repr((*registers, sorted(pages.items())))
+    assert (hashlib.sha256(write_trace(records).encode()).hexdigest(),
+            hashlib.sha256(snapshot.encode()).hexdigest()) == _PINNED_DIGESTS[stream]
