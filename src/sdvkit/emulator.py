@@ -7,16 +7,19 @@ vectors for 64-bit data must be pre-scaled by 8.  Strided and indexed element
 addresses wrap modulo 2^64.  Destination tail elements (index >= vl) are always
 left undisturbed, which keeps runs deterministic and bit-comparable.
 
-Each instruction works on whole vectors.  A compute instruction applies the
-element operation of its `isa.SPEC` row to the operands its roles name, bound
-once per distinct instruction.  All FP arithmetic is IEEE-754 double,
-round-to-nearest-even.  The multiply-accumulate op is a true fused
-multiply-add (single rounding): `fused_madd` computes it lane-wise with
-error-free transformations and one round-to-odd addition (Boldo & Melquiond,
-"Emulation of FMA and correctly rounded sums: proved algorithms using rounding
-to odd", IEEE TC 2008), and hands the few lanes outside that algorithm's range
-(a non-finite operand, a zero factor, split overflow, product underflow or
-overflow) to an exact rational routine.  Overflow, underflow, inexact and
+Each instruction works on whole vectors.  Its semantics, whatever its
+category, are bound once per distinct instruction: `_handler` resolves them
+into one function, kept in `MachineState.bindings`, that `step` calls for each
+record.  All FP arithmetic is IEEE-754 double, round-to-nearest-even.  The
+multiply-accumulate op is a true fused multiply-add (single rounding), which an
+exact routine computes in integers (a finite double is n / 2^k, and int / int
+division rounds correctly).  `fused_madd` hands it whole vectors of up to
+`_SHORT_LANES` = 16 lanes, which cost less there than numpy's fixed overhead;
+longer vectors use error-free transformations and one round-to-odd addition
+(Boldo & Melquiond, "Emulation of FMA and correctly rounded sums: proved
+algorithms using rounding to odd", IEEE TC 2008), and hand it only the lanes
+outside that algorithm's range (a non-finite operand, a zero factor, split
+overflow, product underflow or overflow).  Overflow, underflow, inexact and
 invalid results are the IEEE results, which are the RVV results; the accrued
 exception flags (`fflags`) are not modeled, so no FP operation warns.
 """
@@ -26,7 +29,6 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -51,24 +53,33 @@ _SPLITTER = float((1 << 27) + 1)
 # overflow.  A NaN fails every bound.
 _EFT_LOW = np.array([0.0, 0.0, 2.0 ** -960, 0.0])[:, None]
 _EFT_HIGH = np.array([2.0 ** 995, 2.0 ** 995, 2.0 ** 1021, 2.0 ** 1021])[:, None]
+# the exact routine's 2-3 us a lane beats the error-free path's 50-60 us a call
+# up to 16 lanes, not at 20 (Python 3.11, numpy 2.4, a shared 2-vCPU x86 host)
+_SHORT_LANES = 16
 
 
 def _exact_fused_madd(a: float, b: float, c: float) -> float:
-    """a*b + c with a single rounding, by exact rational arithmetic."""
+    """a*b + c with a single rounding, exactly in integers; int / int true
+    division rounds correctly, subnormals included."""
     if not (math.isfinite(a) and math.isfinite(b)):
         return a * b + c
     if not math.isfinite(c):
         return c  # the exact product is finite, however large its rounding
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    if exact == 0:
+    (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    den = da * db  # the sum's denominator is the larger of two powers of two
+    if den >= dc:
+        num = na * nb + nc * (den // dc)
+    else:
+        num, den = na * nb * (dc // den) + nc, dc
+    if num == 0:
         product = a * b
         if product == 0.0:
             return product + c  # preserves IEEE signed-zero addition rules
         return 0.0
     try:
-        return float(exact)
+        return num / den
     except OverflowError:
-        return math.inf if exact > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def _two_sum(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,26 +94,29 @@ def fused_madd(a, b, c):
     arrays; scalars give a float."""
     shape = np.shape(a)
     a, b, c = (np.asarray(x, dtype=np.float64).reshape(-1) for x in (a, b, c))
-    with np.errstate(all="ignore"):
-        p = a * b
-        rows = np.array((a, b, p, c))
-        mags = np.abs(rows)
-        ok = ((mags >= _EFT_LOW) & (mags < _EFT_HIGH)).all(axis=0)
-        # Dekker's TwoProduct: a*b == p + pl exactly
-        factors = rows[:2]
-        t = factors * _SPLITTER
-        hi = t - (t - factors)
-        (ah, bh), (al, bl) = hi, factors - hi
-        pl = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-        s, sl = _two_sum(c, p)
-        # round-to-odd sl + pl: an inexact sum with an even mantissa steps one
-        # ulp toward its error, so the final rounding cannot round twice
-        v, ve = _two_sum(sl, pl)
-        step = (ve != 0) & ((v.view(_U64) & _U64(1)) == 0)
-        v = np.where(step, np.nextafter(v, np.copysign(np.inf, ve)), v)
-        result = s + v
-    for i in np.flatnonzero(~ok):
-        result[i] = _exact_fused_madd(float(a[i]), float(b[i]), float(c[i]))
+    if len(a) <= _SHORT_LANES:
+        result, exact = np.empty(len(a)), slice(None)  # every lane
+    else:
+        with np.errstate(all="ignore"):
+            p = a * b
+            rows = np.array((a, b, p, c))
+            mags = np.abs(rows)
+            exact = ~((mags >= _EFT_LOW) & (mags < _EFT_HIGH)).all(axis=0)
+            # Dekker's TwoProduct: a*b == p + pl exactly
+            factors = rows[:2]
+            t = factors * _SPLITTER
+            hi = t - (t - factors)
+            (ah, bh), (al, bl) = hi, factors - hi
+            pl = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+            s, sl = _two_sum(c, p)
+            # round-to-odd sl + pl: an inexact sum with an even mantissa steps
+            # one ulp toward its error, so the final rounding cannot round twice
+            v, ve = _two_sum(sl, pl)
+            step = (ve != 0) & ((v.view(_U64) & _U64(1)) == 0)
+            if step.any():
+                v = np.where(step, np.nextafter(v, np.copysign(np.inf, ve)), v)
+            result = s + v
+    result[exact] = [*map(_exact_fused_madd, *(x[exact].tolist() for x in (a, b, c)))]
     return float(result[0]) if shape == () else result.reshape(shape)
 
 
@@ -118,13 +132,17 @@ def _page_runs(where: np.ndarray):
 
 def _page_walk(addr: int, nbytes: int):
     """(page index, in-page offset, position, length) of each page's part of
-    the byte range [addr, addr+nbytes)."""
-    pos = 0
+    [addr, addr+nbytes), without a walk when the range fits in one page."""
+    offset = addr & (_PAGE_SIZE - 1)
+    if 0 < nbytes <= _PAGE_SIZE - offset:
+        return ((addr >> _PAGE_BITS, offset, 0, nbytes),)
+    parts, pos = [], 0
     while pos < nbytes:
         offset = (addr + pos) & (_PAGE_SIZE - 1)
         take = min(nbytes - pos, _PAGE_SIZE - offset)
-        yield (addr + pos) >> _PAGE_BITS, offset, pos, take
+        parts.append(((addr + pos) >> _PAGE_BITS, offset, pos, take))
         pos += take
+    return parts
 
 
 class Memory:
@@ -218,7 +236,7 @@ class MachineState:
     vtype: Vtype
     memory: Memory
     instret: int = 0  # trace records emitted so far
-    # compute instruction -> its `_bind` result, one per distinct instruction run
+    # instruction -> its `_handler`, one per distinct instruction run
     bindings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
@@ -283,16 +301,9 @@ def _coalesce(addrs: np.ndarray, width: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(addrs[starts].tolist(), lengths.tolist()))
 
 
-def _config_avl(state: MachineState, instr: Instruction) -> int:
-    if instr.rs1 != 0:
-        return state.read_xreg(instr.rs1)
-    if instr.rd != 0:
-        return state.config.vlmax(64)  # keep-all request
-    return state.vl  # type change only, vl retained
-
-
 # element operation (SPEC's last column) -> its numpy expression over vl and
-# the sources in SPEC order; integers wrap mod 2^64, a gather index >= vl gives 0
+# the sources in SPEC order; integers wrap mod 2^64.  A gather's source is the
+# whole register: an index below VLMAX reads it, any other index gives 0.
 _OPERATIONS = {
     "add": lambda vl, a, b: a + b,
     "sub": lambda vl, a, b: a - b,
@@ -302,7 +313,7 @@ _OPERATIONS = {
     "index": lambda vl: np.arange(vl, dtype=_U64),
     "splat": lambda vl, value: value,
     "macc": lambda vl, a, b, acc: fused_madd(a, b, acc),
-    "gather": lambda vl, src, index: np.where(index < vl, src[np.minimum(index, vl - 1)], 0),
+    "gather": lambda vl, src, index: np.where(index < len(src), src.take(index, mode="clip"), 0),
 }
 
 # a source role's register prefix (None: the immediate) -> (state, vector
@@ -315,68 +326,69 @@ _READERS = {
 }
 
 
-def _bind(state: MachineState, instr: Instruction) -> tuple:
-    """A compute instruction's operation, a (reader, register) pair per
-    source operand and whether its lanes are float64, kept in `state`."""
+def _handler(instr: Instruction):
+    """The function that applies `instr` to a state and returns the address
+    ranges it touched, with its operands resolved once."""
     category, (dest, *sources), _, operation = SPEC[instr.mnemonic]
+
+    if category is Category.CONFIG:
+        rd, rs1, rs2 = instr.rd, instr.rs1, instr.rs2
+        requested = Vtype(sew_bits=instr.sew, lmul=instr.lmul) if rs2 is None else None
+        def configure(state: MachineState):
+            # rs1=x0 asks for VLMAX with rd!=x0, and keeps vl with rd=x0
+            avl = state.read_xreg(rs1) if rs1 else state.config.vlmax(64) if rd else state.vl
+            req = requested or _vsetvl_request(state, state.read_xreg(rs2))  # vsetvl: type in rs2
+            state.write_xreg(rd, apply_vsetvli(state, avl, req))
+            return ()
+        return configure
+
+    load, base_reg, reg = instr.is_load, instr.rs1, instr.vd if instr.is_load else instr.vs3
+    if category is Category.MEM_UNIT:
+        def unit_stride(state: MachineState):
+            vl, base = state.vl, state.read_xreg(base_reg)
+            if load:
+                state.vregs[reg, :vl] = np.frombuffer(state.memory.read_bytes(base, 8 * vl), "<u8")
+            else:
+                state.memory.write_bytes(base, state.vregs[reg, :vl].astype("<u8").tobytes())
+            return ((base, 8 * vl),)
+        return unit_stride
+
+    if category is Category.MEM_STRIDED or category is Category.MEM_INDEXED:
+        stride_reg, index_reg = instr.rs2, instr.vs2
+        def element_wise(state: MachineState):
+            vl, base = state.vl, state.read_xreg(base_reg)
+            if vl == 0:
+                return ((base, 0),)
+            if stride_reg is not None:
+                # uint64 arithmetic: a negative stride is its two's complement
+                offsets = np.arange(vl, dtype=_U64) * _U64(state.read_xreg(stride_reg))
+            else:
+                offsets = state.vregs[index_reg, :vl]
+            addrs = _U64(base) + offsets  # wraps modulo 2^64
+            if load:
+                state.vregs[reg, :vl] = state.memory.read_u64(addrs)
+            else:
+                state.memory.write_u64(addrs, state.vregs[reg, :vl])
+            return _coalesce(addrs, 8)
+        return element_wise
+
+    evaluate = _OPERATIONS[operation]
     if operation == "macc":
         sources.append(dest)  # the accumulator
     readers = [(_READERS[ROLES[role][1]], getattr(instr, ROLES[role][0][0])) for role in sources]
-    bound = _OPERATIONS[operation], readers, category is Category.ARITH_FP
-    state.bindings[instr] = bound
-    return bound
+    if operation == "gather":
+        readers[0] = (lambda state, lanes, vl, reg: lanes[reg], readers[0][1])  # whole source
+    fp, vd = category is Category.ARITH_FP, getattr(instr, ROLES[dest][0][0])
 
-
-def _execute(state: MachineState, instr: Instruction) -> tuple[tuple[int, int], ...]:
-    """Apply one instruction to the state; returns the touched address ranges."""
-    mem = state.memory
-    vl = state.vl
-    category = instr.category
-
-    if category == Category.CONFIG:
-        avl = _config_avl(state, instr)
-        req = Vtype(sew_bits=instr.sew, lmul=instr.lmul) if instr.rs2 is None \
-            else _vsetvl_request(state, state.read_xreg(instr.rs2))  # vsetvl: type in rs2
-        state.write_xreg(instr.rd, apply_vsetvli(state, avl, req))
+    def compute(state: MachineState):
+        vl = state.vl
+        if vl:
+            lanes = state.vregs.view(np.float64) if fp else state.vregs
+            # overflow and NaN results are the RVV results
+            with np.errstate(all="ignore") if fp else nullcontext():
+                lanes[vd, :vl] = evaluate(vl, *[read(state, lanes, vl, r) for read, r in readers])
         return ()
-
-    if category == Category.MEM_UNIT:
-        base = state.read_xreg(instr.rs1)
-        nbytes = 8 * vl
-        if instr.is_load:
-            state.vregs[instr.vd, :vl] = np.frombuffer(mem.read_bytes(base, nbytes), dtype="<u8")
-        else:
-            mem.write_bytes(base, state.vregs[instr.vs3, :vl].astype("<u8").tobytes())
-        return ((base, nbytes),)
-
-    if category == Category.MEM_STRIDED or category == Category.MEM_INDEXED:
-        base = state.read_xreg(instr.rs1)
-        if vl == 0:
-            return ((base, 0),)
-        if category == Category.MEM_STRIDED:
-            # uint64 arithmetic: a negative stride is its two's complement
-            offsets = np.arange(vl, dtype=_U64) * _U64(state.read_xreg(instr.rs2))
-        else:
-            offsets = state.vregs[instr.vs2, :vl]
-        addrs = _U64(base) + offsets  # wraps modulo 2^64
-        if instr.is_load:
-            state.vregs[instr.vd, :vl] = mem.read_u64(addrs)
-        else:
-            mem.write_u64(addrs, state.vregs[instr.vs3, :vl])
-        return _coalesce(addrs, 8)
-
-    if vl == 0:
-        return ()
-
-    operation, readers, fp = state.bindings.get(instr) or _bind(state, instr)
-    lanes = state.vregs.view(np.float64) if fp else state.vregs  # FP works on float64 lanes
-    # overflow and NaN results are the RVV results
-    with np.errstate(all="ignore") if fp else nullcontext():
-        lanes[instr.vd, :vl] = operation(vl, *[read(state, lanes, vl, reg) for read, reg in readers])
-    return ()
-
-
-_INIT_DTYPES = {ItemKind.INIT_MEM_F64: "<f8", ItemKind.INIT_MEM_U64: "<u8"}
+    return compute
 
 
 def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
@@ -388,21 +400,23 @@ def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
             state.write_xreg(item.target, item.values[0])
         elif kind is ItemKind.SET_FREG:
             state.fregs[item.target] = item.values[0]
-        elif kind in _INIT_DTYPES:
+        elif kind is ItemKind.INIT_MEM_F64 or kind is ItemKind.INIT_MEM_U64:
             # one write per directive; a fault names the first word that does
             # not fit, and nothing is written
             fits = max(0, (state.memory.limit - item.target) // 8)
             if fits < len(item.values):
                 raise OutOfBoundsAccess(item.target + 8 * fits, fits)
-            words = np.array(item.values, dtype=_INIT_DTYPES[kind])
+            words = np.array(item.values, dtype="<f8" if kind is ItemKind.INIT_MEM_F64 else "<u8")
             state.memory.write_bytes(item.target, words.tobytes())
         return None
 
-    addresses = _execute(state, item.instr)  # before vl is read: a config op sets it
-    record = TraceRecord(seq=state.instret, pc=item.pc, phase=item.phase,
-                         scalar_before=item.scalar_before, instr=item.instr, vl=state.vl,
-                         sew_bits=state.vtype.sew_bits, addresses=addresses,
-                         window_id=item.window)
+    handler = state.bindings.get(item.instr)
+    if handler is None:
+        handler = state.bindings[item.instr] = _handler(item.instr)
+    addresses = handler(state)  # before vl is read: a config op sets it
+    # positional: seq, pc, phase, scalar_before, instr, vl, sew_bits, addresses, window_id
+    record = TraceRecord(state.instret, item.pc, item.phase, item.scalar_before, item.instr,
+                         state.vl, state.vtype.sew_bits, addresses, item.window)
     state.instret += 1
     return record
 

@@ -3,6 +3,7 @@ import math
 import struct
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 from sdvkit.cli import main as cli_main
 from sdvkit.config import MachineConfig, Vtype
-from sdvkit.emulator import (Memory, MachineState, _coalesce, _exact_fused_madd,
+from sdvkit import emulator
+from sdvkit.emulator import (_SHORT_LANES, Memory, MachineState, _coalesce, _exact_fused_madd,
                              apply_vsetvli, fused_madd, run, step)
 from sdvkit.errors import (EmulationError, OutOfBoundsAccess,
                            UnsupportedVtype)
@@ -209,6 +211,7 @@ _COMPUTE_INIT = {
     4: [0.25, 3.0, -0.5, 200.0],
     5: [2, 0, 300, 13],  # gather indices; 300 is past VLMAX
     6: [10.0, 1.0, -4.0, 300.0],
+    7: [2, 0, 3, 1],  # gather indices in [vl, VLMAX) read the source too
     8: [111, 222, 333, 444],
 }
 
@@ -230,6 +233,7 @@ _COMPUTE_CASES = {
     "vrgather.vv v8, v2, v5": [7, 5, 0, 444],  # vs2[vs1]
     "vrgather.vv v2, v2, v5": [7, 5, 0, 12],  # vd aliases vs2
     "vrgather.vv v5, v2, v5": [7, 5, 0, 13],  # vd aliases vs1
+    "vrgather.vv v8, v2, v7": [7, 5, 12, 444],  # index 3 >= vl reads vs2[3]
 }
 
 
@@ -324,14 +328,64 @@ def _fma_lane(draw):
     return a, draw(st.sampled_from([1.0, -1.0])) * half_ulps / a, c
 
 
+def _scaled(rng, n, low, high):
+    return rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(low, high, n)) * rng.choice([-1.0, 1.0], n)
+
+
+def _fraction_fused_madd(a: float, b: float, c: float) -> float:
+    """Test-side reference: a*b + c with a single rounding, by exact rational
+    arithmetic."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a * b + c
+    if not math.isfinite(c):
+        return c  # the exact product is finite, however large its rounding
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        product = a * b
+        if product == 0.0:
+            return product + c  # IEEE signed-zero addition rules
+        return 0.0
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fma_lane())
+def test_exact_fused_madd_matches_rational_oracle(lane):
+    assert _bits(_exact_fused_madd(*lane)) == _bits(_fraction_fused_madd(*lane))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_fma_lane(), min_size=1, max_size=8))
 def test_vector_fused_madd_matches_exact_oracle(lanes):
-    a, b, c = (np.array(column, dtype=np.float64) for column in zip(*lanes))
+    want = [_bits(_fraction_fused_madd(*lane)) for lane in lanes]
+    # as drawn, a short vector for the exact routine; repeated past the
+    # cutoff, a long one for the error-free path
+    for copies in (1, _SHORT_LANES // len(lanes) + 1):
+        a, b, c = (np.array(column * copies, dtype=np.float64) for column in zip(*lanes))
+        assert [_bits(x) for x in fused_madd(a, b, c).tolist()] == want * copies
+    assert _bits(fused_madd(*lanes[0])) == want[0]  # the scalar form
+
+
+@pytest.mark.parametrize("lanes", [_SHORT_LANES, _SHORT_LANES + 1])
+def test_fused_madd_at_the_short_vector_cutoff(lanes, monkeypatch):
+    """Up to the cutoff every lane goes to the exact routine, past it none of
+    these in-range lanes does; both give the single-rounding result on
+    products a few half-ulps of c, where rounding twice fails."""
+    rng = np.random.default_rng(lanes)
+    a, c = _scaled(rng, lanes, 400, 600), _scaled(rng, lanes, -50, 50)
+    half_ulps = (rng.integers(0, 4, lanes) + 0.5) * np.spacing(np.abs(c))
+    b = half_ulps * rng.choice([-1.0, 1.0], lanes) / a
+    calls = []
+    monkeypatch.setattr(emulator, "_exact_fused_madd",
+                        lambda *lane: calls.append(lane) or _exact_fused_madd(*lane))
     got = fused_madd(a, b, c)
-    want = [_exact_fused_madd(*lane) for lane in lanes]
-    assert [_bits(x) for x in got.tolist()] == [_bits(x) for x in want]
-    assert _bits(fused_madd(*lanes[0])) == _bits(want[0])  # the scalar form
+    assert len(calls) == (lanes if lanes <= _SHORT_LANES else 0)
+    want = [_fraction_fused_madd(*lane) for lane in zip(a.tolist(), b.tolist(), c.tolist())]
+    assert got.view(np.uint64).tolist() == [_bits(x) for x in want]
+    assert got.tolist() != (a * b + c).tolist()  # two roundings differ somewhere
 
 
 @pytest.mark.parametrize("a, b, c, want", [
@@ -364,10 +418,6 @@ def test_fp_overflow_gives_ieee_results_without_warnings(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def _scaled(rng, n, low, high):
-    return rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(low, high, n)) * rng.choice([-1.0, 1.0], n)
-
-
 def test_vector_fused_madd_matches_exact_oracle_at_every_bound():
     """Seeded lanes aimed at each bound of the error-free path and at its
     round-to-odd step, so that dropping any of them fails here."""
@@ -389,7 +439,7 @@ def test_vector_fused_madd_matches_exact_oracle_at_every_bound():
                           * rng.choice([-1.0, 1.0], n) / a_mid, c_half),
     }
     for name, (a, b, c) in families.items():
-        want = [_exact_fused_madd(*lane) for lane in zip(a.tolist(), b.tolist(), c.tolist())]
+        want = [_fraction_fused_madd(*lane) for lane in zip(a.tolist(), b.tolist(), c.tolist())]
         got = fused_madd(a, b, c)
         assert got.view(np.uint64).tolist() == [_bits(x) for x in want], name
 

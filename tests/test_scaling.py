@@ -1,10 +1,11 @@
 """Per-record linearity guards for the layers a trace passes through besides
 `simulate` and `run`, modelled on `test_simulate_scales_linearly`: from a
 short input to one 16 times as long, the best per-record time of a layer may
-not grow 3 times.  The scheduler has three: `schedule_stream` per record as
-the stream grows, once with every window alike and once with no two alike,
-and `build_dependences` per address range as the ranges of each record
-grow."""
+not grow 3 times.  The emulator's `run` is guarded here over streams in which
+no two instructions are equal, so every record binds a new handler.  The
+scheduler has three: `schedule_stream` per record as the stream grows, once
+with every window alike and once with no two alike, and `build_dependences`
+per address range as the ranges of each record grow."""
 
 import time
 
@@ -12,6 +13,7 @@ import pytest
 
 from sdvkit import scheduler
 from sdvkit.analysis import phase_metrics
+from sdvkit.emulator import run
 from sdvkit.isa import parse_instruction
 from sdvkit.prv import emit_prv, to_prv
 from sdvkit.scheduler import MEM_ORDER, build_dependences, schedule_stream
@@ -89,6 +91,37 @@ def test_layer_scales_linearly(prepare):
     ratio = (_per_record_seconds(prepare(long), len(long), 2)
              / _per_record_seconds(prepare(short), len(short), 5))
     assert ratio < 3, f"per-record time grew {ratio:.1f}x from 512 to 8,192 records"
+
+
+# instruction forms whose operands k's base-32 digits a, b, c fill in; every
+# x register holds an in-bounds address, which also serves as a scalar operand
+_FORMS = ("vadd.vv v{a}, v{b}, v{c}", "vfadd.vv v{a}, v{b}, v{c}", "vfmul.vv v{a}, v{b}, v{c}",
+          "vfmacc.vv v{a}, v{b}, v{c}", "vrgather.vv v{a}, v{b}, v{c}",
+          "vmul.vx v{a}, v{b}, x{c}", "vsll.vi v{a}, v{b}, {c}", "vfsub.vv v{a}, v{b}, v{c}",
+          "vle64.v v{a}, (x{b})", "vse64.v v{a}, (x{b})")
+
+
+def _distinct_stream(count):
+    """A stream of `count` instructions at vl 4, no two of them equal."""
+    lines = [*(f".xreg x{r} 0x{0x10000 + 0x100 * r:x}" for r in range(1, 32)),
+             ".xreg x1 4", "vsetvli x0, x1, e64, m1"]
+    texts, k = {}, 0
+    while len(texts) < count - 1:
+        text = _FORMS[k % len(_FORMS)].format(a=k % 32, b=k // 32 % 32, c=k // 1024 % 32)
+        texts.setdefault(parse_instruction(text), text)
+        k += 1
+    return parse_vstream("\n".join([*lines, *texts.values()]) + "\n")
+
+
+def test_run_scales_linearly_over_distinct_instructions():
+    short, long = _distinct_stream(512), _distinct_stream(8192)
+    for items in (short, long):
+        state, records = run(None, items)
+        assert len(state.bindings) == len({record.instr for record in records}) == len(records)
+    assert len(records) == 8192
+    ratio = (_per_record_seconds(lambda: run(None, long), 8192, 2)
+             / _per_record_seconds(lambda: run(None, short), 512, 5))
+    assert ratio < 3, f"per-record time grew {ratio:.1f}x from 512 to 8,192 instructions"
 
 
 # one scheduling window that `schedule_stream` reorders
