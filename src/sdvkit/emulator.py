@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def fused_madd(a, b, c):
             # one ulp toward its error, so the final rounding cannot round twice
             v, ve = _two_sum(sl, pl)
             step = (ve != 0) & ((v.view(_U64) & _U64(1)) == 0)
-            if step.any():
-                v = np.where(step, np.nextafter(v, np.copysign(np.inf, ve)), v)
+            v = np.where(step, np.nextafter(v, np.copysign(np.inf, ve)), v)
             result = s + v
     result[exact] = [*map(_exact_fused_madd, *(x[exact].tolist() for x in (a, b, c)))]
     return float(result[0]) if shape == () else result.reshape(shape)
@@ -326,7 +325,7 @@ _READERS = {
 }
 
 
-def _handler(instr: Instruction):
+def _handler(instr: Instruction) -> Callable[[MachineState], tuple]:
     """The function that applies `instr` to a state and returns the address
     ranges it touched, with its operands resolved once."""
     category, (dest, *sources), _, operation = SPEC[instr.mnemonic]
@@ -379,7 +378,6 @@ def _handler(instr: Instruction):
     if operation == "gather":
         readers[0] = (lambda state, lanes, vl, reg: lanes[reg], readers[0][1])  # whole source
     fp, vd = category is Category.ARITH_FP, getattr(instr, ROLES[dest][0][0])
-
     def compute(state: MachineState):
         vl = state.vl
         if vl:
