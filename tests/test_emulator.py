@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdvkit import emulator
 from sdvkit.cli import main as cli_main
 from sdvkit.config import MachineConfig, Vtype
-from sdvkit import emulator
 from sdvkit.emulator import (_SHORT_LANES, Memory, MachineState, _coalesce, _exact_fused_madd,
                              apply_vsetvli, fused_madd, run, step)
 from sdvkit.errors import (EmulationError, OutOfBoundsAccess,
