@@ -485,11 +485,27 @@ def _fault(call):
         return None, (err.address, err.element)
 
 
+# a whole 8-byte word near a page boundary; the one at 3 * 4096 is the word
+# `_LIMIT` cuts
+_EDGE_WORD = st.builds(lambda page, delta: max(0, page * 4096 + 8 * delta),
+                       st.integers(0, 3), st.integers(-6, 2))
+_ALIGNED = st.one_of(st.integers(0, _LIMIT // 8 + 2).map(lambda word: 8 * word), _EDGE_WORD)
+
+
+@st.composite
+def _aligned_run(draw):
+    """Consecutive words from near a page boundary, in either order."""
+    start = draw(_EDGE_WORD)
+    run = [start + 8 * k for k in range(draw(st.integers(1, 10)))]
+    return run[::-1] if draw(st.booleans()) else run
+
+
 @st.composite
 def _accesses(draw):
     ops = []
     for _ in range(draw(st.integers(1, 6))):
-        addrs = draw(st.lists(_ADDRESS, min_size=1, max_size=12))
+        addrs = draw(st.one_of(st.lists(_ADDRESS, min_size=1, max_size=12),
+                               st.lists(_ALIGNED, min_size=1, max_size=12), _aligned_run()))
         if draw(st.booleans()):  # duplicates and overlapping words
             addrs += draw(st.lists(st.sampled_from(addrs), max_size=4))
         values = draw(st.lists(st.integers(0, 2 ** 64 - 1),

@@ -154,6 +154,18 @@ def test_parse_disassemble_roundtrip(instr):
     assert _def_use(parsed) == _reference_def_use(instr)
 
 
+@settings(max_examples=300, deadline=None)
+@given(instructions())
+def test_hash_is_the_value_hash_of_the_fields(instr):
+    """An instruction hashes as the tuple of its compared fields, and two
+    separately parsed equal instructions hash equal."""
+    assert hash(instr) == hash((instr.mnemonic, instr.vd, instr.vs1, instr.vs2, instr.vs3,
+                                instr.rd, instr.rs1, instr.rs2, instr.fs1, instr.imm,
+                                instr.sew, instr.lmul))
+    a, b = (parse_instruction(disassemble(instr)) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b) == hash(instr)
+
+
 # The subset in MNEMONICS order (the Paraver mnemonic ids): one sample text,
 # the category, and whether it loads or stores.
 _SUBSET = [

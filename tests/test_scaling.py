@@ -1,19 +1,22 @@
 """Per-record linearity guards for the layers a trace passes through besides
 `simulate` and `run`, modelled on `test_simulate_scales_linearly`: from a
 short input to one 16 times as long, the best per-record time of a layer may
-not grow 3 times.  The emulator's `run` is guarded here over streams in which
-no two instructions are equal, so every record binds a new handler.  The
+not grow 3 times.  `Memory.write_u64` is guarded per word, on address arrays
+that are all 8-aligned and on arrays that are not.  The emulator's `run` is
+guarded here over streams in which no two instructions are equal, so every
+record binds a new handler.  The
 scheduler has three: `schedule_stream` per record as the stream grows, once
 with every window alike and once with no two alike, and `build_dependences`
 per address range as the ranges of each record grow."""
 
 import time
 
+import numpy as np
 import pytest
 
 from sdvkit import scheduler
 from sdvkit.analysis import phase_metrics
-from sdvkit.emulator import run
+from sdvkit.emulator import Memory, run
 from sdvkit.isa import parse_instruction
 from sdvkit.prv import emit_prv, to_prv
 from sdvkit.scheduler import MEM_ORDER, build_dependences, schedule_stream
@@ -43,7 +46,7 @@ def _trace(copies):
     return trace
 
 
-def _parse_vstream(trace):
+def _stream_items(trace):
     items = []
     for rec in trace:
         if rec.seq % len(_MIX) == 0:  # a few directives between instructions
@@ -52,10 +55,22 @@ def _parse_vstream(trace):
             items.append(StreamItem(ItemKind.INIT_MEM_F64, rec.pc, rec.phase,
                                     rec.window_id, target=0x1000,
                                     values=(0.5, -1.25, float(rec.seq))))
+            items.append(StreamItem(ItemKind.INIT_MEM_U64, rec.pc, rec.phase,
+                                    rec.window_id, target=0x2000 + 8 * rec.seq,
+                                    values=(0, rec.seq, 2 ** 64 - 1 - rec.seq, 0x10)))
         items.append(StreamItem(ItemKind.INSTRUCTION, rec.pc, rec.phase, rec.window_id,
                                 scalar_before=rec.scalar_before, instr=rec.instr))
-    text = write_vstream(items)
+    return items
+
+
+def _parse_vstream(trace):
+    text = write_vstream(_stream_items(trace))
     return lambda: parse_vstream(text)
+
+
+def _write_vstream(trace):
+    items = _stream_items(trace)
+    return lambda: write_vstream(items)
 
 
 def _trace_file(trace):
@@ -81,8 +96,9 @@ def _per_record_seconds(work, records, repeats):
     return best / records
 
 
-@pytest.mark.parametrize("prepare", [_parse_vstream, _trace_file, _prv, _phase_metrics],
-                         ids=["parse_vstream", "write_trace+read_trace",
+@pytest.mark.parametrize("prepare", [_parse_vstream, _write_vstream, _trace_file, _prv,
+                                     _phase_metrics],
+                         ids=["parse_vstream", "write_vstream", "write_trace+read_trace",
                               "to_prv+emit_prv", "phase_metrics"])
 def test_layer_scales_linearly(prepare):
     short, long = _trace(64), _trace(1024)
@@ -91,6 +107,22 @@ def test_layer_scales_linearly(prepare):
     ratio = (_per_record_seconds(prepare(long), len(long), 2)
              / _per_record_seconds(prepare(short), len(short), 5))
     assert ratio < 3, f"per-record time grew {ratio:.1f}x from 512 to 8,192 records"
+
+
+def _scattered_words(count, offset):
+    """`count` word addresses 24 bytes apart, in an order that visits the
+    pages out of turn, plus `offset` bytes, and a value for each."""
+    addrs = 0x10000 + 24 * np.random.default_rng(1).permutation(count).astype(np.uint64)
+    return addrs + np.uint64(offset), np.arange(count, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("offset", [0, 3], ids=["aligned", "unaligned"])
+def test_write_u64_scales_linearly_in_words(offset):
+    memory = Memory(1 << 20)
+    few, many = _scattered_words(512, offset), _scattered_words(8192, offset)
+    ratio = (_per_record_seconds(lambda: memory.write_u64(*many), 8192, 3)
+             / _per_record_seconds(lambda: memory.write_u64(*few), 512, 10))
+    assert ratio < 3, f"per-word time grew {ratio:.1f}x from 512 to 8,192 words"
 
 
 # instruction forms whose operands k's base-32 digits a, b, c fill in; every

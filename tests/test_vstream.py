@@ -67,27 +67,45 @@ def test_malformed_number():
         parse_vstream(".freg f1 not-a-float\n")
 
 
-@pytest.mark.parametrize("line", [
-    ".pc -4", ".pc 0x10000000000000000", ".phase -3", ".phase 4294967296",
-    ".window -1", ".window 4294967296", ".scalar -1", ".scalar 0x100000000",
-    ".memf64 -8 1.0", ".memu64 0x10000000000000000 1",
-    ".xreg x1 0x10000000000000005", ".memu64 0x100 -2",
+# (malformed line, its first bad token)
+_MALFORMED = [
+    (".pc -4", "-4"), (".pc 0x10000000000000000", "0x10000000000000000"),
+    (".phase -3", "-3"), (".phase 4294967296", "4294967296"), (".window -1", "-1"),
+    (".window 4294967296", "4294967296"), (".scalar -1", "-1"),
+    (".scalar 0x100000000", "0x100000000"), (".memf64 -8 1.0", "-8"),
+    (".memu64 0x10000000000000000 1", "0x10000000000000000"),
+    (".xreg x1 0x10000000000000005", "0x10000000000000005"), (".memu64 0x100 -2", "-2"),
     # numbers outside the canonical forms
-    ".xreg x1 1_6", ".phase +3", ".scalar 0o7", ".memu64 0x100 0X10", ".xreg x1 0b101",
-    ".pc 0x0010", ".xreg x1 \u0661\u0666", ".phase \uff13", ".freg f1 \u0661.\u0665",
-    ".memf64 0x10 1_0.5", ".xreg x1 " + "1" * 5000,
-])
-def test_out_of_domain_value_is_malformed(line):
+    (".xreg x1 1_6", "1_6"), (".phase +3", "+3"), (".scalar 0o7", "0o7"),
+    (".memu64 0x100 0X10", "0X10"), (".xreg x1 0b101", "0b101"), (".pc 0x0010", "0x0010"),
+    (".xreg x1 \u0661\u0666", "\u0661\u0666"), (".phase \uff13", "\uff13"),
+    (".freg f1 \u0661.\u0665", "\u0661.\u0665"), (".memf64 0x10 1_0.5", "1_0.5"),
+    (".xreg x1 " + "1" * 5000, "1" * 5000),
+    # two bad tokens in one run: the error names the first
+    (".memu64 0x0 0x1 zz 0x1_0", "zz"),
+    (".memu64 0x0 0x10000000000000000 zz", "0x10000000000000000"),
+    (".memf64 0x0 1.0 nan_1 \u00bd", "nan_1"),
+]
+
+
+@pytest.mark.parametrize("line, first_bad", _MALFORMED, ids=[line for line, _ in _MALFORMED])
+def test_out_of_domain_value_is_malformed(line, first_bad):
     with pytest.raises(MalformedNumber) as excinfo:
         parse_vstream(f"vid.v v1\n{line}\nvid.v v2\n")
     assert excinfo.value.line == 2
+    assert repr(first_bad) in str(excinfo.value)
 
 
 def test_domain_edges_roundtrip():
-    text = ".pc 0xfffffffffffffff8\n.phase 4294967295\n.window 4294967295\n" \
-           ".scalar 4294967295\nvid.v v1\n"
-    items = parse_vstream(text)
-    assert parse_vstream(write_vstream(items)) == items
+    for text in (".pc 0xfffffffffffffff8\n.phase 4294967295\n.window 4294967295\n"
+                 ".scalar 4294967295\nvid.v v1\n",
+                 ".memf64 0x1000 -nan nan -0.0 inf 5e-324 -inf 0.0\n.memf64 0x0 nan\n",
+                 ".memf64 0x8 5e-324 -nan -0.0\n.memf64 0x10 -nan\n.freg f1 -nan\n",
+                 ".memu64 0x0 0x0 0xffffffffffffffff 0x0 0x1\n"
+                 ".memu64 0xffffffffffffffff 0xffffffffffffffff\n"):
+        items = parse_vstream(text)
+        assert write_vstream(items) == text
+        assert _bits(parse_vstream(write_vstream(items))) == _bits(items)
 
 
 def test_pc_wraps_modulo_2_64():
