@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from struct import pack
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +44,8 @@ _U64 = np.uint64
 _PAGE_BITS = 12
 _PAGE_SIZE = 1 << _PAGE_BITS
 _WORD_BYTES = np.arange(8, dtype=_U64)
+# the cells a word access moves: whole little-endian words, or bytes
+_WORD, _BYTE = np.dtype("<u8"), np.dtype(np.uint8)
 
 # Veltkamp's constant 2^27 + 1 splits a double into two 26-bit halves.
 _SPLITTER = float((1 << 27) + 1)
@@ -119,11 +122,11 @@ def fused_madd(a, b, c):
     return float(result[0]) if shape == () else result.reshape(shape)
 
 
-def _page_runs(where: np.ndarray):
+def _page_runs(where: np.ndarray, unit: np.dtype):
     """(page index, slice, in-page offsets) of each page's run in sorted
-    byte addresses."""
+    addresses of `unit`-sized cells, the offsets counted in cells."""
     pages = where >> _U64(_PAGE_BITS)
-    offsets = (where & _U64(_PAGE_SIZE - 1)).astype(np.intp)
+    offsets = (where & _U64(_PAGE_SIZE - 1)).astype(np.intp) // unit.itemsize
     cuts = [0, *(np.flatnonzero(pages[1:] != pages[:-1]) + 1).tolist(), len(where)]
     for lo, hi in zip(cuts, cuts[1:]):
         yield int(pages[lo]), slice(lo, hi), offsets[lo:hi]
@@ -147,11 +150,17 @@ def _page_walk(addr: int, nbytes: int):
 class Memory:
     """Sparse byte-addressable memory, zero-initialized, bounds-checked.
 
+    Every access is checked whole before anything moves, so one that faults
+    has no effect.  A fault names the first 8-byte word that does not fit and
+    its index: word i of a range of bytes (`read_bytes`, `write_bytes`, which
+    serve unit-stride accesses and `.mem*` directives) starts at addr + 8*i,
+    word i of an address array (`read_u64`, `write_u64`) at its i-th address.
+    An empty range touches nothing and never faults.
+
     `read_u64` and `write_u64` take one address or a uint64 array of them.
-    Every word of an array access is checked before any byte moves; a fault
-    names the first word that does not fit and its index.  The bytes of each
-    page are then moved with numpy indexing, and where words overlap the
-    later one wins.
+    When every address is 8-aligned, whole words move through a uint64 view
+    of each page; otherwise each word's bytes move through a byte view.
+    Where words overlap, the later one wins.
     """
 
     def __init__(self, limit: int):
@@ -159,8 +168,11 @@ class Memory:
         self._pages: dict[int, bytearray] = {}
 
     def check(self, addr: int, nbytes: int) -> None:
-        if addr < 0 or addr + nbytes > self.limit:
-            raise OutOfBoundsAccess(addr, 0)
+        """Raise unless [addr, addr+nbytes) fits, naming the first word that
+        does not."""
+        if nbytes and (addr < 0 or addr + nbytes > self.limit):
+            fits = 0 if addr < 0 else max(0, self.limit - addr) // 8
+            raise OutOfBoundsAccess(addr + 8 * fits, fits)
 
     def _page(self, index: int) -> bytearray:
         page = self._pages.get(index)
@@ -182,9 +194,10 @@ class Memory:
         for index, offset, pos, take in _page_walk(addr, len(data)):
             self._page(index)[offset:offset + take] = data[pos:pos + take]
 
-    def _word_bytes(self, addr) -> np.ndarray:
-        """The byte addresses of the 8-byte words at `addr`, word by word,
-        once every word is known to fit."""
+    def _cells(self, addr) -> tuple[np.ndarray, np.dtype]:
+        """The cells an access to the 8-byte words at `addr` moves, once every
+        word is known to fit: the words themselves when all are 8-aligned,
+        else each word's bytes, word by word; and the cell type."""
         if np.ndim(addr) == 0:
             self.check(addr, 8)
         addrs = np.asarray(addr, dtype=_U64).reshape(-1)
@@ -193,32 +206,35 @@ class Memory:
         if bad.any():
             first = int(np.argmax(bad))
             raise OutOfBoundsAccess(int(addrs[first]), first)
-        return (addrs[:, None] + _WORD_BYTES).reshape(-1)
+        if (addrs & _U64(7)).any():
+            return (addrs[:, None] + _WORD_BYTES).reshape(-1), _BYTE
+        return addrs, _WORD
 
     def read_u64(self, addr):
         """The little-endian word at `addr`: an int for an int address, a
         uint64 array for an address array."""
-        where, back = np.unique(self._word_bytes(addr), return_inverse=True)
-        data = np.zeros(len(where), dtype=np.uint8)
-        for index, run, offsets in _page_runs(where):
+        where, unit = self._cells(addr)
+        where, back = np.unique(where, return_inverse=True)
+        data = np.zeros(len(where), dtype=unit)
+        for index, run, offsets in _page_runs(where, unit):
             page = self._pages.get(index)
             if page is not None:
-                data[run] = np.frombuffer(page, dtype=np.uint8)[offsets]
-        words = data[back].view("<u8")
+                data[run] = np.frombuffer(page, dtype=unit)[offsets]
+        words = data[back].view(_WORD)
         return int(words[0]) if np.ndim(addr) == 0 else words
 
     def write_u64(self, addr, value) -> None:
         """Store `value` (an int, or a uint64 array for an address array) as
         little-endian words."""
-        where = self._word_bytes(addr)
+        where, unit = self._cells(addr)
         if np.ndim(value) == 0:
             value = int(value) & _U64_MASK
-        data = np.ascontiguousarray(value, dtype="<u8").reshape(-1).view(np.uint8)
-        # the last word written to a byte wins: keep each byte's last writer
+        data = np.ascontiguousarray(value, dtype=_WORD).reshape(-1).view(unit)
+        # the last word written to a cell wins: keep each cell's last writer
         where, last = np.unique(where[::-1], return_index=True)
         data = data[::-1][last]
-        for index, run, offsets in _page_runs(where):
-            np.frombuffer(self._page(index), dtype=np.uint8)[offsets] = data[run]
+        for index, run, offsets in _page_runs(where, unit):
+            np.frombuffer(self._page(index), dtype=unit)[offsets] = data[run]
 
     def touched_pages(self) -> dict[int, bytes]:
         """Snapshot of every page ever written (page index -> contents)."""
@@ -294,9 +310,9 @@ def _coalesce(addrs: np.ndarray, width: int) -> tuple[tuple[int, int], ...]:
     preserving element order."""
     step = _U64(width)
     # an address below `width` that follows on modulo 2^64 starts a new run
-    joined = (addrs[1:] == addrs[:-1] + step) & (addrs[1:] >= step)
-    starts = [0, *(np.flatnonzero(~joined) + 1).tolist()]
-    lengths = np.diff([*starts, len(addrs)]) * width
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (addrs[1:] != addrs[:-1] + step) | (addrs[1:] < step))))
+    lengths = np.diff(starts, append=len(addrs)) * width
     return tuple(zip(addrs[starts].tolist(), lengths.tolist()))
 
 
@@ -399,13 +415,11 @@ def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
         elif kind is ItemKind.SET_FREG:
             state.fregs[item.target] = item.values[0]
         elif kind is ItemKind.INIT_MEM_F64 or kind is ItemKind.INIT_MEM_U64:
-            # one write per directive; a fault names the first word that does
-            # not fit, and nothing is written
-            fits = max(0, (state.memory.limit - item.target) // 8)
-            if fits < len(item.values):
-                raise OutOfBoundsAccess(item.target + 8 * fits, fits)
-            words = np.array(item.values, dtype="<f8" if kind is ItemKind.INIT_MEM_F64 else "<u8")
-            state.memory.write_bytes(item.target, words.tobytes())
+            # a memory image: its words packed at once, then written and
+            # checked whole, as a unit-stride store is
+            values = item.values
+            words = ("<%dd" if kind is ItemKind.INIT_MEM_F64 else "<%dQ") % len(values)
+            state.memory.write_bytes(item.target, pack(words, *values))
         return None
 
     handler = state.bindings.get(item.instr)

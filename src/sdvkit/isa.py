@@ -111,7 +111,10 @@ class Instruction:
     others stay None.  Register ids are 0-31.  Construction derives, once,
     the category, the load/store flags and the register def/use sets that
     hazard tracking and dependence edges read; they take no part in
-    equality, hashing or repr.
+    equality, hashing or repr.  It also computes the hash once: the hash of
+    the tuple of the compared fields, which is the value a dataclass hash
+    gives, so dictionaries keyed by instructions do not hash 12 fields again
+    on every lookup.
     """
 
     mnemonic: str
@@ -133,6 +136,7 @@ class Instruction:
     vreg_uses: frozenset[int] = _derived()
     xreg_defs: frozenset[int] = _derived()
     xreg_uses: frozenset[int] = _derived()
+    _hash: int = _derived()
 
     def __post_init__(self):
         try:
@@ -163,9 +167,14 @@ class Instruction:
             else regs("vs1", "vs2", "vs3"),
             "xreg_defs": regs("rd"),
             "xreg_uses": regs("rs1", "rs2"),
+            "_hash": hash((self.mnemonic, self.vd, self.vs1, self.vs2, self.vs3, self.rd,
+                           self.rs1, self.rs2, self.fs1, self.imm, self.sew, self.lmul)),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def parse_register(token: str, prefix: str, column: int = 0) -> int:

@@ -67,7 +67,7 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
         if middle is None:
             middle = middles[key] = (f"{r.phase}:{r.scalar_before}:{r.vl}:{r.sew_bits}:"
                                      f"{r.instr.category.value}:{disassemble(r.instr)}")
-        ranges = ",".join(f"0x{base:x}+0x{length:x}" for base, length in r.addresses)
+        ranges = ",".join(map("%#x+%#x".__mod__, r.addresses))
         lines.append(f"{r.seq}:0x{r.pc:x}:{middle}:{ranges}:{r.window_id}")
     return "\n".join(lines) + "\n"
 

@@ -37,7 +37,7 @@ import enum
 import functools
 import math
 import re
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (AsmSyntaxError, MalformedNumber, SdvError,
                      StreamSyntaxError, UnknownDirective)
@@ -74,6 +74,7 @@ class StreamItem(NamedTuple):
 
 _U64_MASK = (1 << 64) - 1
 _is_uint = re.compile(f"{DEC}|{HEX}").fullmatch
+_is_uint_run = re.compile(f"(?:{HEX}|{DEC})(?: (?:{HEX}|{DEC}))*").fullmatch
 
 
 class StreamBuilder:
@@ -104,44 +105,75 @@ class StreamBuilder:
 
 
 class _Operand(NamedTuple):
-    """How one kind of directive operand is read from and written to text."""
-    read: Callable[[str, int], Union[int, float]]
-    write: Callable[[Union[int, float]], str]
+    """How a run of one kind of directive operand is read from and written to
+    text, a whole run at a time.  `read` takes a line's tokens of that kind
+    and returns their values: one canonical-form check over the run, then one
+    conversion pass, and only when either fails a scan that names the first
+    bad token.  `write` renders a run of values as one space-separated text."""
+    read: Callable[[list[str], int], list]
+    write: Callable[[Sequence], str]
 
 
-def _uint(bits: int, write: Callable[[int], str]) -> _Operand:
-    def read(token: str, line_no: int) -> int:
-        if not _is_uint(token):
-            raise MalformedNumber(f"bad integer {token!r}", line_no)
-        if (value := int(token, 0)) >> bits:
-            raise MalformedNumber(f"{token!r} outside [0, 2^{bits})", line_no)
-        return value
-    return _Operand(read, write)
+def _formatted(form: str) -> Callable[[Sequence], str]:
+    """Write a run of values with one %-format of `form` per value."""
+    return lambda values: " ".join([form] * len(values)) % tuple(values)
 
 
-def _read_f64(token: str, line_no: int) -> float:
-    if token.isascii() and "_" not in token:
+def _uint(bits: int, form: str) -> _Operand:
+    def read(tokens: list[str], line_no: int) -> list[int]:
+        if _is_uint_run(" ".join(tokens)):
+            values = [int(token, 0) for token in tokens]
+            if not max(values) >> bits:
+                return values
+        bad = next(t for t in tokens if not _is_uint(t) or int(t, 0) >> bits)
+        raise MalformedNumber(f"{bad!r} outside [0, 2^{bits})" if _is_uint(bad)
+                              else f"bad integer {bad!r}", line_no)
+    return _Operand(read, _formatted(form))
+
+
+def _is_f64(text: str) -> bool:
+    """Whether `text`, a token or a run of them, is in the form an <f64> may
+    take: ASCII without ``_``."""
+    return text.isascii() and "_" not in text
+
+
+def _bad_f64(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return True
+    return not _is_f64(token)
+
+
+def _read_f64(tokens: list[str], line_no: int) -> list[float]:
+    if _is_f64(" ".join(tokens)):
         try:
-            return float(token)
+            return [*map(float, tokens)]
         except ValueError:
             pass
-    raise MalformedNumber(f"bad float {token!r}", line_no)
+    raise MalformedNumber(f"bad float {next(filter(_bad_f64, tokens))!r}", line_no)
+
+
+def _write_f64(values: Sequence[float]) -> str:
+    text = " ".join(map(repr, values))
+    if "nan" not in text:
+        return text
+    return " ".join("-nan" if v != v and math.copysign(1.0, v) < 0 else repr(v) for v in values)
 
 
 def _register(prefix: str) -> _Operand:
-    def read(token: str, line_no: int) -> int:
-        try:
-            return parse_register(token, prefix)
-        except AsmSyntaxError:
-            raise StreamSyntaxError(f"bad register {token!r}", line_no) from None
-    return _Operand(read, lambda reg: f"{prefix}{reg}")
+    def read(tokens: list[str], line_no: int) -> list[int]:
+        values = []
+        for token in tokens:
+            try:
+                values.append(parse_register(token, prefix))
+            except AsmSyntaxError:
+                raise StreamSyntaxError(f"bad register {token!r}", line_no) from None
+        return values
+    return _Operand(read, _formatted(f"{prefix}%d"))
 
 
-def _write_f64(value: float) -> str:
-    return "-nan" if value != value and math.copysign(1.0, value) < 0 else repr(value)
-
-
-_U32, _U64 = _uint(32, str), _uint(64, "0x{:x}".format)
+_U32, _U64 = _uint(32, "%d"), _uint(64, "%#x")
 _F64 = _Operand(_read_f64, _write_f64)
 
 # directive -> (item kind, target operand, value operand, several values);
@@ -182,8 +214,8 @@ def parse_vstream(text: str) -> list[StreamItem]:
         first = 1 if target_operand else 0
         if len(args) <= first or (len(args) > first + 1 and not several):
             raise StreamSyntaxError(f"wrong operand count for {directive}", line_no)
-        target = target_operand.read(args[0], line_no) if target_operand else None
-        values = [value_operand.read(token, line_no) for token in args[first:]]
+        target = target_operand.read(args[:1], line_no)[0] if target_operand else None
+        values = value_operand.read(args[first:], line_no)
         if directive == ".pc":
             builder.pc = values[0]
         elif directive == ".scalar":
@@ -195,9 +227,9 @@ def parse_vstream(text: str) -> list[StreamItem]:
 
 def _line(directive: str, target: Optional[int], values) -> str:
     _, target_operand, value_operand, _ = _DIRECTIVES[directive]
-    words = [directive, target_operand.write(target)] if target_operand else [directive]
-    words.extend(map(value_operand.write, values))
-    return " ".join(words)
+    if target_operand:
+        return f"{directive} {target_operand.write((target,))} {value_operand.write(values)}"
+    return f"{directive} {value_operand.write(values)}"
 
 
 def write_vstream(items: list[StreamItem]) -> str:
@@ -226,6 +258,6 @@ def write_vstream(items: list[StreamItem]) -> str:
                 lines.append(_line(".scalar", None, (item.scalar_before,)))
             lines.append(text_of(item.instr))
             pc = (item.pc + 4) & _U64_MASK
-        elif kind in _PAYLOAD_DIRECTIVE:
-            lines.append(_line(_PAYLOAD_DIRECTIVE[kind], item.target, item.values))
+        elif directive := _PAYLOAD_DIRECTIVE.get(kind):  # none for a mark
+            lines.append(_line(directive, item.target, item.values))
     return "\n".join(lines) + ("\n" if lines else "")

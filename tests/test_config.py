@@ -139,7 +139,8 @@ def test_memory_reaches_at_most_2_64(tmp_path, capsys):
                   ".xreg x10 0xfffffffffffffff8\nvse64.v v1, (x10)\n")
     for memory_bytes, message in [
             (0x10000000000000001, "memory_bytes must be in [1, 2**64]"),
-            (1 << 64, "memory access at 0xfffffffffffffff8 (element 0) "
+            # the first word that does not fit starts at 2^64, past the last address
+            (1 << 64, "memory access at 0x10000000000000000 (element 1) "
                       "outside addressable range")]:
         config.write_text(f"memory_bytes = 0x{memory_bytes:x}\n")
         capsys.readouterr()

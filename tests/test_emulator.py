@@ -160,12 +160,20 @@ def test_vl_zero_leaves_destination_untouched():
     assert records[-1].vl == 0
 
 
+_MEMORY_FORMS = ("vle64.v v1, (x{base})", "vse64.v v1, (x{base})",
+                 "vlse64.v v1, (x{base}), x11", "vsse64.v v1, (x{base}), x11",
+                 "vluxei64.v v1, (x{base}), v2", "vsuxei64.v v1, (x{base}), v2")
+
+
 def test_strided_and_indexed_at_vl_zero_touch_only_the_base():
+    # every access form at vl=0, at a base inside memory (x10) and at one
+    # past its end (x12): no fault, and nothing is written
     text = (".xreg x1 0\nvsetvli x2, x1, e64, m1\n.xreg x10 0x1000\n.xreg x11 8\n"
-            "vlse64.v v1, (x10), x11\nvsse64.v v1, (x10), x11\n"
-            "vluxei64.v v1, (x10), v2\nvsuxei64.v v1, (x10), v2\n")
+            ".xreg x12 0xfffffffffffffff8\n"
+            + "".join(form.format(base=base) + "\n" for base in (10, 12) for form in _MEMORY_FORMS))
     state, records = _run(text)
-    assert [r.addresses for r in records[1:]] == [((0x1000, 0),)] * 4
+    assert [r.addresses for r in records[1:]] == \
+        [((0x1000, 0),)] * 6 + [((0xfffffffffffffff8, 0),)] * 6
     assert state.memory.touched_pages() == {}
 
 
@@ -588,6 +596,26 @@ def test_directive_fault_names_first_word_that_does_not_fit():
             _run(directive + "\n", config)
         cause = excinfo.value.cause
         assert (cause.address, cause.element) == (0x1010, 2)
+
+
+@pytest.mark.parametrize("line", [*(form.format(base=10) for form in _MEMORY_FORMS),
+                                  ".memf64 0xff0 1 2 3 4", ".memu64 0xff0 1 2 3 4"])
+def test_every_access_form_faults_at_the_first_word_that_does_not_fit(line):
+    """Four words at 0xff0 with memory_bytes = 0x1000: unit-stride, strided
+    (stride 8), indexed (offsets 0, 8, 16, 24) and directive forms all name
+    the word at 0x1000, element 2, and change no register or memory."""
+    config = MachineConfig(memory_bytes=0x1000)
+    items = parse_vstream(".xreg x1 4\nvsetvli x2, x1, e64, m1\n.xreg x10 0xff0\n.xreg x11 8\n"
+                          ".xreg x3 3\nvid.v v2\nvsll.vi v2, v2, 3\nvid.v v1\nvadd.vx v1, v1, x3\n"
+                          ".memu64 0xfe8 5 6\n" + line + "\n")
+    state = MachineState.create(config)
+    for item in items[:-1]:
+        step(state, item)
+    before = _snapshot(None, state)
+    with pytest.raises(OutOfBoundsAccess) as excinfo:
+        step(state, items[-1])
+    assert (excinfo.value.address, excinfo.value.element) == (0x1000, 2)
+    assert _snapshot(None, state) == before
 
 
 def _wide_stream(windows: int) -> list:
