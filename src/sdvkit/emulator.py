@@ -7,6 +7,13 @@ vectors for 64-bit data must be pre-scaled by 8.  Strided and indexed element
 addresses wrap modulo 2^64.  Destination tail elements (index >= vl) are always
 left undisturbed, which keeps runs deterministic and bit-comparable.
 
+Every memory access follows one fault rule, kept by `Memory`: at vl=0 it
+touches nothing and never faults; otherwise a fault names the first 8-byte
+word that does not fit and its element index, and nothing is read into a
+register or written.  A `.memf64`/`.memu64` directive is one write of its
+packed words, checked like a unit-stride store.  Strided and indexed accesses
+move whole words when every address is 8-aligned, and bytes otherwise.
+
 Each instruction works on whole vectors.  Its semantics, whatever its
 category, are bound once per distinct instruction: `_handler` resolves them
 into one function, kept in `MachineState.bindings`, that `step` calls for each
