@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import EmptyTrace, PhaseSetMismatch
+from .errors import EmptyTrace, PhaseSetMismatch, SdvError
 from .timing import Pipeline, TimelineEntry
 from .tracefile import TraceRecord
 
@@ -41,6 +41,8 @@ def phase_metrics(trace: Sequence[TraceRecord],
     metrics are filled when the trace's modeled timeline is supplied."""
     if not trace:
         raise EmptyTrace("cannot analyze an empty trace")
+    if timeline is not None and len(timeline) != len(trace):
+        raise SdvError("timeline and trace lengths differ")
 
     groups: dict[int, list[int]] = {}  # phase -> its record indices, in first-appearance order
     for i, rec in enumerate(trace):

@@ -8,8 +8,8 @@ unset keys keep their defaults.  A machine file (``--config``) takes the
 file (``--timing``) takes the `TimingParams` keys: the four
 ``*_elems_per_cycle`` rates, ``mem_latency_cycles``, ``arith_latency_cycles``,
 ``scalar_cycles_per_instr``, ``vector_queue_depth`` and ``chaining``.  An
-unknown key, a value that is not of its field's type (integer; boolean for
-``chaining``) or outside its field's domain raises an `SdvError`.
+unknown or repeated key, a value that is not of its field's type (integer;
+boolean for ``chaining``) or outside its field's domain raises an `SdvError`.
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ def _parse_kv(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise SdvError(f"config line {lineno}: expected key = value, got {raw!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise SdvError(f"config line {lineno}: key {key!r} set twice")
+        values[key] = value
     return values
 
 

@@ -26,15 +26,14 @@ longer vectors use error-free transformations and one round-to-odd addition
 (Boldo & Melquiond, "Emulation of FMA and correctly rounded sums: proved
 algorithms using rounding to odd", IEEE TC 2008), and hand it only the lanes
 outside that algorithm's range (a non-finite operand, a zero factor, split
-overflow, product underflow or overflow).  Overflow, underflow, inexact and
-invalid results are the IEEE results, which are the RVV results; the accrued
-exception flags (`fflags`) are not modeled, so no FP operation warns.
+overflow, product underflow or overflow).  Every FP result is the IEEE result,
+which is the RVV result; the accrued flags (`fflags`) are not modeled.  `run`
+keeps FP exceptions quiet; `step` alone follows the caller's numpy error state.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from struct import pack
 from typing import Callable, Optional, Sequence, Union
@@ -405,16 +404,15 @@ def _handler(instr: Instruction) -> Callable[[MachineState], tuple]:
         vl = state.vl
         if vl:
             lanes = state.vregs.view(np.float64) if fp else state.vregs
-            # overflow and NaN results are the RVV results
-            with np.errstate(all="ignore") if fp else nullcontext():
-                lanes[vd, :vl] = evaluate(vl, *[read(state, lanes, vl, r) for read, r in readers])
+            lanes[vd, :vl] = evaluate(vl, *[read(state, lanes, vl, r) for read, r in readers])
         return ()
     return compute
 
 
 def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
     """Apply one stream item.  Directives mutate state silently; instructions
-    return the trace record captured at execution time."""
+    return the trace record captured at execution time.  FP exceptions follow
+    the caller's numpy error state."""
     kind = item.kind
     if kind is not ItemKind.INSTRUCTION:
         if kind is ItemKind.SET_XREG:
@@ -442,18 +440,19 @@ def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
 
 def run(config: Optional[MachineConfig],
         stream: Union[str, Sequence[StreamItem]]):
-    """Execute a whole stream; returns (final state, trace records).
-
-    The first error aborts execution and reports the record index reached.
+    """Execute a whole stream with FP exceptions quiet; returns (final state,
+    trace records).  The first error aborts execution and reports the record
+    index reached.
     """
     items = parse_vstream(stream) if isinstance(stream, str) else stream
     state = MachineState.create(config)
     records: list[TraceRecord] = []
-    for item in items:
-        try:
-            record = step(state, item)
-        except SdvError as err:
-            raise EmulationError(state.instret, err) from err
-        if record is not None:
-            records.append(record)
+    with np.errstate(all="ignore"):
+        for item in items:
+            try:
+                record = step(state, item)
+            except SdvError as err:
+                raise EmulationError(state.instret, err) from err
+            if record is not None:
+                records.append(record)
     return state, records

@@ -25,16 +25,22 @@ source buffer and writes results interleaved by the stage span, so:
 
 Both variants execute identical element arithmetic, so they agree bitwise
 with each other and match the brute-force DFT oracle to rounding error.
+
+Every stream is sized from one VLMAX, `MachineConfig().vlmax(64)`.  A
+manifest's counts are those the emitter kept while writing the stream: its
+instructions, each phase's loop-body windows and each phase's `vsetvli` vl.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .config import MachineConfig
 from .errors import InvalidSeed, InvalidSize
 from .vstream import ItemKind, StreamBuilder
 from .isa import parse_instruction
@@ -85,20 +91,18 @@ def _pro_pc(phase: int) -> int:
     return 0x40_0000 + phase * 0x1000
 
 
-def _body_pc(phase: int) -> int:
-    return _pro_pc(phase) + 0x100
-
-
 _MEM_CHUNK = 8  # values per .memf64/.memu64 item
+_VLMAX = MachineConfig().vlmax(64)
 
 
 class _Emitter(StreamBuilder):
-    """A StreamBuilder fed instruction text that numbers windows from 1 and
-    splits memory images into _MEM_CHUNK-value directives."""
+    """A StreamBuilder fed instruction text that numbers windows from 1, splits
+    memory images into _MEM_CHUNK-value directives and counts what it emits."""
 
     def __init__(self):
         super().__init__()
         self._parse = functools.cache(parse_instruction)  # each distinct text parsed once
+        self.instructions, self.trips, self.vls = 0, Counter(), {}  # the last two by phase
 
     def window_mark(self):
         self.add(ItemKind.WINDOW_MARK, None, self.window + 1)
@@ -110,6 +114,13 @@ class _Emitter(StreamBuilder):
 
     def instr(self, text: str):
         self.instruction(self._parse(text))
+        self.instructions += 1
+
+    def loop_body(self, phase: int, scalar: int):
+        """Start one trip of `phase`'s loop body, `scalar` instructions in."""
+        self.pc = _pro_pc(phase) + 0x100  # the loop-body range
+        self.scalar = scalar
+        self.trips[phase] += 1
 
 
 def _stage_phase(span: int) -> int:
@@ -147,6 +158,7 @@ def _vsetvli_window(e: _Emitter, vl: int, phase: int):
     e.pc = _pro_pc(phase)
     e.scalar = 2
     e.instr("vsetvli x29, x28, e64, m1")
+    e.vls[phase] = vl
 
 
 def _copy_pass(e: _Emitter, pairs, vl: int, phase: int, scalar: int = 4):
@@ -156,8 +168,7 @@ def _copy_pass(e: _Emitter, pairs, vl: int, phase: int, scalar: int = 4):
             e.window_mark()
             e.add(ItemKind.SET_XREG, 10, src + 8 * off)
             e.add(ItemKind.SET_XREG, 11, dst + 8 * off)
-            e.pc = _body_pc(phase)
-            e.scalar = scalar
+            e.loop_body(phase, scalar)
             e.instr("vle64.v v1, (x10)")
             e.instr("vse64.v v1, (x11)")
 
@@ -182,8 +193,7 @@ def _naive_butterfly_window(e: _Emitter, units, src_re, src_im, dst_re, dst_im,
         e.add(ItemKind.SET_XREG, x + 7, dst_im + even_off + 8 * span)
         e.add(ItemKind.SET_FREG, 1 + 2 * k, float(wre[p]))
         e.add(ItemKind.SET_FREG, 2 + 2 * k, float(wim[p]))
-    e.pc = _body_pc(phase)
-    e.scalar = 8 * len(units)
+    e.loop_body(phase, 8 * len(units))
     banks = [(1 + 13 * k, 2 + 8 * k, 1 + 2 * k) for k in range(len(units))]
     for v, x, _ in banks:
         e.instr(f"vle64.v v{v + 0}, (x{x + 0})")
@@ -210,12 +220,12 @@ def _naive_butterfly_window(e: _Emitter, units, src_re, src_im, dst_re, dst_im,
         e.instr(f"vse64.v v{v + 12}, (x{x + 7})")
 
 
-def _wide_stage(e: _Emitter, q, span, m, n, wvl, layout, src_re, src_im,
+def _wide_stage(e: _Emitter, q, span, n, wvl, layout, src_re, src_im,
                 dst_re, dst_im, w_off, phase):
     """Generic full-length kernel: contiguous loads, in-register twiddle
     replication, scattered stores through the stage's index table."""
     _vsetvli_window(e, wvl, phase)
-    e.add(ItemKind.SET_XREG, 3, layout.rep_idx + q * 256 * 8)
+    e.add(ItemKind.SET_XREG, 3, layout.rep_idx + q * _VLMAX * 8)
     e.instr("vle64.v v3, (x3)")
     half = n // 2
     for off in range(0, half, wvl):
@@ -230,8 +240,7 @@ def _wide_stage(e: _Emitter, q, span, m, n, wvl, layout, src_re, src_im,
         e.add(ItemKind.SET_XREG, 11, dst_re)
         e.add(ItemKind.SET_XREG, 12, dst_im)
         e.add(ItemKind.SET_XREG, 13, 8 * span)
-        e.pc = _body_pc(phase)
-        e.scalar = 12
+        e.loop_body(phase, 12)
         e.instr("vle64.v v1, (x10)")        # even-output byte offsets
         e.instr("vadd.vx v2, v1, x13")      # odd outputs sit one span later
         e.instr("vle64.v v4, (x4)")
@@ -275,7 +284,7 @@ def gen_fft(plan: FftPlan):
     if len(re) != n or len(im) != n:
         raise InvalidSize("input arrays must have length n")
     twiddles = _twiddles(n)
-    wvl = min(256, n // 2)
+    wvl = min(_VLMAX, n // 2)
 
     e = _Emitter()
     e.add(ItemKind.PHASE_MARK, None, 0)
@@ -295,11 +304,11 @@ def gen_fft(plan: FftPlan):
             j = np.arange(half)
             even = 8 * (j + span * (j // span))
             e.mem(ItemKind.INIT_MEM_U64, layout.scatter_idx + 8 * q * half, even)
-            e.mem(ItemKind.INIT_MEM_U64, layout.rep_idx + 8 * q * 256, np.arange(wvl) // span)
+            e.mem(ItemKind.INIT_MEM_U64, layout.rep_idx + 8 * q * _VLMAX, np.arange(wvl) // span)
         e.mem(ItemKind.INIT_MEM_U64, layout.ident_idx, 8 * np.arange(n))
 
     # phase 0: copy input into the ping buffer
-    vl0 = wvl if plan.variant == "wide" else min(256, n)
+    vl0 = wvl if plan.variant == "wide" else min(_VLMAX, n)
     _vsetvli_window(e, vl0, 0)
     _copy_pass(e, [(layout.in_re, layout.ping_re, n), (layout.in_im, layout.ping_im, n)],
                vl0, 0)
@@ -307,7 +316,6 @@ def gen_fft(plan: FftPlan):
     # butterfly stages, ping-pong between working buffers
     buffers = [(layout.ping_re, layout.ping_im), (layout.pong_re, layout.pong_im)]
     cur = 0
-    window_counts = {0: 2 * n // vl0, 1: 0, 2: 0, 3: 0}
     for q in range(t):
         span = 1 << q
         m = n // (2 * span)
@@ -325,11 +333,9 @@ def gen_fft(plan: FftPlan):
                 pair = units[i:i + 2]
                 _naive_butterfly_window(e, pair, src_re, src_im, dst_re, dst_im,
                                         span, m, wre, wim, phase)
-                window_counts[phase] += 1
         else:
-            _wide_stage(e, q, span, m, n, wvl, layout, src_re, src_im,
+            _wide_stage(e, q, span, n, wvl, layout, src_re, src_im,
                         dst_re, dst_im, w_offsets[q], phase)
-            window_counts[phase] += n // 2 // wvl
         cur = 1 - cur
 
     # phase 3 always ends with the output pass
@@ -339,7 +345,6 @@ def gen_fft(plan: FftPlan):
     if plan.variant == "naive":
         _vsetvli_window(e, 64, 3)
         _copy_pass(e, [(src_re, layout.out_re, n), (src_im, layout.out_im, n)], 64, 3)
-        window_counts[3] += 2 * n // 64
     else:
         _vsetvli_window(e, wvl, 3)
         for off in range(0, n, wvl):
@@ -349,14 +354,12 @@ def gen_fft(plan: FftPlan):
             e.add(ItemKind.SET_XREG, 12, src_im + 8 * off)
             e.add(ItemKind.SET_XREG, 13, layout.out_re)
             e.add(ItemKind.SET_XREG, 14, layout.out_im)
-            e.pc = _body_pc(3)
-            e.scalar = 6
+            e.loop_body(3, 6)
             e.instr("vle64.v v1, (x10)")
             e.instr("vle64.v v2, (x11)")
             e.instr("vle64.v v3, (x12)")
             e.instr("vsuxei64.v v2, (x13), v1")
             e.instr("vsuxei64.v v3, (x14), v1")
-            window_counts[3] += 1
 
     manifest = {
         "kind": "fft",
@@ -367,13 +370,9 @@ def gen_fft(plan: FftPlan):
         "out_re": layout.out_re, "out_im": layout.out_im,
         "w_re": layout.w_re, "w_im": layout.w_im,
         "stages": t,
-        "vl_phase0": vl0,
-        "vl_phase2": 8 if plan.variant == "naive" else wvl,
-        "vl_phase3": 64 if plan.variant == "naive" else wvl,
-        "phase1_loop_trips": window_counts[1],
-        "phase2_loop_trips": window_counts[2],
-        "phase3_loop_trips": window_counts[3],
-        "instructions": sum(1 for item in e.items if item.kind == ItemKind.INSTRUCTION),
+        **{f"vl_phase{phase}": e.vls[phase] for phase in (0, 2, 3)},
+        **{f"phase{phase}_loop_trips": e.trips[phase] for phase in (1, 2, 3)},
+        "instructions": e.instructions,
     }
     return e.items, manifest
 
@@ -401,29 +400,23 @@ def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
     e.mem(ItemKind.INIT_MEM_F64, x_base, x)
     e.mem(ItemKind.INIT_MEM_F64, y_base, y)
     e.add(ItemKind.SET_FREG, 1, float(a))
-    remaining, offset = n, 0
-    strips = []
-    while remaining:
-        vl = min(256, remaining)
-        strips.append(vl)
+    strips = [min(_VLMAX, n - offset) for offset in range(0, n, _VLMAX)]
+    for offset in range(0, n, _VLMAX):
         e.window_mark()
-        e.add(ItemKind.SET_XREG, 1, remaining)
+        e.add(ItemKind.SET_XREG, 1, n - offset)  # the elements that remain
         e.add(ItemKind.SET_XREG, 10, x_base + 8 * offset)
         e.add(ItemKind.SET_XREG, 11, y_base + 8 * offset)
-        e.pc = _body_pc(0)
-        e.scalar = 5
+        e.loop_body(0, 5)
         e.instr("vsetvli x2, x1, e64, m1")
         e.instr("vle64.v v1, (x10)")
         e.instr("vle64.v v2, (x11)")
         e.instr("vfmv.v.f v3, f1")
         e.instr("vfmacc.vv v2, v3, v1")
         e.instr("vse64.v v2, (x11)")
-        remaining -= vl
-        offset += vl
     manifest = {
         "kind": "axpy", "n": n, "a": a, "seed": seed,
         "x": x_base, "y": y_base, "strips": strips,
-        "instructions": sum(1 for item in e.items if item.kind == ItemKind.INSTRUCTION),
+        "instructions": e.instructions,
     }
     return e.items, manifest
 

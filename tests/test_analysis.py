@@ -2,11 +2,13 @@ import pytest
 
 from sdvkit.analysis import (compare, metrics_to_csv, metrics_to_text,
                              pc_profile, phase_metrics)
-from sdvkit.errors import EmptyTrace, PhaseSetMismatch
+from sdvkit.emulator import run
+from sdvkit.errors import EmptyTrace, PhaseSetMismatch, SdvError
 from sdvkit.isa import Category, parse_instruction
 from sdvkit.prv import TYPE_VL, EventRecord, to_prv
 from sdvkit.timing import TimingParams, simulate
 from sdvkit.tracefile import TraceRecord, read_trace, write_trace
+from sdvkit.workloads import FftPlan, gen_fft
 
 
 def _rec(seq, phase=0, vl=8, pc=None, scalar=0, category=Category.ARITH_FP,
@@ -50,6 +52,16 @@ def test_cycle_metrics_with_params():
     assert metrics[0].modeled_cycles is not None
     assert metrics[0].ipc is not None
     assert 0.0 <= metrics[0].mem_inflight_fraction <= 1.0
+
+
+def test_timeline_of_another_length_is_refused():
+    """As in `to_prv`: a short timeline, and a long one, name the mismatch."""
+    _, trace = run(None, gen_fft(FftPlan(n=64, variant="naive"))[0])
+    timeline = simulate(trace, TimingParams())[0]
+    for wrong in (timeline[:-1], timeline + timeline[:1]):
+        for convert in (phase_metrics, to_prv):
+            with pytest.raises(SdvError, match="timeline and trace lengths differ"):
+                convert(trace, wrong)
 
 
 def test_metrics_without_timing_have_no_cycles():

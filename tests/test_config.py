@@ -96,6 +96,7 @@ def test_every_timing_key_changes_the_model(tmp_path, capsys, key):
     ("emulate", "--config", "lanes = 8\n"),                # no longer a key
     ("emulate", "--config", "vlen_bits = 64\n"),           # below 128
     ("simulate", "--timing", "vector_queue_depth = 0\n"),  # below 1
+    ("emulate", "--config", "vlen_bits = 1024\nvlen_bits = 4096\n"),  # set twice
 ])
 def test_bad_config_is_exit_1(tmp_path, capsys, command, flag, text):
     vs, trace = tmp_path / "a.vs", tmp_path / "a.trace"
@@ -120,6 +121,9 @@ def test_loaders_take_only_their_own_fields(tmp_path):
     path.write_text("chaining = on\nmem_latency_cycles = 7\n")
     assert load_timing_params(path) == TimingParams(chaining=True, mem_latency_cycles=7)
     with pytest.raises(SdvError, match="unknown machine parameter 'chaining'"):
+        load_machine_config(path)
+    path.write_text("vlen_bits = 1024\n# again\n vlen_bits = 4096\n")
+    with pytest.raises(SdvError, match="config line 3: key 'vlen_bits' set twice"):
         load_machine_config(path)
 
 

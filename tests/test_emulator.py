@@ -424,6 +424,31 @@ def test_fp_overflow_gives_ieee_results_without_warnings(tmp_path, capsys):
         assert cli_main(["emulate", str(stream), "-o", str(tmp_path / "o.trace")]) == 0
     assert _floats(state, 2, 2) == _floats(state, 3, 2) == [math.inf, math.inf]
     assert capsys.readouterr().err == ""
+    # a difference that overflows, and a fused multiply-add whose product
+    # does, on the short-vector path (vl 4) and on the error-free one (vl 32)
+    for vl in (4, 32):
+        text = (f".xreg x1 {vl}\n.xreg x10 0x1000\n.xreg x11 0x2000\n"
+                f".memf64 0x1000 {' '.join(['1e308'] * vl)}\n"
+                f".memf64 0x2000 {' '.join(['-1e308'] * vl)}\n"
+                "vsetvli x2, x1, e64, m1\nvle64.v v1, (x10)\nvle64.v v5, (x11)\n"
+                "vfsub.vv v4, v1, v5\nvfmacc.vv v6, v1, v1\nvfmacc.vv v7, v1, v5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state, _ = run(None, text)
+        assert _floats(state, 4, vl) == _floats(state, 6, vl) == [math.inf] * vl, vl
+        assert _floats(state, 7, vl) == [-math.inf] * vl, vl
+
+
+def test_step_follows_the_callers_fp_error_state():
+    """`run` keeps FP exceptions quiet; a lone `step` leaves that to its caller."""
+    state = MachineState.create()
+    items = parse_vstream(".xreg x1 2\n.xreg x10 0x1000\n.memf64 0x1000 1e308 1e308\n"
+                          "vsetvli x2, x1, e64, m1\nvle64.v v1, (x10)\n"
+                          "vfadd.vv v2, v1, v1\n")
+    for item in items[:-1]:
+        step(state, item)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        step(state, items[-1])
 
 
 def test_vector_fused_madd_matches_exact_oracle_at_every_bound():

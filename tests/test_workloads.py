@@ -22,6 +22,14 @@ def test_axpy_strip_lengths():
     assert manifest["strips"] == [256, 44]
 
 
+@pytest.mark.parametrize("n", [1, 300, 1000])
+def test_axpy_strips_are_the_vls_its_vsetvlis_return(n):
+    items, manifest = gen_axpy(n, 2.0)
+    _, records = run(None, items)
+    assert manifest["strips"] == [r.vl for r in records if r.category == Category.CONFIG]
+    assert manifest["instructions"] == len(records)
+
+
 def test_axpy_ones():
     items, manifest = gen_axpy(256, 2.0, x=np.ones(256), y=np.zeros(256))
     state, _ = run(None, items)
@@ -72,6 +80,29 @@ def test_fft_random_against_oracle(variant):
     scale = max(np.max(np.abs(exp_re)), np.max(np.abs(exp_im)))
     err = max(np.max(np.abs(got_re - exp_re)), np.max(np.abs(got_im - exp_im)))
     assert err / scale <= 1e-9
+
+
+def _first_records(records):
+    """The first record of each window, in window order."""
+    first = {}
+    for record in records:
+        first.setdefault(record.window_id, record)
+    return list(first.values())
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("variant", ["naive", "wide"])
+def test_manifest_counts_are_what_the_stream_runs(variant, n):
+    items, manifest = gen_fft(FftPlan(n=n, variant=variant, seed=0))
+    _, records = run(None, items)
+    assert manifest["instructions"] == len(records)
+    starts = [r.pc for r in _first_records(records)]
+    for phase in (1, 2, 3):
+        body = 0x40_0000 + phase * 0x1000 + 0x100
+        assert manifest[f"phase{phase}_loop_trips"] == starts.count(body), phase
+    for phase in (0, 2, 3):
+        vls = {r.vl for r in records if r.phase == phase and r.category != Category.CONFIG}
+        assert vls == {manifest[f"vl_phase{phase}"]}, phase
 
 
 def test_variants_structural_contrast():
