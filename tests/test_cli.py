@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from sdvkit import scheduler
+from sdvkit import __version__, scheduler
 from sdvkit.cli import build_parser, main
 from sdvkit.emulator import run
 from sdvkit.tracefile import HEADER
@@ -271,3 +271,71 @@ def test_determinism_of_pipeline(tmp_path):
         run_cli("to-prv", trace, "-o", prv)
         files[tag] = (vs.read_bytes(), trace.read_bytes(), prv.read_bytes())
     assert files["one"] == files["two"]
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    """An axpy stream and its trace, a timing file and a machine file, in a
+    working directory of their own, so manifests name short relative paths."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("gen", "axpy", "--n", 300, "-o", "a.vs") == 0
+    assert run_cli("emulate", "a.vs", "-o", "a.trace") == 0
+    Path("t.ini").write_text("mem_latency_cycles = 20\n")
+    Path("m.ini").write_text("vlen_bits = 1024\n")
+    return tmp_path
+
+
+_FFT_LAYOUT = ("in_re = 16777216\nin_im = 18874368\nout_re = 29360128\nout_im = 31457280\n"
+               "w_re = 33554432\nw_im = 35651584\nstages = 6\n")
+
+
+# command line, its stdout, and its manifest after the tool line
+_PINNED = [
+    ("gen fft --n 64 --variant wide --seed 2 -o w.vs", "wrote w.vs (170 instructions)",
+     "command = gen\noutput = w.vs\nkind = fft\nn = 64\nvariant = wide\nseed = 2\n"
+     + _FFT_LAYOUT + "vl_phase0 = 32\nvl_phase2 = 32\nvl_phase3 = 32\n"
+     "phase1_loop_trips = 3\nphase2_loop_trips = 3\nphase3_loop_trips = 2\n"
+     "instructions = 170\n"),
+    ("gen axpy --n 300 --a 1.5 --seed 3 -o x.vs", "wrote x.vs (12 instructions)",
+     "command = gen\noutput = x.vs\nkind = axpy\nn = 300\na = 1.5\nseed = 3\n"
+     "x = 16777216\ny = 18874368\nstrips = [256, 44]\ninstructions = 12\n"),
+    ("emulate a.vs -o e.trace", "wrote e.trace (12 records)",
+     "command = emulate\ninput = a.vs\nconfig = <defaults>\noutput = e.trace\nrecords = 12\n"),
+    ("emulate a.vs --config m.ini -o f.trace", "wrote f.trace (12 records)",
+     "command = emulate\ninput = a.vs\nconfig = m.ini\noutput = f.trace\nrecords = 12\n"),
+    ("simulate a.trace -o s.csv",
+     "total_cycles=350 vector_instrs=12 scalar_instrs=10 mem_busy=294 arith_busy=100 "
+     "overlap=50 vpu_idle=6",
+     "command = simulate\ninput = a.trace\ntiming = <defaults>\noutput = s.csv\n"),
+    ("simulate a.trace --timing t.ini -o u.csv --svg u.svg",
+     "total_cycles=290 vector_instrs=12 scalar_instrs=10 mem_busy=234 arith_busy=100 "
+     "overlap=50 vpu_idle=6",
+     "command = simulate\ninput = a.trace\ntiming = t.ini\noutput = u.csv\nsvg = u.svg\n"),
+    ("to-prv a.trace -o p.prv", "wrote p.prv and p.pcf",
+     "command = to-prv\ninput = a.trace\ntiming = <none>\noutput = p.prv\npcf = p.pcf\n"
+     "events = 60\n"),
+    ("to-prv a.trace --timing t.ini -o q.prv", "wrote q.prv and q.pcf",
+     "command = to-prv\ninput = a.trace\ntiming = t.ini\noutput = q.prv\npcf = q.pcf\n"
+     "events = 60\n"),
+    ("analyze a.trace -o r.txt", "wrote r.txt",
+     "command = analyze\ninput = a.trace\ntiming = <none>\noutput = r.txt\n"),
+    ("analyze a.trace --timing t.ini -o r.txt", "wrote r.txt",
+     "command = analyze\ninput = a.trace\ntiming = t.ini\noutput = r.txt\n"),
+    ("compare a.trace a.trace -o c.txt", "wrote c.txt",
+     "command = compare\ninput_a = a.trace\ninput_b = a.trace\ntiming = <defaults>\n"
+     "output = c.txt\n"),
+    ("compare a.trace a.trace --timing t.ini -o c.txt", "wrote c.txt",
+     "command = compare\ninput_a = a.trace\ninput_b = a.trace\ntiming = t.ini\n"
+     "output = c.txt\n"),
+]
+
+
+@pytest.mark.parametrize("argv, said, manifest", _PINNED, ids=[argv for argv, _, _ in _PINNED])
+def test_manifest_and_stdout_are_pinned(inputs, capsys, argv, said, manifest):
+    argv = argv.split()
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr() == (said + "\n", "")
+    output = argv[argv.index("-o") + 1]
+    assert Path(output + ".manifest").read_text() == f"tool = sdvkit {__version__}\n" + manifest
+
