@@ -5,7 +5,12 @@ analyze/visualize/reschedule with the modeled timing.
 Streams and traces are ordinary files so every step can be re-run and
 inspected on its own.  Each output file gets a sidecar ``<output>.manifest``
 recording exactly how it was produced; re-running a manifest's command line
-reproduces the output byte for byte.
+reproduces the output byte for byte.  A manifest lists ``key = value`` lines:
+the tool, the command, every argument in the order the parser defines it (a
+flag only when set, ``true``; an absent ``--timing`` or ``--config`` by the
+label of what runs instead, ``<defaults>`` or ``<none>``), then what the run
+found, such as record counts.  When two files a command would write (its
+outputs and the manifest) share a path, it exits 2 and writes nothing.
 
 Exit codes: 0 success, 1 domain error (bad input data, failed equivalence),
 2 usage or I/O error.
@@ -48,203 +53,171 @@ def _write_file(path: str, text: str) -> None:
             tmp.unlink()
 
 
-def _write_manifest(output: str, entries: dict) -> None:
-    lines = [f"{key} = {value}" for key, value in entries.items()]
-    _write_file(str(output) + ".manifest", "\n".join(lines) + "\n")
+class _Absent(str):
+    """An input file not given: false, so nothing is read; manifests name it by its label."""
+
+    def __bool__(self):
+        return False
 
 
-def _base_manifest(args, **extra) -> dict:
+def _write_outputs(args, texts: list[tuple[str, str]], said: str, **results) -> int:
+    """Write each (path, text) and ``<args.output>.manifest``, whose entries
+    end with `results` (a result takes the place of an argument it restates),
+    then print `said`; or exit 2, writing nothing, if two paths clash.  A
+    report without ``-o`` goes to stdout, with no manifest."""
+    if args.output is None:
+        sys.stdout.write(texts[0][1])
+        return 0
+    paths = [path for path, _ in texts] + [f"{args.output}.manifest"]
+    resolved = [Path(path).resolve() for path in paths]
+    for i, path in enumerate(paths):
+        if resolved[i] in resolved[:i]:
+            print(f"error: two outputs share the path {path}", file=sys.stderr)
+            return 2
     entries = {"tool": f"sdvkit {__version__}", "command": args.command}
-    entries.update(extra)
-    return entries
+    for key, value in vars(args).items():
+        if key not in (*entries, *results, "func") and value is not None and value is not False:
+            entries[key] = "true" if value is True else value
+    entries.update(results)
+    manifest = "".join(f"{key} = {value}\n" for key, value in entries.items())
+    for path, text in [*texts, (paths[-1], manifest)]:
+        _write_file(path, text)
+    print(said)
+    return 0
+
+
+def _trace(path: str) -> list:
+    return read_trace(Path(path).read_text())
+
+
+def _timeline(trace, timing):
+    """`trace`'s modeled timeline, or None when no timing file is given."""
+    return simulate(trace, load_timing_params(timing))[0] if timing else None
 
 
 def _cmd_gen(args) -> int:
-    if args.workload == "fft":
-        plan = FftPlan(n=args.n, variant=args.variant, seed=args.seed)
-        items, manifest = gen_fft(plan)
+    if args.kind == "fft":
+        items, manifest = gen_fft(FftPlan(n=args.n, variant=args.variant, seed=args.seed))
     else:
         items, manifest = gen_axpy(args.n, args.a, seed=args.seed)
-    _write_file(args.output, write_vstream(items))
-    entries = _base_manifest(args, output=args.output)
-    entries.update(manifest)
-    _write_manifest(args.output, entries)
-    print(f"wrote {args.output} ({manifest['instructions']} instructions)")
-    return 0
+    return _write_outputs(args, [(args.output, write_vstream(items))],
+                          f"wrote {args.output} ({manifest['instructions']} instructions)",
+                          **manifest)
 
 
 def _cmd_emulate(args) -> int:
-    config = load_machine_config(args.config)
-    _, records = run(config, parse_vstream(Path(args.input).read_text()))
-    _write_file(args.output, write_trace(records))
-    _write_manifest(args.output, _base_manifest(
-        args, input=args.input, config=args.config or "<defaults>",
-        output=args.output, records=len(records)))
-    print(f"wrote {args.output} ({len(records)} records)")
-    return 0
+    _, records = run(load_machine_config(args.config), parse_vstream(Path(args.input).read_text()))
+    return _write_outputs(args, [(args.output, write_trace(records))],
+                          f"wrote {args.output} ({len(records)} records)", records=len(records))
 
 
 def _cmd_analyze(args) -> int:
-    trace = read_trace(Path(args.input).read_text())
-    timeline = simulate(trace, load_timing_params(args.timing))[0] if args.timing else None
-    metrics = phase_metrics(trace, timeline)
+    trace = _trace(args.input)
+    metrics = phase_metrics(trace, _timeline(trace, args.timing))
     text = metrics_to_csv(metrics) if args.csv else metrics_to_text(metrics)
-    if args.output:
-        _write_file(args.output, text)
-        _write_manifest(args.output, _base_manifest(
-            args, input=args.input, timing=args.timing or "<none>",
-            output=args.output))
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_outputs(args, [(args.output, text)], f"wrote {args.output}")
 
 
 def _cmd_to_prv(args) -> int:
-    pcf_path = str(Path(args.output).with_suffix(".pcf"))
-    if pcf_path == str(Path(args.output)):
-        print(f"error: {args.output} is also the .pcf output", file=sys.stderr)
-        return 2
-    trace = read_trace(Path(args.input).read_text())
-    timeline = simulate(trace, load_timing_params(args.timing))[0] if args.timing else None
-    doc = to_prv(trace, timeline)
+    trace = _trace(args.input)
+    doc = to_prv(trace, _timeline(trace, args.timing))
     prv_text, pcf_text = emit_prv(doc)
-    _write_file(args.output, prv_text)
-    _write_file(pcf_path, pcf_text)
-    _write_manifest(args.output, _base_manifest(
-        args, input=args.input, timing=args.timing or "<none>",
-        output=args.output, pcf=pcf_path, events=doc.record_count))
-    print(f"wrote {args.output} and {pcf_path}")
-    return 0
+    pcf_path = str(Path(args.output).with_suffix(".pcf"))
+    return _write_outputs(args, [(args.output, prv_text), (pcf_path, pcf_text)],
+                          f"wrote {args.output} and {pcf_path}",
+                          pcf=pcf_path, events=doc.record_count)
 
 
 def _cmd_simulate(args) -> int:
-    trace = read_trace(Path(args.input).read_text())
-    params = load_timing_params(args.timing)
-    entries, counters = simulate(trace, params)
-    _write_file(args.output, emit_timeline(entries))
-    outputs = {"output": args.output}
+    entries, counters = simulate(_trace(args.input), load_timing_params(args.timing))
+    texts = [(args.output, emit_timeline(entries))]
     if args.svg:
-        _write_file(args.svg, emit_timeline_svg(entries))
-        outputs["svg"] = args.svg
-    _write_manifest(args.output, _base_manifest(
-        args, input=args.input, timing=args.timing or "<defaults>", **outputs))
-    print(f"total_cycles={counters.total_cycles} "
-          f"vector_instrs={counters.vector_instr_count} "
-          f"scalar_instrs={counters.scalar_instr_count} "
-          f"mem_busy={counters.mem_busy_cycles} "
-          f"arith_busy={counters.arith_busy_cycles} "
-          f"overlap={counters.overlap_cycles} "
-          f"vpu_idle={counters.vpu_idle_cycles}")
-    return 0
+        texts.append((args.svg, emit_timeline_svg(entries)))
+    return _write_outputs(args, texts, f"total_cycles={counters.total_cycles} "
+                          f"vector_instrs={counters.vector_instr_count} "
+                          f"scalar_instrs={counters.scalar_instr_count} "
+                          f"mem_busy={counters.mem_busy_cycles} "
+                          f"arith_busy={counters.arith_busy_cycles} "
+                          f"overlap={counters.overlap_cycles} "
+                          f"vpu_idle={counters.vpu_idle_cycles}")
 
 
 def _cmd_schedule(args) -> int:
-    config = load_machine_config(args.config)
-    params = load_timing_params(args.timing)
     items = parse_vstream(Path(args.input).read_text())
-    scheduled, cycles_before, cycles_after = schedule_stream(items, params, config)
-    _write_file(args.output, write_vstream(scheduled))
-    _write_manifest(args.output, _base_manifest(
-        args, input=args.input, timing=args.timing or "<defaults>",
-        output=args.output, cycles_before=cycles_before,
-        cycles_after=cycles_after))
-    print(f"equivalence: ok; cycles {cycles_before} -> {cycles_after} "
-          f"(delta {cycles_after - cycles_before})")
-    return 0
+    scheduled, before, after = schedule_stream(
+        items, load_timing_params(args.timing), load_machine_config(args.config))
+    return _write_outputs(args, [(args.output, write_vstream(scheduled))],
+                          f"equivalence: ok; cycles {before} -> {after} "
+                          f"(delta {after - before})",
+                          cycles_before=before, cycles_after=after)
 
 
 def _cmd_compare(args) -> int:
     params = load_timing_params(args.timing)
-    trace_a = read_trace(Path(args.input_a).read_text())
-    trace_b = read_trace(Path(args.input_b).read_text())
+    trace_a, trace_b = _trace(args.input_a), _trace(args.input_b)
     report = compare(phase_metrics(trace_a, simulate(trace_a, params)[0]),
                      phase_metrics(trace_b, simulate(trace_b, params)[0]))
     text = report.to_csv() if args.csv else report.to_text()
-    if args.output:
-        _write_file(args.output, text)
-        _write_manifest(args.output, _base_manifest(
-            args, input_a=args.input_a, input_b=args.input_b,
-            timing=args.timing or "<defaults>", output=args.output))
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_outputs(args, [(args.output, text)], f"wrote {args.output}")
 
 
 def _keys_help(what: str, cls) -> str:
     return f"{what} file (keys: {', '.join(f.name for f in dataclasses.fields(cls))})"
 
 
-_MACHINE_HELP = _keys_help("machine config", MachineConfig)
-_TIMING_HELP = _keys_help("timing params", TimingParams)
+def _command(sub, name: str, func, help: str, inputs: dict[str, str], output: str,
+             *shared: str, timing: str = "<defaults>", required: bool = True):
+    """Add subcommand `name`: its `inputs` (name -> help), the `shared`
+    options ("timing", "config", "csv") it takes, then ``-o``, in the order
+    manifests list them.  An absent ``--timing`` means `timing`."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    for dest, what in inputs.items():
+        p.add_argument(dest, help=what)
+    if "timing" in shared:
+        p.add_argument("--timing", default=_Absent(timing),
+                       help=_keys_help("timing params", TimingParams))
+    if "config" in shared:
+        p.add_argument("--config", default=_Absent("<defaults>"),
+                       help=_keys_help("machine config", MachineConfig))
+    if "csv" in shared:
+        p.add_argument("--csv", action="store_true", help="CSV report (default: plain text)")
+    p.add_argument("-o", "--output", required=required, help=output)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="sdvkit",
-        description="long-vector RISC-V stream emulation and analysis toolkit")
+        prog="sdvkit", description="long-vector RISC-V stream emulation and analysis toolkit")
     parser.add_argument("--version", action="version", version=f"sdvkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a workload stream")
-    gen_sub = gen.add_subparsers(dest="workload", required=True)
-    gen_fft_p = gen_sub.add_parser("fft", help="radix-2 FFT workload")
-    gen_fft_p.add_argument("--n", type=int, required=True,
-                           help="transform size (power of two, 64..65536)")
-    gen_fft_p.add_argument("--variant", choices=("naive", "wide"), default="naive",
-                           help="vectorization variant (default: naive)")
-    gen_fft_p.add_argument("--seed", type=int, default=0, help="input data seed")
-    gen_fft_p.add_argument("-o", "--output", required=True, help="output .vs path")
-    gen_fft_p.set_defaults(func=_cmd_gen)
-    gen_axpy_p = gen_sub.add_parser("axpy", help="strip-mined y = a*x + y")
-    gen_axpy_p.add_argument("--n", type=int, required=True, help="vector length")
-    gen_axpy_p.add_argument("--a", type=float, default=2.0, help="scale factor")
-    gen_axpy_p.add_argument("--seed", type=int, default=0, help="input data seed")
-    gen_axpy_p.add_argument("-o", "--output", required=True, help="output .vs path")
-    gen_axpy_p.set_defaults(func=_cmd_gen)
-
-    emu = sub.add_parser("emulate", help="run a stream, write the trace")
-    emu.add_argument("input", help="input .vs stream")
-    emu.add_argument("-o", "--output", required=True, help="output .trace path")
-    emu.add_argument("--config", help=_MACHINE_HELP)
-    emu.set_defaults(func=_cmd_emulate)
-
-    ana = sub.add_parser("analyze", help="per-phase metrics report")
-    ana.add_argument("input", help="input .trace file")
-    ana.add_argument("--timing", help=_TIMING_HELP + "; adds cycles/IPC")
-    ana.add_argument("--csv", action="store_true",
-                     help="CSV report (default: plain text)")
-    ana.add_argument("-o", "--output", help="write report to a file")
-    ana.set_defaults(func=_cmd_analyze)
-
-    prv = sub.add_parser("to-prv", help="export Paraver .prv/.pcf")
-    prv.add_argument("input", help="input .trace file")
-    prv.add_argument("--timing", help=_TIMING_HELP + "; modeled cycles become time")
-    prv.add_argument("-o", "--output", required=True, help="output .prv path")
-    prv.set_defaults(func=_cmd_to_prv)
-
-    sim = sub.add_parser("simulate", help="cycle model: counters + timeline")
-    sim.add_argument("input", help="input .trace file")
-    sim.add_argument("--timing", help=_TIMING_HELP)
-    sim.add_argument("-o", "--output", required=True, help="timeline CSV path")
+    gen = sub.add_parser("gen", help="generate a workload stream").add_subparsers(
+        dest="kind", required=True)
+    fft = _command(gen, "fft", _cmd_gen, "radix-2 FFT workload", {}, "output .vs path")
+    fft.add_argument("--n", type=int, required=True,
+                     help="transform size (power of two, 64..65536)")
+    fft.add_argument("--variant", choices=("naive", "wide"), default="naive",
+                     help="vectorization variant (default: naive)")
+    axpy = _command(gen, "axpy", _cmd_gen, "strip-mined y = a*x + y", {}, "output .vs path")
+    axpy.add_argument("--n", type=int, required=True, help="vector length")
+    axpy.add_argument("--a", type=float, default=2.0, help="scale factor")
+    for gen_p in (fft, axpy):
+        gen_p.add_argument("--seed", type=int, default=0, help="input data seed")
+    _command(sub, "emulate", _cmd_emulate, "run a stream, write the trace",
+             {"input": "input .vs stream"}, "output .trace path", "config")
+    _command(sub, "analyze", _cmd_analyze, "per-phase metrics report",
+             {"input": "input .trace file"}, "write the report to a file",
+             "timing", "csv", timing="<none>", required=False)
+    _command(sub, "to-prv", _cmd_to_prv, "export Paraver .prv/.pcf",
+             {"input": "input .trace file"}, "output .prv path", "timing", timing="<none>")
+    sim = _command(sub, "simulate", _cmd_simulate, "cycle model: counters + timeline",
+                   {"input": "input .trace file"}, "timeline CSV path", "timing")
     sim.add_argument("--svg", help="also write an SVG timeline")
-    sim.set_defaults(func=_cmd_simulate)
-
-    sch = sub.add_parser("schedule", help="reschedule windows to overlap pipelines")
-    sch.add_argument("input", help="input .vs stream")
-    sch.add_argument("-o", "--output", required=True, help="output .vs path")
-    sch.add_argument("--timing", help=_TIMING_HELP)
-    sch.add_argument("--config", help=_MACHINE_HELP)
-    sch.set_defaults(func=_cmd_schedule)
-
-    cmp_p = sub.add_parser("compare", help="A/B report between two traces")
-    cmp_p.add_argument("input_a", help="baseline .trace")
-    cmp_p.add_argument("input_b", help="candidate .trace")
-    cmp_p.add_argument("--timing", help=_TIMING_HELP)
-    cmp_p.add_argument("--csv", action="store_true", help="CSV report")
-    cmp_p.add_argument("-o", "--output", help="write report to a file")
-    cmp_p.set_defaults(func=_cmd_compare)
+    _command(sub, "schedule", _cmd_schedule, "reschedule windows to overlap pipelines",
+             {"input": "input .vs stream"}, "output .vs path", "timing", "config")
+    _command(sub, "compare", _cmd_compare, "A/B report between two traces",
+             {"input_a": "baseline .trace", "input_b": "candidate .trace"},
+             "write the report to a file", "timing", "csv", required=False)
     return parser
 
 

@@ -163,7 +163,7 @@ class Memory:
     word i of an address array (`read_u64`, `write_u64`) at its i-th address.
     An empty range touches nothing and never faults.
 
-    `read_u64` and `write_u64` take one address or a uint64 array of them.
+    `read_u64` and `write_u64` take a uint64 array of addresses.
     When every address is 8-aligned, whole words move through a uint64 view
     of each page; otherwise each word's bytes move through a byte view.
     Where words overlap, the later one wins.
@@ -200,13 +200,10 @@ class Memory:
         for index, offset, pos, take in _page_walk(addr, len(data)):
             self._page(index)[offset:offset + take] = data[pos:pos + take]
 
-    def _cells(self, addr) -> tuple[np.ndarray, np.dtype]:
-        """The cells an access to the 8-byte words at `addr` moves, once every
-        word is known to fit: the words themselves when all are 8-aligned,
-        else each word's bytes, word by word; and the cell type."""
-        if np.ndim(addr) == 0:
-            self.check(addr, 8)
-        addrs = np.asarray(addr, dtype=_U64).reshape(-1)
+    def _cells(self, addrs: np.ndarray) -> tuple[np.ndarray, np.dtype]:
+        """The cells an access to the 8-byte words at `addrs` moves, once
+        every word is known to fit: the words themselves when all are
+        8-aligned, else each word's bytes, word by word; and the cell type."""
         # no word fits at or past this address
         bad = addrs >= _U64(max(0, self.limit - 7))
         if bad.any():
@@ -216,26 +213,21 @@ class Memory:
             return (addrs[:, None] + _WORD_BYTES).reshape(-1), _BYTE
         return addrs, _WORD
 
-    def read_u64(self, addr):
-        """The little-endian word at `addr`: an int for an int address, a
-        uint64 array for an address array."""
-        where, unit = self._cells(addr)
+    def read_u64(self, addrs: np.ndarray) -> np.ndarray:
+        """The little-endian words at `addrs`, as a uint64 array."""
+        where, unit = self._cells(addrs)
         where, back = np.unique(where, return_inverse=True)
         data = np.zeros(len(where), dtype=unit)
         for index, run, offsets in _page_runs(where, unit):
             page = self._pages.get(index)
             if page is not None:
                 data[run] = np.frombuffer(page, dtype=unit)[offsets]
-        words = data[back].view(_WORD)
-        return int(words[0]) if np.ndim(addr) == 0 else words
+        return data[back].view(_WORD)
 
-    def write_u64(self, addr, value) -> None:
-        """Store `value` (an int, or a uint64 array for an address array) as
-        little-endian words."""
-        where, unit = self._cells(addr)
-        if np.ndim(value) == 0:
-            value = int(value) & _U64_MASK
-        data = np.ascontiguousarray(value, dtype=_WORD).reshape(-1).view(unit)
+    def write_u64(self, addrs: np.ndarray, values: np.ndarray) -> None:
+        """Store the uint64 `values` as little-endian words at `addrs`."""
+        where, unit = self._cells(addrs)
+        data = np.ascontiguousarray(values, dtype=_WORD).view(unit)
         # the last word written to a cell wins: keep each cell's last writer
         where, last = np.unique(where[::-1], return_index=True)
         data = data[::-1][last]

@@ -161,14 +161,14 @@ def _vsetvli_window(e: _Emitter, vl: int, phase: int):
     e.vls[phase] = vl
 
 
-def _copy_pass(e: _Emitter, pairs, vl: int, phase: int, scalar: int = 4):
+def _copy_pass(e: _Emitter, pairs, vl: int, phase: int):
     """Unit-stride copy of (src, dst, elems) buffer pairs in vl-wide strips."""
     for src, dst, elems in pairs:
         for off in range(0, elems, vl):
             e.window_mark()
             e.add(ItemKind.SET_XREG, 10, src + 8 * off)
             e.add(ItemKind.SET_XREG, 11, dst + 8 * off)
-            e.loop_body(phase, scalar)
+            e.loop_body(phase, 4)
             e.instr("vle64.v v1, (x10)")
             e.instr("vse64.v v1, (x11)")
 

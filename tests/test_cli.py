@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 from pathlib import Path
@@ -339,3 +340,75 @@ def test_manifest_and_stdout_are_pinned(inputs, capsys, argv, said, manifest):
     output = argv[argv.index("-o") + 1]
     assert Path(output + ".manifest").read_text() == f"tool = sdvkit {__version__}\n" + manifest
 
+
+def _subcommand_parser(names):
+    parser = build_parser()
+    for name in names:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+def _argv_from_manifest(text: str) -> list[str]:
+    """The command line a manifest records, rebuilt from the subcommand's
+    options: a label such as ``<defaults>`` stands for an option not given."""
+    entries = dict(line.split(" = ", 1) for line in text.splitlines())
+    names = [entries["command"]] + ([entries["kind"]] if entries["command"] == "gen" else [])
+    argv = list(names)
+    for action in _subcommand_parser(names)._actions:
+        value = entries.get(action.dest)
+        if value is None or value.startswith("<"):
+            continue
+        if not action.option_strings:
+            argv.append(value)
+        elif action.nargs == 0:
+            assert value == "true"
+            argv.append(action.option_strings[0])
+        else:
+            argv += [action.option_strings[0], value]
+    return argv
+
+
+# each subcommand with every option given, writing into one/
+_EVERY_OPTION = [
+    "gen fft --n 64 --variant wide --seed 2 -o one/w.vs",
+    "gen axpy --n 300 --a 1.5 --seed 3 -o one/x.vs",
+    "emulate a.vs --config m.ini -o one/e.trace",
+    "analyze a.trace --timing t.ini --csv -o one/r.csv",
+    "to-prv a.trace --timing t.ini -o one/p.prv",
+    "simulate a.trace --timing t.ini -o one/s.csv --svg one/s.svg",
+    "schedule f.vs --timing t.ini --config m.ini -o one/s.vs",
+    "compare f.trace g.trace --timing t.ini --csv -o one/c.csv",
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_OPTION, ids=[a.split(" -o")[0] for a in _EVERY_OPTION])
+def test_rerunning_a_manifest_reproduces_its_outputs(inputs, argv):
+    for name, variant in (("f", "naive"), ("g", "wide")):
+        assert run_cli("gen", "fft", "--n", 64, "--variant", variant, "-o", f"{name}.vs") == 0
+        assert run_cli("emulate", f"{name}.vs", "-o", f"{name}.trace") == 0
+    argv = argv.split()
+    manifest = Path(argv[argv.index("-o") + 1] + ".manifest")
+    os.mkdir("one")
+    os.mkdir("two")
+    assert run_cli(*argv) == 0
+    rebuilt = [arg.replace("one/", "two/") for arg in _argv_from_manifest(manifest.read_text())]
+    assert run_cli(*rebuilt) == 0
+    names = sorted(os.listdir("one"))
+    assert names == sorted(os.listdir("two"))
+    for name in names:
+        first, second = Path("one", name).read_bytes(), Path("two", name).read_bytes()
+        if name.endswith(".manifest"):  # path values name their own directory
+            second = second.replace(b"two/", b"one/")
+        assert first == second, name
+
+
+@pytest.mark.parametrize("svg", ["x.csv", "x.csv.manifest"])
+def test_outputs_that_share_a_path_are_exit_2(inputs, capsys, svg):
+    before = sorted(os.listdir())
+    capsys.readouterr()
+    assert run_cli("simulate", "a.trace", "-o", "x.csv", "--svg", svg) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+    assert svg in err.replace(":", " ").split()
+    assert sorted(os.listdir()) == before
