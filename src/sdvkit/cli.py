@@ -9,8 +9,8 @@ reproduces the output byte for byte.  A manifest lists ``key = value`` lines:
 the tool, the command, every argument in the order the parser defines it (a
 flag only when set, ``true``; an absent ``--timing`` or ``--config`` by the
 label of what runs instead, ``<defaults>`` or ``<none>``), then what the run
-found, such as record counts.  When two files a command would write (its
-outputs and the manifest) share a path, it exits 2 and writes nothing.
+found, such as record counts.  When a command's outputs and manifest share a
+path with each other or with its inputs, it exits 2 and writes nothing.
 
 Exit codes: 0 success, 1 domain error (bad input data, failed equivalence),
 2 usage or I/O error.
@@ -63,20 +63,22 @@ class _Absent(str):
 def _write_outputs(args, texts: list[tuple[str, str]], said: str, **results) -> int:
     """Write each (path, text) and ``<args.output>.manifest``, whose entries
     end with `results` (a result takes the place of an argument it restates),
-    then print `said`; or exit 2, writing nothing, if two paths clash.  A
-    report without ``-o`` goes to stdout, with no manifest."""
+    then print `said`; or exit 2, writing nothing, if a path is another's or an
+    input's (``args.reads``).  Without ``-o``, only the report is printed."""
     if args.output is None:
         sys.stdout.write(texts[0][1])
         return 0
     paths = [path for path, _ in texts] + [f"{args.output}.manifest"]
-    resolved = [Path(path).resolve() for path in paths]
-    for i, path in enumerate(paths):
-        if resolved[i] in resolved[:i]:
-            print(f"error: two outputs share the path {path}", file=sys.stderr)
+    taken = {Path(p).resolve(): "an input" for p in map(vars(args).get, args.reads) if p}
+    for path in paths:
+        if other := taken.get(where := Path(path).resolve()):
+            print(f"error: an output and {other} share the path {path}", file=sys.stderr)
             return 2
+        taken[where] = "another output"
     entries = {"tool": f"sdvkit {__version__}", "command": args.command}
+    skip = (*entries, *results, "func", "reads")
     for key, value in vars(args).items():
-        if key not in (*entries, *results, "func") and value is not None and value is not False:
+        if key not in skip and value is not None and value is not False:
             entries[key] = "true" if value is True else value
     entries.update(results)
     manifest = "".join(f"{key} = {value}\n" for key, value in entries.items())
@@ -171,7 +173,7 @@ def _command(sub, name: str, func, help: str, inputs: dict[str, str], output: st
     options ("timing", "config", "csv") it takes, then ``-o``, in the order
     manifests list them.  An absent ``--timing`` means `timing`."""
     p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func)
+    p.set_defaults(func=func, reads=[*inputs, *(s for s in shared if s in ("timing", "config"))])
     for dest, what in inputs.items():
         p.add_argument(dest, help=what)
     if "timing" in shared:

@@ -91,13 +91,12 @@ def _pro_pc(phase: int) -> int:
     return 0x40_0000 + phase * 0x1000
 
 
-_MEM_CHUNK = 8  # values per .memf64/.memu64 item
 _VLMAX = MachineConfig().vlmax(64)
 
 
 class _Emitter(StreamBuilder):
-    """A StreamBuilder fed instruction text that numbers windows from 1, splits
-    memory images into _MEM_CHUNK-value directives and counts what it emits."""
+    """A StreamBuilder fed instruction text that numbers windows from 1, writes
+    each memory image as one directive and counts what it emits."""
 
     def __init__(self):
         super().__init__()
@@ -108,9 +107,7 @@ class _Emitter(StreamBuilder):
         self.add(ItemKind.WINDOW_MARK, None, self.window + 1)
 
     def mem(self, kind: ItemKind, address: int, values: np.ndarray):
-        values = values.tolist()  # Python floats or ints, by the array's dtype
-        for i in range(0, len(values), _MEM_CHUNK):
-            self.add(kind, address + 8 * i, *values[i:i + _MEM_CHUNK])
+        self.add(kind, address, *values.tolist())  # Python floats or ints, by dtype
 
     def instr(self, text: str):
         self.instruction(self._parse(text))

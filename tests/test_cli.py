@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import re
 from pathlib import Path
@@ -412,3 +413,49 @@ def test_outputs_that_share_a_path_are_exit_2(inputs, capsys, svg):
     assert out == "" and err.startswith("error: ")
     assert svg in err.replace(":", " ").split()
     assert sorted(os.listdir()) == before
+
+
+# a command line whose output, SVG or manifest is a file it reads; the last
+# reads its timing from the path its manifest would take
+_OVER_AN_INPUT = [
+    "schedule a.vs -o a.vs",
+    "emulate a.vs -o a.vs",
+    "emulate a.vs --config m.ini -o m.ini",
+    "to-prv a.trace -o a.trace",
+    "simulate a.trace -o a.trace",
+    "simulate a.trace -o out.csv --svg a.trace",
+    "simulate a.trace --timing t.ini -o t.ini",
+    "analyze a.trace -o a.trace",
+    "compare a.trace a.trace -o a.trace",
+    "simulate a.trace --timing s.csv.manifest -o s.csv",
+]
+
+
+@pytest.mark.parametrize("argv", _OVER_AN_INPUT)
+def test_an_output_over_an_input_is_exit_2(inputs, capsys, argv):
+    Path("s.csv.manifest").write_text(Path("t.ini").read_text())
+    before = {name: Path(name).read_bytes() for name in os.listdir()}
+    capsys.readouterr()
+    assert run_cli(*argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: an output and an input share the path ")
+    assert {name: Path(name).read_bytes() for name in os.listdir()} == before
+
+
+# gen's stream text (seed 1) -> its sha256, with each memory image written as
+# one .memf64/.memu64 directive; a change to the stream text must be declared
+_PINNED_STREAMS = {
+    "fft --n 256 --variant naive":
+        "b8db5a1d82a2c7347275a3af9f9e6308908d603cfacb283f48dc47b2490f5f01",
+    "fft --n 256 --variant wide":
+        "3c7e7b170cf36a09976c30ea71a233eebe536ceee5d99a9c9e2a05a3152293ac",
+    "axpy --n 1000":
+        "592712ff4b891a99c41beb0c71f8465420374a89c3d436c5f857669e62986019",
+}
+
+
+@pytest.mark.parametrize("workload", _PINNED_STREAMS)
+def test_generated_stream_text_is_pinned(tmp_path, workload):
+    vs = tmp_path / "g.vs"
+    assert run_cli("gen", *workload.split(), "--seed", 1, "-o", vs) == 0
+    assert hashlib.sha256(vs.read_bytes()).hexdigest() == _PINNED_STREAMS[workload]

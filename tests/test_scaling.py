@@ -7,7 +7,9 @@ guarded here over streams in which no two instructions are equal, so every
 record binds a new handler.  The
 scheduler has three: `schedule_stream` per record as the stream grows, once
 with every window alike and once with no two alike, and `build_dependences`
-per address range as the ranges of each record grow."""
+per address range as the ranges of each record grow.  `parse_vstream` and
+`write_vstream` are also guarded per value of one `.memf64` or `.memu64`
+line, since a generated memory image is one directive however long."""
 
 import time
 
@@ -107,6 +109,27 @@ def test_layer_scales_linearly(prepare):
     ratio = (_per_record_seconds(prepare(long), len(long), 2)
              / _per_record_seconds(prepare(short), len(short), 5))
     assert ratio < 3, f"per-record time grew {ratio:.1f}x from 512 to 8,192 records"
+
+
+def _image(kind, count):
+    """One memory-image item of `count` values that print at full width."""
+    values = ([k / 7 - 1e6 for k in range(count)] if kind is ItemKind.INIT_MEM_F64
+              else [(k * 0x9E3779B97F4A7C15) % 2 ** 64 for k in range(count)])
+    return [StreamItem(kind, 0, target=0x10000, values=tuple(values))]
+
+
+@pytest.mark.parametrize("layer", ["parse_vstream", "write_vstream"])
+@pytest.mark.parametrize("kind", [ItemKind.INIT_MEM_F64, ItemKind.INIT_MEM_U64],
+                         ids=[".memf64", ".memu64"])
+def test_vstream_scales_linearly_in_the_values_of_one_directive(kind, layer):
+    few, many = _image(kind, 512), _image(kind, 8192)
+    if layer == "parse_vstream":
+        few, many = write_vstream(few), write_vstream(many)
+        assert parse_vstream(many) == _image(kind, 8192)
+    work = parse_vstream if layer == "parse_vstream" else write_vstream
+    ratio = (_per_record_seconds(lambda: work(many), 8192, 5)
+             / _per_record_seconds(lambda: work(few), 512, 40))
+    assert ratio < 3, f"per-value time grew {ratio:.1f}x from 512 to 8,192 values"
 
 
 def _scattered_words(count, offset):

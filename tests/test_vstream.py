@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdvkit import workloads
 from sdvkit.errors import (MalformedNumber, StreamSyntaxError, UnknownDirective)
 from sdvkit.isa import Instruction, parse_instruction
 from sdvkit.vstream import (ItemKind, StreamBuilder, StreamItem, parse_vstream,
@@ -195,6 +196,25 @@ def _bits(items):
 def test_generated_streams_follow_the_parser(make):
     items, _ = make()
     assert _bits(parse_vstream(write_vstream(items))) == _bits(items)
+
+
+_GENERATED = ([("fft", variant, 64 << k) for variant in ("naive", "wide") for k in range(8)]
+              + [("axpy", None, n) for n in (1, 255, 256, 257, 1000, 100_000)])
+
+
+@pytest.mark.parametrize("kind, variant, n", _GENERATED,
+                         ids=["-".join(map(str, filter(None, g))) for g in _GENERATED])
+def test_generated_text_round_trips_with_one_directive_per_image(monkeypatch, kind, variant, n):
+    images, mem = [], workloads._Emitter.mem
+    monkeypatch.setattr(workloads._Emitter, "mem",
+                        lambda self, *image: images.append(image) or mem(self, *image))
+    items, _ = gen_fft(FftPlan(n, variant, seed=1)) if kind == "fft" else gen_axpy(n, 2.0, seed=1)
+    text = write_vstream(items)
+    assert write_vstream(parse_vstream(text)) == text
+    directives = [line.split() for line in text.splitlines() if line.startswith(".mem")]
+    assert [(d[0], int(d[1], 0), len(d) - 2) for d in directives] == [
+        (".memf64" if k is ItemKind.INIT_MEM_F64 else ".memu64", address, len(values))
+        for k, address, values in images]
 
 
 _WORDS = st.sampled_from([
