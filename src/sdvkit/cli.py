@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .analysis import compare, metrics_to_csv, metrics_to_text, phase_metrics
-from .config import MachineConfig, load_machine_config, load_timing_params
+from .config import MachineConfig, load_machine_config, load_timing_params, read_input
 from .emulator import run
 from .errors import SdvError
 from .prv import emit_prv, to_prv
@@ -39,18 +40,28 @@ from .workloads import FftPlan, gen_axpy, gen_fft
 
 
 def _write_file(path: str, text: str) -> None:
-    """Write-then-rename: never leaves a partial output file behind."""
+    """Write-then-rename: never leaves a partial output file behind.  The text
+    goes first to a file created anew beside the output, under the first of
+    ``<output>.tmp``, ``<output>.1.tmp``, ... that does not exist, so no file
+    but the output is ever replaced."""
     target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
     try:
-        tmp.write_text(text)
-        os.replace(tmp, target)
+        for k in itertools.count():
+            tmp = target.with_name(f"{target.name}.{k}.tmp" if k else f"{target.name}.tmp")
+            with contextlib.suppress(FileExistsError):
+                handle = open(tmp, "x", encoding="utf-8")
+                break
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
     except OSError as err:
         err.filename, err.filename2 = path, None  # name the output, not the temp file
         raise
-    finally:
-        with contextlib.suppress(OSError):  # absent, or its parent is not a directory
-            tmp.unlink()
 
 
 class _Absent(str):
@@ -89,7 +100,7 @@ def _write_outputs(args, texts: list[tuple[str, str]], said: str, **results) -> 
 
 
 def _trace(path: str) -> list:
-    return read_trace(Path(path).read_text())
+    return read_trace(read_input(path))
 
 
 def _timeline(trace, timing):
@@ -108,7 +119,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_emulate(args) -> int:
-    _, records = run(load_machine_config(args.config), parse_vstream(Path(args.input).read_text()))
+    _, records = run(load_machine_config(args.config), parse_vstream(read_input(args.input)))
     return _write_outputs(args, [(args.output, write_trace(records))],
                           f"wrote {args.output} ({len(records)} records)", records=len(records))
 
@@ -145,7 +156,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    items = parse_vstream(Path(args.input).read_text())
+    items = parse_vstream(read_input(args.input))
     scheduled, before, after = schedule_stream(
         items, load_timing_params(args.timing), load_machine_config(args.config))
     return _write_outputs(args, [(args.output, write_vstream(scheduled))],

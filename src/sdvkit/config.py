@@ -3,13 +3,17 @@
 Both file kinds share one syntax (``key = value`` lines, ``#`` comments,
 ignored ``[section]`` headers) and take only the fields of their dataclass;
 unset keys keep their defaults.  A machine file (``--config``) takes the
-`MachineConfig` keys ``vlen_bits`` (a power of two, at least 128) and
-``memory_bytes`` (in [1, 2^64], so every byte has a u64 address).  A timing
-file (``--timing``) takes the `TimingParams` keys: the four
-``*_elems_per_cycle`` rates, ``mem_latency_cycles``, ``arith_latency_cycles``,
-``scalar_cycles_per_instr``, ``vector_queue_depth`` and ``chaining``.  An
-unknown or repeated key, a value that is not of its field's type (integer;
-boolean for ``chaining``) or outside its field's domain raises an `SdvError`.
+`MachineConfig` keys ``vlen_bits`` (a power of two in [128, 65536], the
+RVV 1.0 limit on VLEN) and ``memory_bytes`` (in [1, 2^64], so every byte has
+a u64 address).  A timing file (``--timing``) takes the `TimingParams` keys:
+the four ``*_elems_per_cycle`` rates, ``mem_latency_cycles``,
+``arith_latency_cycles``, ``scalar_cycles_per_instr``, ``vector_queue_depth``
+and ``chaining``.  An unknown or repeated key, a value that is not of its
+field's type (integer; boolean for ``chaining``) or outside its field's
+domain raises an `SdvError`.
+
+Every input file a command reads, config or not, is read by `read_input` as
+UTF-8 text; a file that does not decode raises an `SdvError` naming it.
 """
 
 from __future__ import annotations
@@ -36,13 +40,22 @@ class MachineConfig:
     memory_bytes: int = 2 ** 28
 
     def __post_init__(self):
-        if self.vlen_bits < 128 or self.vlen_bits & (self.vlen_bits - 1):
-            raise ValueError("vlen_bits must be a power of two >= 128")
+        if not 128 <= self.vlen_bits <= 1 << 16 or self.vlen_bits & (self.vlen_bits - 1):
+            raise ValueError("vlen_bits must be a power of two in [128, 65536]")
         if not 1 <= self.memory_bytes <= 1 << 64:
             raise ValueError("memory_bytes must be in [1, 2**64]")
 
     def vlmax(self, sew_bits: int = 64, lmul: int = 1) -> int:
         return (self.vlen_bits // sew_bits) * lmul
+
+
+def read_input(path: str | Path) -> str:
+    """The text of input file `path`, decoded as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SdvError(f"{path}: not UTF-8 text (byte 0x{err.object[err.start]:02x} "
+                       f"at offset {err.start})") from None
 
 
 def _parse_kv(text: str) -> dict[str, str]:
@@ -79,7 +92,7 @@ def _load(path: str | Path | None, cls: type, kind: str):
         return cls()
     types = typing.get_type_hints(cls)
     kwargs = {}
-    for key, value in _parse_kv(Path(path).read_text()).items():
+    for key, value in _parse_kv(read_input(path)).items():
         if key not in types:
             raise SdvError(f"unknown {kind} parameter {key!r}")
         kwargs[key] = _coerce(key, value, types[key])

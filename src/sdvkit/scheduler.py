@@ -17,23 +17,10 @@ The scheduling heuristic alternates pipelines when it can, then prefers the
 longest critical path, then original order.  If the heuristic ever produces a
 slower schedule under the cycle model, the original order is returned instead,
 so rescheduling never loses cycles.
-
-`schedule_stream` orders each distinct window shape once per call.  A
-window's order depends only on each record's ``(instr, vl, scalar_before)``
-and on the window-relative set of overlapping record pairs, since
-`reschedule_order`, `build_dependences`, `occupancy`, `pipeline_of` and the
-window's `simulate` read nothing else.  FFT loop bodies repeat, so most
-windows reuse an order already chosen.
-
-`schedule_stream` emulates the input and, when anything moved, the scheduled
-stream, once each.  It compares the two final states with
-`verify_equivalence`, which compares one bit-exact snapshot of each, before
-it trusts the new order, and raises `NotEquivalent` if they differ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from struct import pack
 from typing import Optional, Sequence, Union
@@ -55,18 +42,6 @@ _StreamOrState = Union[str, Sequence[StreamItem], MachineState]
 # instruction writes it, every other instruction reads it
 _VL = frozenset((0,))
 _VL_READ, _VL_WRITE = (_VL, frozenset()), (frozenset(), _VL)
-
-
-@dataclass
-class DependenceGraph:
-    labels: dict = field(default_factory=dict)   # (src, dst) -> set of labels
-
-    def add(self, src: int, dst: int, label: str):
-        if src != dst:
-            self.labels.setdefault((src, dst), set()).add(label)
-
-    def edge_labels(self, src: int, dst: int) -> set:
-        return self.labels.get((src, dst), set())
 
 
 def _disjoint_intervals(ranges) -> list[tuple[int, int]]:
@@ -102,9 +77,15 @@ def _memory_conflicts(window: Sequence[TraceRecord]) -> set[tuple[int, int]]:
     return conflicts
 
 
-def build_dependences(window: Sequence[TraceRecord]) -> DependenceGraph:
-    """Dependence graph over one contiguous window of trace records."""
-    graph = DependenceGraph()
+def build_dependences(window: Sequence[TraceRecord]) -> dict[tuple[int, int], set[str]]:
+    """Dependence edges over one contiguous window of trace records: each
+    ``(src, dst)`` pair, ``src != dst``, with its set of labels."""
+    graph: dict[tuple[int, int], set[str]] = {}
+
+    def add(src: int, dst: int, label: str):
+        if src != dst:
+            graph.setdefault((src, dst), set()).add(label)
+
     # per register file (vector, scalar, vl/vtype): reg -> its last writer,
     # reg -> its readers since then
     vregs, xregs, vl = ({}, {}), ({}, {}), ({}, {})
@@ -116,18 +97,18 @@ def build_dependences(window: Sequence[TraceRecord]) -> DependenceGraph:
                 (vl, _VL_WRITE if instr.category == Category.CONFIG else _VL_READ)):
             for reg in uses:
                 if reg in writer:
-                    graph.add(writer[reg], i, RAW)
+                    add(writer[reg], i, RAW)
                 readers.setdefault(reg, []).append(i)
             for reg in defs:
                 if reg in writer:
-                    graph.add(writer[reg], i, WAW)
+                    add(writer[reg], i, WAW)
                 for reader in readers.get(reg, ()):
-                    graph.add(reader, i, WAR)
+                    add(reader, i, WAR)
                 writer[reg] = i
                 readers[reg] = []
 
     for i, j in _memory_conflicts(window):
-        graph.add(i, j, MEM_ORDER)
+        add(i, j, MEM_ORDER)
     return graph
 
 
@@ -143,7 +124,7 @@ def reschedule_order(window: Sequence[TraceRecord],
     pipes = [pipeline_of(r.instr.category) for r in window]
     succs: list[list[int]] = [[] for _ in range(n)]  # each in ascending order
     indegree = [0] * n
-    for src, dst in sorted(graph.labels):
+    for src, dst in sorted(graph):
         succs[src].append(dst)
         indegree[dst] += 1
 
@@ -179,11 +160,6 @@ def reschedule_order(window: Sequence[TraceRecord],
     return order
 
 
-def reschedule(window: Sequence[TraceRecord],
-               params: Optional[TimingParams] = None) -> list[TraceRecord]:
-    return [window[i] for i in reschedule_order(window, params)]
-
-
 def schedule_stream(items: Sequence[StreamItem],
                     params: Optional[TimingParams] = None,
                     config: Optional[MachineConfig] = None
@@ -202,10 +178,10 @@ def schedule_stream(items: Sequence[StreamItem],
 
     Each unit is keyed by the ``(instr, vl, scalar_before)`` of its records and
     the set of its record pairs whose byte ranges conflict, and
-    `reschedule_order` runs only for a key not seen before in this call.  The
-    key is complete: the order reads only those three fields of a record, plus
-    the overlap set, so ``seq``, ``pc``, ``phase``, ``sew_bits`` and the raw
-    addresses never change it.
+    `reschedule_order` runs only for a key not seen before in this call, so
+    repeated loop bodies reuse an order.  The key is complete: the order reads
+    only those three fields of a record, plus the overlap set, so ``seq``,
+    ``pc``, ``phase``, ``sew_bits`` and the raw addresses never change it.
 
     Each stream is emulated once.  When anything moved, the final state of the
     scheduled stream is compared with the input's by `verify_equivalence`, and
@@ -277,13 +253,3 @@ def verify_equivalence(config: Optional[MachineConfig], stream_a: _StreamOrState
     ``config``, or the final `MachineState` of a stream already emulated."""
     return _snapshot(config, stream_a) == _snapshot(config, stream_b)
 
-
-def trace_windows(records: Sequence[TraceRecord]) -> list[list[TraceRecord]]:
-    """Split a trace into its contiguous same-window slices."""
-    windows: list[list[TraceRecord]] = []
-    for record in records:
-        if windows and windows[-1][0].window_id == record.window_id:
-            windows[-1].append(record)
-        else:
-            windows.append([record])
-    return windows

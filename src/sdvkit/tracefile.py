@@ -76,8 +76,10 @@ def read_trace(text: str) -> list[TraceRecord]:
     lines = text.splitlines()
     if not lines or lines[0] != HEADER:
         raise TraceFormatError(f"missing header {HEADER!r}", 1)
-    # each distinct phase:scalar_before:vl:sew:category:mnemonic run parsed once
+    # each distinct phase:scalar_before:vl:sew:category:mnemonic run parsed
+    # once, and each distinct mnemonic text within them once
     middles: dict[str, tuple[int, int, Instruction, int, int]] = {}
+    instrs: dict[str, Instruction] = {}
     records: list[TraceRecord] = []
     for line_no, line in enumerate(lines[1:], start=2):
         m = _LINE.fullmatch(line)
@@ -92,13 +94,16 @@ def read_trace(text: str) -> list[TraceRecord]:
         parsed = middles.get(middle)
         if parsed is None:
             phase, scalar_before, vl, sew, category, asm = middle.split(":")
-            try:
-                instr = parse_instruction(asm)
-            except SdvError as err:
-                raise TraceFormatError(str(err), line_no) from err
-            if disassemble(instr) != asm:
-                raise TraceFormatError(f"mnemonic field {asm!r} is not canonical "
-                                       f"(expected {disassemble(instr)!r})", line_no)
+            instr = instrs.get(asm)
+            if instr is None:
+                try:
+                    instr = parse_instruction(asm)
+                except SdvError as err:
+                    raise TraceFormatError(str(err), line_no) from err
+                if disassemble(instr) != asm:
+                    raise TraceFormatError(f"mnemonic field {asm!r} is not canonical "
+                                           f"(expected {disassemble(instr)!r})", line_no)
+                instrs[asm] = instr
             if category != instr.category.value:
                 raise TraceFormatError(
                     f"category {category!r} contradicts {instr.mnemonic} "

@@ -459,3 +459,75 @@ def test_generated_stream_text_is_pinned(tmp_path, workload):
     vs = tmp_path / "g.vs"
     assert run_cli("gen", *workload.split(), "--seed", 1, "-o", vs) == 0
     assert hashlib.sha256(vs.read_bytes()).hexdigest() == _PINNED_STREAMS[workload]
+
+
+def _files():
+    return {name: Path(name).read_bytes() for name in os.listdir()}
+
+
+@pytest.mark.parametrize("argv, bystanders", [
+    ("schedule x.vs.tmp -o x.vs", []),
+    ("emulate x.vs.tmp -o y.trace", ["y.trace.tmp", "y.trace.1.tmp"]),
+])
+def test_the_temp_file_replaces_no_input_or_bystander(inputs, argv, bystanders):
+    assert run_cli("gen", "fft", "--n", 64, "-o", "x.vs.tmp") == 0
+    for name in bystanders:
+        Path(name).write_text(f"not {name}\n")
+    kept = {name: Path(name).read_bytes() for name in ["x.vs.tmp", *bystanders]}
+    assert run_cli(*argv.split()) == 0
+    assert {name: Path(name).read_bytes() for name in kept} == kept
+    assert sorted(map(str, Path().glob("*.tmp"))) == sorted(kept)
+    output = argv.split()[-1]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert os.stat(output).st_mode & 0o777 == 0o666 & ~umask
+
+
+# a command line reading the file ``bad``, which holds one 0xff byte
+_READS_BAD = [
+    "emulate bad -o out",
+    "emulate a.vs --config bad -o out",
+    "schedule bad -o out",
+    "schedule a.vs --config bad -o out",
+    "schedule a.vs --timing bad -o out",
+    "analyze bad",
+    "analyze a.trace --timing bad",
+    "simulate bad -o out",
+    "simulate a.trace --timing bad -o out",
+    "to-prv bad -o out",
+    "to-prv a.trace --timing bad -o out",
+    "compare bad a.trace",
+    "compare a.trace bad",
+    "compare a.trace a.trace --timing bad",
+]
+
+
+@pytest.mark.parametrize("argv", _READS_BAD)
+def test_an_input_that_is_not_utf8_is_exit_1(inputs, capsys, argv):
+    Path("bad").write_bytes(b"#sdvkit-trace v1\n\xff\n")
+    before = _files()
+    capsys.readouterr()
+    assert run_cli(*argv.split()) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad: not UTF-8 text (byte 0xff at offset 17)\n"
+    assert _files() == before
+
+
+@pytest.mark.parametrize("command", ["emulate", "schedule"])
+def test_vlen_above_65536_bits_is_exit_1(inputs, capsys, command):
+    Path("big.ini").write_text("vlen_bits = 131072\n")
+    before = _files()
+    capsys.readouterr()
+    assert run_cli(command, "a.vs", "--config", "big.ini", "-o", "out") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: big.ini: vlen_bits must be a power of two in [128, 65536]")
+    assert _files() == before
+
+
+def test_vlen_of_65536_bits_emulates(inputs):
+    Path("max.ini").write_text("vlen_bits = 65536\n")
+    assert run_cli("gen", "axpy", "--n", 100, "-o", "s.vs") == 0
+    assert run_cli("emulate", "s.vs", "--config", "max.ini", "-o", "s.trace") == 0
+    assert ":100:64:" in Path("s.trace").read_text()

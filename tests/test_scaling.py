@@ -241,7 +241,7 @@ def _interleaved_window(ranges, records=24):
 
 def test_build_dependences_scales_linearly_in_ranges():
     few, many = _interleaved_window(16), _interleaved_window(256)
-    assert not any(MEM_ORDER in labels for labels in build_dependences(many).labels.values())
+    assert not any(MEM_ORDER in labels for labels in build_dependences(many).values())
     ratio = (_per_record_seconds(lambda: build_dependences(many), 24 * 256, 3)
              / _per_record_seconds(lambda: build_dependences(few), 24 * 16, 10))
     assert ratio < 3, f"per-range time grew {ratio:.1f}x from 16 to 256 ranges a record"

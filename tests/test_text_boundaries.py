@@ -4,11 +4,13 @@ stream items.  This scans the package source for every reference to the text
 converters and names the function that holds it."""
 
 import ast
+import re
 from pathlib import Path
 
 import sdvkit
 
 PACKAGE = Path(sdvkit.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # converter -> the functions allowed to use it, as module.[Class.]function
 ALLOWED = {
@@ -78,3 +80,64 @@ def test_stream_items_are_built_only_in_vstream():
                 if name == "StreamItem":
                     callers.add(path.stem)
     assert callers == {"vstream"}
+
+
+# public names that neither the package nor perfbench uses, each with its reason
+UNUSED_ALLOWED = {
+    "decoding.decode_word": "acceptance criterion 9 decodes binary instruction words with it",
+    "analysis.pc_profile": "acceptance criterion 10 reads the per-pc profile",
+    "prv.parse_prv": "acceptance criterion 5 round-trips Paraver documents through it",
+    "workloads.oracle_axpy": "the reference result axpy streams are checked against",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public top-level function or class and
+    each public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _names_used(tree: ast.AST, skip: ast.AST = None, strings: bool = False) -> set[str]:
+    """Every name and attribute `tree` references outside the subtree `skip`,
+    and with `strings` every identifier in its string constants, as perfbench
+    names the hooks it installs."""
+    names: set[str] = set()
+
+    def visit(node):
+        if node is skip:
+            return
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(re.findall(r"\w+", node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return names
+
+
+def test_every_public_name_is_used_outside_tests():
+    """A public function, class or method is used by another part of the
+    package or by perfbench, not only by the tests.  Uses are matched by name,
+    and neither a definition's own body nor ``__init__``'s re-export counts."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    bench = set().union(*(_names_used(ast.parse(path.read_text(), str(path)), strings=True)
+                          for path in sorted(PERFBENCH.glob("*.py"))))
+    unused = set()
+    for module, tree in trees.items():
+        others = set().union(*(_names_used(t) for m, t in trees.items() if m != module))
+        for qualified, node in _public_definitions(tree):
+            if node.name not in others | bench | _names_used(tree, skip=node):
+                unused.add(f"{module}.{qualified}")
+    assert unused == set(UNUSED_ALLOWED), sorted(unused)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdvkit import tracefile
 from sdvkit.errors import TraceFormatError
 from sdvkit.isa import Category, parse_instruction
 from sdvkit.tracefile import HEADER, TraceRecord, read_trace, write_trace
@@ -75,6 +76,31 @@ def test_rewrite_is_byte_identical():
             for i in range(50)]
     text = write_trace(recs)
     assert write_trace(read_trace(text)) == text
+
+
+def test_each_distinct_mnemonic_text_is_parsed_once(monkeypatch):
+    texts = ["vid.v v1", "vfadd.vv v2, v1, v1", "vsetvli x10, x2, e64, m1"]
+    recs = [TraceRecord(seq=i, pc=4 * i, phase=i % 3, scalar_before=0,
+                        instr=parse_instruction(texts[i % 3]), vl=1 + i % 7, sew_bits=64)
+            for i in range(60)]
+    text = write_trace(recs)
+    calls = []
+
+    def counted(asm):
+        calls.append(asm)
+        return parse_instruction(asm)
+
+    monkeypatch.setattr(tracefile, "parse_instruction", counted)
+    assert read_trace(text) == recs
+    assert sorted(calls) == sorted(texts)
+
+
+def test_category_is_checked_on_each_run_of_a_parsed_mnemonic():
+    # the second line reuses the first's mnemonic text under another vl
+    with pytest.raises(TraceFormatError) as excinfo:
+        read_trace(HEADER + "\n0:0x0:0:0:8:64:ARITH_INT:vid.v v1::0"
+                            "\n1:0x4:0:0:4:64:CONFIG:vid.v v1::0\n")
+    assert excinfo.value.line == 3
 
 
 def test_missing_header():
