@@ -1,6 +1,6 @@
 """Post-mortem trace analysis: per-phase metrics, PC profile, A/B comparison.
 
-Phase boundaries come exclusively from the phase marks carried on trace
+Phase boundaries come exclusively from the phase ids carried on trace
 records; there is no heuristic phase detection.  IPC counts scalar plus
 vector instructions over modeled cycles, so processing the same data with
 fewer, longer vector instructions lowers IPC by construction.

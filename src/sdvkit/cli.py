@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import itertools
 import os
 import sys
@@ -75,7 +76,9 @@ def _write_outputs(args, texts: list[tuple[str, str]], said: str, **results) -> 
     """Write each (path, text) and ``<args.output>.manifest``, whose entries
     end with `results` (a result takes the place of an argument it restates),
     then print `said`; or exit 2, writing nothing, if a path is another's or an
-    input's (``args.reads``).  Without ``-o``, only the report is printed."""
+    input's (``args.reads``), is a directory or has no directory to go in.
+    The old manifest goes first, so a write that fails part way leaves none
+    that describes another run.  Without ``-o``, only the report is printed."""
     if args.output is None:
         sys.stdout.write(texts[0][1])
         return 0
@@ -86,6 +89,10 @@ def _write_outputs(args, texts: list[tuple[str, str]], said: str, **results) -> 
             print(f"error: an output and {other} share the path {path}", file=sys.stderr)
             return 2
         taken[where] = "another output"
+        parent = Path(path).parent
+        if code := (errno.EISDIR if os.path.isdir(path) else 0 if parent.is_dir()
+                    else errno.ENOTDIR if parent.exists() else errno.ENOENT):
+            raise OSError(code, os.strerror(code), path)
     entries = {"tool": f"sdvkit {__version__}", "command": args.command}
     skip = (*entries, *results, "func", "reads")
     for key, value in vars(args).items():
@@ -93,6 +100,7 @@ def _write_outputs(args, texts: list[tuple[str, str]], said: str, **results) -> 
             entries[key] = "true" if value is True else value
     entries.update(results)
     manifest = "".join(f"{key} = {value}\n" for key, value in entries.items())
+    Path(paths[-1]).unlink(missing_ok=True)
     for path, text in [*texts, (paths[-1], manifest)]:
         _write_file(path, text)
     print(said)

@@ -8,10 +8,12 @@ may-alias reasoning.
 
 Memory dependences come from one sweep over the window's ranges.  Each
 record's ranges are first merged into disjoint intervals; all intervals are
-then visited in order of base address, with a min-heap of the ends of those
-still open.  An interval overlaps exactly the open ones, and since each record
-has at most one open interval, a window of W records with R ranges costs
-O(R log R + R·W), not the O(ra·rb) per record pair of comparing range lists.
+then visited in order of base address, with two min-heaps of the ends of
+those still open, one for loads and one for stores.  An interval overlaps
+exactly the open ones, and since two loads never conflict, a load is compared
+only with the open stores and a store with both.  Each record has at most one
+open interval, so a window with R ranges costs O(R log R + E) for E conflicts,
+not the O(ra·rb) per record pair of comparing range lists.
 
 The scheduling heuristic alternates pipelines when it can, then prefers the
 longest critical path, then original order.  If the heuristic ever produces a
@@ -22,6 +24,7 @@ so rescheduling never loses cycles.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import groupby
 from struct import pack
 from typing import Optional, Sequence, Union
 
@@ -62,18 +65,18 @@ def _memory_conflicts(window: Sequence[TraceRecord]) -> set[tuple[int, int]]:
     """Record pairs ``(i, j)``, ``i < j``, whose byte ranges overlap and at
     least one of which is a store."""
     intervals = sorted((base, end, i) for i, record in enumerate(window)
-                       if record.addresses
                        for base, end in _disjoint_intervals(record.addresses))
     stores = [record.instr.is_store for record in window]
     conflicts: set[tuple[int, int]] = set()
-    open_ends: list[tuple[int, int]] = []  # min-heap of (end, record)
+    opened = ([], [])  # min-heaps of (end, record): open loads, open stores
     for base, end, i in intervals:
-        while open_ends and open_ends[0][0] <= base:
-            heappop(open_ends)
-        for _, k in open_ends:  # all of them overlap [base, end)
-            if stores[i] or stores[k]:
+        for heap in opened:
+            while heap and heap[0][0] <= base:
+                heappop(heap)
+        for heap in opened[not stores[i]:]:  # a load meets only the open stores
+            for _, k in heap:  # all of them overlap [base, end)
                 conflicts.add((k, i) if k < i else (i, k))
-        heappush(open_ends, (end, i))
+        heappush(opened[stores[i]], (end, i))
     return conflicts
 
 
@@ -167,9 +170,9 @@ def schedule_stream(items: Sequence[StreamItem],
     """Reorder instructions window-by-window inside a stream.
 
     The stream is first executed to recover concrete addresses and vector
-    lengths.  Only contiguous instruction runs that share a window id and are
-    not interrupted by directives are reordered; directives stay in place and
-    act as barriers.
+    lengths.  A unit is a run of adjacent instructions that share window and
+    phase, with no register or memory directive between them; only units are
+    reordered, and directives stay in place as barriers.
 
     Returns ``(items, cycles_before, cycles_after)``: the scheduled stream and
     the modeled total cycles of the input and of that stream.  The counts come
@@ -194,13 +197,8 @@ def schedule_stream(items: Sequence[StreamItem],
     before = simulate(records, params)[1].total_cycles
 
     positions = [i for i, item in enumerate(items) if item.kind == ItemKind.INSTRUCTION]
-    units: list[list[int]] = []  # runs of adjacent instructions in one window
-    for k, pos in enumerate(positions):
-        if units and pos == positions[units[-1][-1]] + 1 \
-                and records[k].window_id == records[units[-1][0]].window_id:
-            units[-1].append(k)
-        else:
-            units.append([k])
+    units = [list(unit) for _, unit in groupby(range(len(records)), lambda k: (
+        positions[k] - k, records[k].window_id, records[k].phase))]
 
     new_items = list(items)
     changed = False

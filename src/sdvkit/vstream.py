@@ -26,9 +26,10 @@ zeros; an ``<f64>`` is ASCII text without ``_`` that `float` reads
 ``#`` starts a comment; every other non-blank line is one instruction in
 standard vector assembly.  A `StreamItem` is an immutable named tuple with
 type-sensitive equality.  A register or memory directive's item holds the
-register or address as `target` and the value(s) as `values`; a phase or
-window mark has no payload, its id being the item's own `phase`/`window`.
-`StreamBuilder` applies the state rules for the parser and the generators.
+register or address as `target` and the value(s) as `values`.  The four state
+directives, ``.pc``, ``.phase``, ``.window`` and ``.scalar``, make no item:
+each sets the `StreamBuilder` attribute of its name, which the items after it
+carry.  `StreamBuilder` applies the state rules for the parser and generators.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class ItemKind(enum.Enum):
     SET_FREG = "SET_FREG"
     INIT_MEM_F64 = "INIT_MEM_F64"
     INIT_MEM_U64 = "INIT_MEM_U64"
-    PHASE_MARK = "PHASE_MARK"
-    WINDOW_MARK = "WINDOW_MARK"
 
 
 @typed_equality
@@ -79,21 +78,16 @@ _is_uint_run = re.compile(f"(?:{HEX}|{DEC})(?: (?:{HEX}|{DEC}))*").fullmatch
 
 class StreamBuilder:
     """Appends items under the format's state rules: the pc advances 4 mod
-    2^64 after each instruction, phase and window persist until a mark
-    changes them, and a `.scalar` count belongs to the next instruction.
-    Setting `pc` or `scalar` is what the `.pc` or `.scalar` directive does."""
+    2^64 after each instruction, phase and window persist until set again,
+    and a `.scalar` count belongs to the next instruction.  Setting `pc`,
+    `phase`, `window` or `scalar` is what the directive of that name does."""
 
     def __init__(self):
         self.items: list[StreamItem] = []
         self.pc = self.phase = self.window = self.scalar = 0
 
     def add(self, kind: ItemKind, target: Optional[int], *values) -> None:
-        """Append one directive item; a mark's one value becomes the phase or
-        window that it and the items after it carry."""
-        if kind is ItemKind.PHASE_MARK:
-            self.phase, values = values[0], ()
-        elif kind is ItemKind.WINDOW_MARK:
-            self.window, values = values[0], ()
+        """Append one register or memory directive item."""
         self.items.append(StreamItem(kind, self.pc, self.phase, self.window,
                                      0, None, target, values))
 
@@ -177,20 +171,19 @@ _U32, _U64 = _uint(32, "%d"), _uint(64, "%#x")
 _F64 = _Operand(_read_f64, _write_f64)
 
 # directive -> (item kind, target operand, value operand, several values);
-# .pc and .scalar make no item, they set the builder's state
+# a directive without a kind sets the builder's attribute of its name
 _DIRECTIVES = {
     ".pc": (None, None, _U64, False),
-    ".phase": (ItemKind.PHASE_MARK, None, _U32, False),
-    ".window": (ItemKind.WINDOW_MARK, None, _U32, False),
+    ".phase": (None, None, _U32, False),
+    ".window": (None, None, _U32, False),
     ".scalar": (None, None, _U32, False),
     ".xreg": (ItemKind.SET_XREG, _register("x"), _U64, False),
     ".freg": (ItemKind.SET_FREG, _register("f"), _F64, False),
     ".memf64": (ItemKind.INIT_MEM_F64, _U64, _F64, True),
     ".memu64": (ItemKind.INIT_MEM_U64, _U64, _U64, True),
 }
-# the kinds whose items carry a payload, and the directive that writes each
-_PAYLOAD_DIRECTIVE = {kind: name for name, (kind, target, _, _) in _DIRECTIVES.items()
-                      if target}
+# the directive that writes each directive item's kind
+_PAYLOAD_DIRECTIVE = {kind: name for name, (kind, *_) in _DIRECTIVES.items()}
 
 
 def parse_vstream(text: str) -> list[StreamItem]:
@@ -216,10 +209,8 @@ def parse_vstream(text: str) -> list[StreamItem]:
             raise StreamSyntaxError(f"wrong operand count for {directive}", line_no)
         target = target_operand.read(args[:1], line_no)[0] if target_operand else None
         values = value_operand.read(args[first:], line_no)
-        if directive == ".pc":
-            builder.pc = values[0]
-        elif directive == ".scalar":
-            builder.scalar = values[0]
+        if kind is None:
+            setattr(builder, directive[1:], values[0])
         else:
             builder.add(kind, target, *values)
     return builder.items
@@ -235,29 +226,28 @@ def _line(directive: str, target: Optional[int], values) -> str:
 def write_vstream(items: list[StreamItem]) -> str:
     """Render items back to canonical VSTREAM text.
 
-    Emits `.pc`, `.phase`, and `.window` directives exactly where needed so
-    that parse_vstream(write_vstream(items)) reproduces the items, including
-    after instruction reordering has made pcs non-consecutive.
+    Emits `.pc`, `.phase`, and `.window` directives exactly where the value
+    changes, so that parse_vstream(write_vstream(items)) reproduces the items,
+    including after instruction reordering has made pcs non-consecutive.
     """
     lines: list[str] = []
     pc = phase = window = 0
     text_of = functools.cache(disassemble)  # each distinct instruction disassembled once
     for item in items:
-        kind = item.kind
         if item.pc != pc:
             pc = item.pc
             lines.append(_line(".pc", None, (pc,)))
-        if item.phase != phase or kind is ItemKind.PHASE_MARK:
+        if item.phase != phase:
             phase = item.phase
             lines.append(_line(".phase", None, (phase,)))
-        if item.window != window or kind is ItemKind.WINDOW_MARK:
+        if item.window != window:
             window = item.window
             lines.append(_line(".window", None, (window,)))
-        if kind is ItemKind.INSTRUCTION:
+        if item.kind is ItemKind.INSTRUCTION:
             if item.scalar_before:
                 lines.append(_line(".scalar", None, (item.scalar_before,)))
             lines.append(text_of(item.instr))
             pc = (item.pc + 4) & _U64_MASK
-        elif directive := _PAYLOAD_DIRECTIVE.get(kind):  # none for a mark
-            lines.append(_line(directive, item.target, item.values))
+        else:
+            lines.append(_line(_PAYLOAD_DIRECTIVE[item.kind], item.target, item.values))
     return "\n".join(lines) + ("\n" if lines else "")

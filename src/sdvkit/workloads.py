@@ -103,9 +103,6 @@ class _Emitter(StreamBuilder):
         self._parse = functools.cache(parse_instruction)  # each distinct text parsed once
         self.instructions, self.trips, self.vls = 0, Counter(), {}  # the last two by phase
 
-    def window_mark(self):
-        self.add(ItemKind.WINDOW_MARK, None, self.window + 1)
-
     def mem(self, kind: ItemKind, address: int, values: np.ndarray):
         self.add(kind, address, *values.tolist())  # Python floats or ints, by dtype
 
@@ -150,7 +147,7 @@ def _twiddles(n: int):
 
 
 def _vsetvli_window(e: _Emitter, vl: int, phase: int):
-    e.window_mark()
+    e.window += 1
     e.add(ItemKind.SET_XREG, 28, vl)
     e.pc = _pro_pc(phase)
     e.scalar = 2
@@ -162,7 +159,7 @@ def _copy_pass(e: _Emitter, pairs, vl: int, phase: int):
     """Unit-stride copy of (src, dst, elems) buffer pairs in vl-wide strips."""
     for src, dst, elems in pairs:
         for off in range(0, elems, vl):
-            e.window_mark()
+            e.window += 1
             e.add(ItemKind.SET_XREG, 10, src + 8 * off)
             e.add(ItemKind.SET_XREG, 11, dst + 8 * off)
             e.loop_body(phase, 4)
@@ -174,7 +171,7 @@ def _naive_butterfly_window(e: _Emitter, units, src_re, src_im, dst_re, dst_im,
                             span, m, wre, wim, phase):
     """One unrolled loop body: 1-2 butterfly strips on disjoint register banks,
     loads grouped first, stores grouped last."""
-    e.window_mark()
+    e.window += 1
     for k, (p, j0) in enumerate(units):
         x = 2 + 8 * k
         a_off = 8 * (span * p + j0)
@@ -226,7 +223,7 @@ def _wide_stage(e: _Emitter, q, span, n, wvl, layout, src_re, src_im,
     e.instr("vle64.v v3, (x3)")
     half = n // 2
     for off in range(0, half, wvl):
-        e.window_mark()
+        e.window += 1
         e.add(ItemKind.SET_XREG, 4, src_re + 8 * off)
         e.add(ItemKind.SET_XREG, 5, src_im + 8 * off)
         e.add(ItemKind.SET_XREG, 6, src_re + 8 * (half + off))
@@ -284,7 +281,6 @@ def gen_fft(plan: FftPlan):
     wvl = min(_VLMAX, n // 2)
 
     e = _Emitter()
-    e.add(ItemKind.PHASE_MARK, None, 0)
     e.mem(ItemKind.INIT_MEM_F64, layout.in_re, re)
     e.mem(ItemKind.INIT_MEM_F64, layout.in_im, im)
     w_offsets = []
@@ -317,8 +313,7 @@ def gen_fft(plan: FftPlan):
         span = 1 << q
         m = n // (2 * span)
         phase = _stage_phase(span)
-        if phase != e.phase:
-            e.add(ItemKind.PHASE_MARK, None, phase)
+        e.phase = phase
         src_re, src_im = buffers[cur]
         dst_re, dst_im = buffers[1 - cur]
         if plan.variant == "naive":
@@ -335,9 +330,7 @@ def gen_fft(plan: FftPlan):
                         dst_re, dst_im, w_offsets[q], phase)
         cur = 1 - cur
 
-    # phase 3 always ends with the output pass
-    if e.phase != 3:
-        e.add(ItemKind.PHASE_MARK, None, 3)
+    e.phase = 3  # phase 3 always ends with the output pass
     src_re, src_im = buffers[cur]
     if plan.variant == "naive":
         _vsetvli_window(e, 64, 3)
@@ -345,7 +338,7 @@ def gen_fft(plan: FftPlan):
     else:
         _vsetvli_window(e, wvl, 3)
         for off in range(0, n, wvl):
-            e.window_mark()
+            e.window += 1
             e.add(ItemKind.SET_XREG, 10, layout.ident_idx + 8 * off)
             e.add(ItemKind.SET_XREG, 11, src_re + 8 * off)
             e.add(ItemKind.SET_XREG, 12, src_im + 8 * off)
@@ -393,13 +386,12 @@ def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
     x_base, y_base = _AXPY_X, _AXPY_Y
 
     e = _Emitter()
-    e.add(ItemKind.PHASE_MARK, None, 0)
     e.mem(ItemKind.INIT_MEM_F64, x_base, x)
     e.mem(ItemKind.INIT_MEM_F64, y_base, y)
     e.add(ItemKind.SET_FREG, 1, float(a))
     strips = [min(_VLMAX, n - offset) for offset in range(0, n, _VLMAX)]
     for offset in range(0, n, _VLMAX):
-        e.window_mark()
+        e.window += 1
         e.add(ItemKind.SET_XREG, 1, n - offset)  # the elements that remain
         e.add(ItemKind.SET_XREG, 10, x_base + 8 * offset)
         e.add(ItemKind.SET_XREG, 11, y_base + 8 * offset)

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import os
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sdvkit import __version__, scheduler
+from sdvkit import __version__, cli, scheduler
 from sdvkit.cli import build_parser, main
 from sdvkit.emulator import run
 from sdvkit.tracefile import HEADER
@@ -443,14 +444,15 @@ def test_an_output_over_an_input_is_exit_2(inputs, capsys, argv):
 
 
 # gen's stream text (seed 1) -> its sha256, with each memory image written as
-# one .memf64/.memu64 directive; a change to the stream text must be declared
+# one .memf64/.memu64 directive and no restated default `.phase 0`; a change
+# to the stream text must be declared
 _PINNED_STREAMS = {
     "fft --n 256 --variant naive":
-        "b8db5a1d82a2c7347275a3af9f9e6308908d603cfacb283f48dc47b2490f5f01",
+        "b7dc2afdf6af354667f14b8b4f76acd5a7bcdacc1a0cca3d608f66057c5f3238",
     "fft --n 256 --variant wide":
-        "3c7e7b170cf36a09976c30ea71a233eebe536ceee5d99a9c9e2a05a3152293ac",
+        "4bfb40d2ebf1195a3ebfb3e353400a8bf0e03ff74fc87caeaa2addf7e0f79f86",
     "axpy --n 1000":
-        "592712ff4b891a99c41beb0c71f8465420374a89c3d436c5f857669e62986019",
+        "8226f0151818112eaef41d007f61ad5c93d77a8fe4f7c36bed3016bdd633f72e",
 }
 
 
@@ -462,7 +464,8 @@ def test_generated_stream_text_is_pinned(tmp_path, workload):
 
 
 def _files():
-    return {name: Path(name).read_bytes() for name in os.listdir()}
+    """Every file under the working directory and its bytes; a directory as None."""
+    return {str(p): None if p.is_dir() else p.read_bytes() for p in Path().rglob("*")}
 
 
 @pytest.mark.parametrize("argv, bystanders", [
@@ -531,3 +534,50 @@ def test_vlen_of_65536_bits_emulates(inputs):
     assert run_cli("gen", "axpy", "--n", 100, "-o", "s.vs") == 0
     assert run_cli("emulate", "s.vs", "--config", "max.ini", "-o", "s.trace") == 0
     assert ":100:64:" in Path("s.trace").read_text()
+
+
+# a first command line that succeeds, the directory made after it (if any),
+# then a command line that must exit 2 before writing anything, naming `path`
+_UNWRITABLE = [
+    ("simulate a.trace --timing t.ini -o out.csv", None,
+     "simulate a.trace --timing u.ini -o out.csv --svg missing/x.svg", "missing/x.svg"),
+    ("simulate a.trace --timing t.ini -o out.csv", "d",
+     "simulate a.trace --timing u.ini -o out.csv --svg d", "d"),
+    ("to-prv a.trace -o p.prv", "p.pcf", "to-prv a.trace --timing t.ini -o p.prv", "p.pcf"),
+]
+
+
+@pytest.mark.parametrize("first, directory, second, path", _UNWRITABLE,
+                         ids=[second for _, _, second, _ in _UNWRITABLE])
+def test_an_output_that_cannot_be_written_changes_no_file(inputs, capsys, first, directory,
+                                                          second, path):
+    Path("u.ini").write_text("mem_latency_cycles = 90\n")
+    assert run_cli(*first.split()) == 0
+    if directory:
+        Path(directory).unlink(missing_ok=True)
+        Path(directory).mkdir()
+    before = _files()
+    capsys.readouterr()
+    assert run_cli(*second.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and re.fullmatch(rf"error: [a-z ]+: {re.escape(path)}\n", err)
+    assert _files() == before
+
+
+def test_a_write_that_fails_part_way_leaves_no_stale_manifest(inputs, monkeypatch, capsys):
+    assert run_cli("simulate", "a.trace", "-o", "out.csv", "--svg", "out.svg") == 0
+    assert Path("out.csv.manifest").exists()
+    write_file, written = cli._write_file, []
+
+    def fail_on_second(path, text):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), path)
+        write_file(path, text)
+
+    monkeypatch.setattr(cli, "_write_file", fail_on_second)
+    assert run_cli("simulate", "a.trace", "--timing", "t.ini", "-o", "out.csv",
+                   "--svg", "out.svg") == 2
+    assert written == ["out.csv", "out.svg"]
+    assert capsys.readouterr().err.endswith(": out.svg\n")
+    assert not Path("out.csv.manifest").exists()

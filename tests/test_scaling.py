@@ -5,9 +5,10 @@ not grow 3 times.  `Memory.write_u64` is guarded per word, on address arrays
 that are all 8-aligned and on arrays that are not.  The emulator's `run` is
 guarded here over streams in which no two instructions are equal, so every
 record binds a new handler.  The
-scheduler has three: `schedule_stream` per record as the stream grows, once
+scheduler has four: `schedule_stream` per record as the stream grows, once
 with every window alike and once with no two alike, and `build_dependences`
-per address range as the ranges of each record grow.  `parse_vstream` and
+per address range as the ranges of each record grow and per record as a
+window of loads that all read the same bytes grows.  `parse_vstream` and
 `write_vstream` are also guarded per value of one `.memf64` or `.memu64`
 line, since a generated memory image is one directive however long."""
 
@@ -245,3 +246,24 @@ def test_build_dependences_scales_linearly_in_ranges():
     ratio = (_per_record_seconds(lambda: build_dependences(many), 24 * 256, 3)
              / _per_record_seconds(lambda: build_dependences(few), 24 * 16, 10))
     assert ratio < 3, f"per-range time grew {ratio:.1f}x from 16 to 256 ranges a record"
+
+
+def _shared_load_window(pairs):
+    """A `vsetvli`, then `pairs` loads of the same 64 bytes, each followed by
+    a `vfadd.vv` of what it loaded: two loads never conflict, so the window
+    has no memory edge however many of them overlap."""
+    texts = ["vsetvli x2, x1, e64, m1"]
+    for k in range(pairs):
+        texts += [f"vle64.v v{1 + k % 8}, (x10)", f"vfadd.vv v{9 + k % 8}, v{1 + k % 8}, v{1 + k % 8}"]
+    return [TraceRecord(seq=k, pc=4 * k, phase=0, scalar_before=0, instr=parse_instruction(text),
+                        vl=8, sew_bits=64, addresses=((0x10000, 64),) if "vle" in text else (),
+                        window_id=0)
+            for k, text in enumerate(texts)]
+
+
+def test_build_dependences_scales_linearly_over_loads_of_shared_bytes():
+    few, many = _shared_load_window(256), _shared_load_window(4096)
+    assert not any(MEM_ORDER in labels for labels in build_dependences(many).values())
+    ratio = (_per_record_seconds(lambda: build_dependences(many), len(many), 2)
+             / _per_record_seconds(lambda: build_dependences(few), len(few), 10))
+    assert ratio < 3, f"per-record time grew {ratio:.1f}x from 513 to 8,193 records"

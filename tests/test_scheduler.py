@@ -374,12 +374,31 @@ def test_directives_split_windows():
 
 def _units(items):
     """The records of a stream, the item position of each, and the slice of
-    records each unit spans: adjacent instructions of one window."""
+    records each unit spans: adjacent instructions of one window and phase."""
     _, records = run(None, items)
     positions = [i for i, item in enumerate(items) if item.kind == ItemKind.INSTRUCTION]
     starts = [k for k in range(len(records)) if k == 0 or positions[k] != positions[k - 1] + 1
-              or records[k].window_id != records[k - 1].window_id]
+              or (records[k].window_id, records[k].phase)
+              != (records[k - 1].window_id, records[k - 1].phase)]
     return records, positions, [slice(*ends) for ends in zip(starts, starts[1:] + [len(records)])]
+
+
+# an arithmetic chain, then two independent loads that scheduling moves into
+# it when all five share a unit
+_SPLIT = (".xreg x1 16\nvsetvli x2, x1, e64, m1\n.xreg x10 0x10000\n.xreg x11 0x20000\n"
+          ".window 1\nvfadd.vv v3, v1, v1\nvfmul.vv v4, v3, v3\nvfmul.vv v5, v4, v4\n"
+          "{}\nvle64.v v6, (x10)\nvle64.v v7, (x11)\n")
+
+
+def test_a_phase_change_splits_a_unit_and_a_restated_window_does_not():
+    split = parse_vstream(_SPLIT.format(".phase 1"))
+    scheduled, before, after = schedule_stream(split)
+    assert scheduled == split and before == after
+    restated, joined = parse_vstream(_SPLIT.format(".window 1")), parse_vstream(_SPLIT.format(""))
+    assert restated == joined
+    scheduled, before, after = schedule_stream(restated)
+    assert after < before
+    assert [i.instr.vd for i in scheduled[4:]] == [6, 3, 7, 4, 5]
 
 
 def _schedule_without_reuse(items, params):

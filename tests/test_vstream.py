@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdvkit import workloads
+from sdvkit import vstream, workloads
 from sdvkit.errors import (MalformedNumber, StreamSyntaxError, UnknownDirective)
 from sdvkit.isa import Instruction, parse_instruction
 from sdvkit.vstream import (ItemKind, StreamBuilder, StreamItem, parse_vstream,
@@ -19,14 +19,12 @@ def _instructions(items):
 
 
 def test_phase_and_scalar_resolution():
-    items = parse_vstream(".phase 2\n.scalar 17\nvfadd.vv v1, v2, v3\n")
-    instrs = _instructions(items)
-    assert len(instrs) == 1
-    assert instrs[0].phase == 2
-    assert instrs[0].scalar_before == 17
-    assert instrs[0].instr == Instruction("vfadd.vv", vd=1, vs2=2, vs1=3)
-    marks = [i for i in items if i.kind == ItemKind.PHASE_MARK]
-    assert len(marks) == 1 and marks[0].phase == 2 and marks[0].values == ()
+    # the four state directives make no item; the items after them carry the values
+    items = parse_vstream(".pc 0x40\n.phase 2\n.window 7\n.scalar 17\nvfadd.vv v1, v2, v3\n"
+                          ".xreg x1 5\n.phase 3\n")
+    assert items == [
+        StreamItem(ItemKind.INSTRUCTION, 0x40, 2, 7, 17, Instruction("vfadd.vv", vd=1, vs2=2, vs1=3)),
+        StreamItem(ItemKind.SET_XREG, 0x44, 2, 7, target=1, values=(5,))]
 
 
 def test_scalar_is_one_shot():
@@ -156,8 +154,23 @@ def test_memory_init_directives():
 
 def test_window_marks_persist():
     items = parse_vstream(".window 5\nvid.v v1\nvid.v v2\n.window 6\nvid.v v3\n")
-    instrs = _instructions(items)
-    assert [i.window for i in instrs] == [5, 5, 6]
+    assert [(i.kind, i.window) for i in items] == [(ItemKind.INSTRUCTION, 5)] * 2 + [
+        (ItemKind.INSTRUCTION, 6)]
+
+
+def test_a_phase_or_window_is_written_only_where_it_changes():
+    text = (".phase 1\n.window 2\nvid.v v1\n.phase 1\n.window 2\nvid.v v2\n"
+            ".window 3\n.phase 0\n.xreg x1 0x5\n.phase 4\n")
+    assert write_vstream(parse_vstream(text)) == (
+        ".phase 1\n.window 2\nvid.v v1\nvid.v v2\n.phase 0\n.window 3\n.xreg x1 0x5\n")
+
+
+def test_every_directive_makes_one_item_kind_or_sets_builder_state():
+    kinds = [kind for kind, *_ in vstream._DIRECTIVES.values() if kind]
+    assert sorted(kinds, key=str) == sorted(set(ItemKind) - {ItemKind.INSTRUCTION}, key=str)
+    builder = StreamBuilder()
+    assert all(hasattr(builder, name[1:])
+               for name, (kind, *_) in vstream._DIRECTIVES.items() if kind is None)
 
 
 def test_write_parse_roundtrip_simple():
@@ -244,13 +257,12 @@ _F64S = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e
 _INSTRS = [parse_instruction(text) for text in
            ("vid.v v1", "vsetvli x1, x2, e64, m1", "vle64.v v2, (x10)",
             "vfmacc.vv v3, v1, v2", "vsuxei64.v v4, (x11), v1")]
-# (operation, target, values) for StreamBuilder: every item kind, .pc and .scalar
+# (operation, target, values) for StreamBuilder: every item kind, and each
+# state directive as the builder attribute it sets
 _OPS = st.one_of(
     st.tuples(st.just("pc"), st.none(), _U64S.map(lambda v: [v])),
-    st.tuples(st.just("scalar"), st.none(), _U32S.map(lambda v: [v])),
+    st.tuples(st.sampled_from(["phase", "window", "scalar"]), st.none(), _U32S.map(lambda v: [v])),
     st.tuples(st.just(ItemKind.INSTRUCTION), st.sampled_from(_INSTRS), st.just([])),
-    st.tuples(st.sampled_from([ItemKind.PHASE_MARK, ItemKind.WINDOW_MARK]), st.none(),
-              _U32S.map(lambda v: [v])),
     st.tuples(st.just(ItemKind.SET_XREG), st.integers(0, 31), _U64S.map(lambda v: [v])),
     st.tuples(st.just(ItemKind.SET_FREG), st.integers(0, 31), _F64S.map(lambda v: [v])),
     st.tuples(st.just(ItemKind.INIT_MEM_F64), _U64S, st.lists(_F64S, min_size=1, max_size=9)),
@@ -263,10 +275,8 @@ _OPS = st.one_of(
 def test_built_items_write_and_parse_back_bit_exact(ops):
     builder = StreamBuilder()
     for op, target, values in ops:
-        if op == "pc":
-            builder.pc = values[0]
-        elif op == "scalar":
-            builder.scalar = values[0]
+        if isinstance(op, str):
+            setattr(builder, op, values[0])
         elif op is ItemKind.INSTRUCTION:
             builder.instruction(target)
         else:
