@@ -1,14 +1,18 @@
 """The contract of the five immutable record types: no attribute can be set,
 equal values hash equal, a record never equals a plain tuple or a record of
-another type, and repr shows ``Name(field=value, ...)``."""
+another type, and repr shows ``Name(field=value, ...)``.  Every record the
+hot paths build is well formed: its class's exact type with every field."""
 
 import pytest
 
+from sdvkit.emulator import run
 from sdvkit.isa import parse_instruction
 from sdvkit.prv import EventRecord, StateRecord
-from sdvkit.timing import Pipeline, TimelineEntry
-from sdvkit.tracefile import TraceRecord
-from sdvkit.vstream import ItemKind, StreamItem
+from sdvkit.scheduler import schedule_stream
+from sdvkit.timing import Pipeline, TimelineEntry, simulate
+from sdvkit.tracefile import TraceRecord, read_trace, write_trace
+from sdvkit.vstream import ItemKind, StreamItem, parse_vstream, write_vstream
+from sdvkit.workloads import FftPlan, gen_axpy, gen_fft
 
 _INSTR = parse_instruction("vle64.v v1, (x10)")
 
@@ -53,3 +57,35 @@ def test_event_and_state_records_with_equal_values_differ():
     assert event != state and state != event
     assert not event == state and not state == event
     assert len({event, state}) == 2
+
+
+def _hot_path_records():
+    """(producer, records) for every record the hot paths build: the
+    generators through `StreamBuilder`, `parse_vstream`, `run`, `read_trace`,
+    `simulate` and `schedule_stream`'s output."""
+    streams = {"gen_fft naive": gen_fft(FftPlan(n=64, variant="naive", seed=1))[0],
+               "gen_fft wide": gen_fft(FftPlan(n=64, variant="wide", seed=1))[0],
+               "gen_axpy": gen_axpy(300, 2.0)[0]}
+    for name, items in streams.items():
+        yield name, items
+        yield f"parse_vstream ({name})", parse_vstream(write_vstream(items))
+        records = run(None, items)[1]
+        yield f"run ({name})", records
+        yield f"read_trace ({name})", read_trace(write_trace(records))
+        yield f"simulate ({name})", simulate(records)[0]
+        yield f"schedule_stream ({name})", schedule_stream(items)[0]
+
+
+def test_every_record_the_hot_paths_build_is_well_formed():
+    """Each record has its class's exact type and every field, in order: a
+    positional build that drops or adds a field fails here."""
+    seen = set()
+    for producer, records in _hot_path_records():
+        assert records, producer
+        for record in records:
+            cls = type(record)
+            assert cls in RECORDS, (producer, cls)
+            assert len(record) == len(cls._fields), (producer, record)
+            assert record == cls(**record._asdict()), (producer, record)
+            seen.add(cls)
+    assert seen == {StreamItem, TraceRecord, TimelineEntry}
