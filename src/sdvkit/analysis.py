@@ -49,6 +49,7 @@ def phase_metrics(trace: Sequence[TraceRecord],
         groups.setdefault(rec.phase, []).append(i)
 
     results = []
+    mem = Pipeline.MEM  # read off the Enum class once, not per entry
     for phase, idxs in groups.items():
         records = [trace[i] for i in idxs]
         metrics = PhaseMetrics(phase=phase)
@@ -57,7 +58,7 @@ def phase_metrics(trace: Sequence[TraceRecord],
         metrics.avg_vl = sum(r.vl for r in records) / len(records)
         metrics.vl_histogram = dict(sorted(Counter(r.vl for r in records).items()))
         metrics.category_histogram = dict(sorted(
-            Counter(r.instr.category.value for r in records).items()))
+            Counter(r.instr.category._value_ for r in records).items()))
         if timeline is not None:
             entries = [timeline[i] for i in idxs]
             begin = min(e.issue_cycle for e in entries)
@@ -66,7 +67,7 @@ def phase_metrics(trace: Sequence[TraceRecord],
             metrics.modeled_cycles = end - begin
             metrics.ipc = (metrics.vector_instr_count + metrics.scalar_instr_sum) / span
             mem_busy = sum(e.complete_cycle - e.start_cycle
-                           for e in entries if e.pipeline == Pipeline.MEM)
+                           for e in entries if e.pipeline is mem)
             metrics.mem_inflight_fraction = min(1.0, mem_busy / span)
         results.append(metrics)
     return results

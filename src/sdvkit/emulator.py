@@ -43,8 +43,10 @@ import numpy as np
 from .config import MachineConfig, Vtype
 from .errors import EmulationError, OutOfBoundsAccess, SdvError, UnsupportedVtype
 from .isa import LMUL_CODES, ROLES, SEW_CODES, SPEC, Category, Instruction
+from .records import positional
 from .tracefile import TraceRecord
-from .vstream import _U64_MASK, ItemKind, StreamItem, parse_vstream
+from .vstream import (_INSTRUCTION, _MEM_F64, _MEM_U64, _SET_FREG, _SET_XREG, _U64_MASK,
+                      StreamItem, parse_vstream)
 
 _U64 = np.uint64
 _PAGE_BITS = 12
@@ -52,6 +54,8 @@ _PAGE_SIZE = 1 << _PAGE_BITS
 _WORD_BYTES = np.arange(8, dtype=_U64)
 # the cells a word access moves: whole little-endian words, or bytes
 _WORD, _BYTE = np.dtype("<u8"), np.dtype(np.uint8)
+_F64 = np.dtype("<f8")  # a register's lanes, viewed as doubles
+_new_record = positional(TraceRecord)
 
 # Veltkamp's constant 2^27 + 1 splits a double into two 26-bit halves.
 _SPLITTER = float((1 << 27) + 1)
@@ -188,12 +192,11 @@ class Memory:
 
     def read_bytes(self, addr: int, nbytes: int) -> bytes:
         self.check(addr, nbytes)
-        out = bytearray(nbytes)
-        for index, offset, pos, take in _page_walk(addr, nbytes):
+        parts = []  # each page's part, copied once: into the joined bytes
+        for index, offset, _, take in _page_walk(addr, nbytes):
             page = self._pages.get(index)
-            if page is not None:
-                out[pos:pos + take] = page[offset:offset + take]
-        return bytes(out)
+            parts.append(bytes(take) if page is None else memoryview(page)[offset:offset + take])
+        return b"".join(parts)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         self.check(addr, len(data))
@@ -244,19 +247,24 @@ class MachineState:
     config: MachineConfig
     xregs: list[int]
     fregs: list[float]
-    vregs: np.ndarray  # (32, VLMAX) uint64 element payloads
+    vregs: np.ndarray  # (32, VLMAX) little-endian uint64 element payloads
     vl: int
     vtype: Vtype
     memory: Memory
     instret: int = 0  # trace records emitted so far
     # instruction -> its `_handler`, one per distinct instruction run
     bindings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # vregs viewed as float64 lanes, taken once: FP instructions work through it
+    fp_vregs: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.fp_vregs = self.vregs.view(_F64)
 
     @classmethod
     def create(cls, config: Optional[MachineConfig] = None) -> "MachineState":
         config = config or MachineConfig()
         return cls(config=config, xregs=[0] * 32, fregs=[0.0] * 32,
-                   vregs=np.zeros((32, config.vlmax(64)), dtype=_U64), vl=0,
+                   vregs=np.zeros((32, config.vlmax(64)), dtype=_WORD), vl=0,
                    vtype=Vtype(), memory=Memory(config.memory_bytes))
 
     def read_xreg(self, reg: int) -> int:
@@ -360,9 +368,9 @@ def _handler(instr: Instruction) -> Callable[[MachineState], tuple]:
         def unit_stride(state: MachineState):
             vl, base = state.vl, state.read_xreg(base_reg)
             if load:
-                state.vregs[reg, :vl] = np.frombuffer(state.memory.read_bytes(base, 8 * vl), "<u8")
+                state.vregs[reg, :vl] = np.frombuffer(state.memory.read_bytes(base, 8 * vl), _WORD)
             else:
-                state.memory.write_bytes(base, state.vregs[reg, :vl].astype("<u8").tobytes())
+                state.memory.write_bytes(base, state.vregs[reg, :vl].tobytes())
             return ((base, 8 * vl),)
         return unit_stride
 
@@ -395,7 +403,7 @@ def _handler(instr: Instruction) -> Callable[[MachineState], tuple]:
     def compute(state: MachineState):
         vl = state.vl
         if vl:
-            lanes = state.vregs.view(np.float64) if fp else state.vregs
+            lanes = state.fp_vregs if fp else state.vregs
             lanes[vd, :vl] = evaluate(vl, *[read(state, lanes, vl, r) for read, r in readers])
         return ()
     return compute
@@ -406,16 +414,16 @@ def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
     return the trace record captured at execution time.  FP exceptions follow
     the caller's numpy error state."""
     kind = item.kind
-    if kind is not ItemKind.INSTRUCTION:
-        if kind is ItemKind.SET_XREG:
+    if kind is not _INSTRUCTION:
+        if kind is _SET_XREG:
             state.write_xreg(item.target, item.values[0])
-        elif kind is ItemKind.SET_FREG:
+        elif kind is _SET_FREG:
             state.fregs[item.target] = item.values[0]
-        elif kind is ItemKind.INIT_MEM_F64 or kind is ItemKind.INIT_MEM_U64:
+        elif kind is _MEM_F64 or kind is _MEM_U64:
             # a memory image: its words packed at once, then written and
             # checked whole, as a unit-stride store is
             values = item.values
-            words = ("<%dd" if kind is ItemKind.INIT_MEM_F64 else "<%dQ") % len(values)
+            words = ("<%dd" if kind is _MEM_F64 else "<%dQ") % len(values)
             state.memory.write_bytes(item.target, pack(words, *values))
         return None
 
@@ -423,9 +431,10 @@ def step(state: MachineState, item: StreamItem) -> Optional[TraceRecord]:
     if handler is None:
         handler = state.bindings[item.instr] = _handler(item.instr)
     addresses = handler(state)  # before vl is read: a config op sets it
-    # positional: seq, pc, phase, scalar_before, instr, vl, sew_bits, addresses, window_id
-    record = TraceRecord(state.instret, item.pc, item.phase, item.scalar_before, item.instr,
-                         state.vl, state.vtype.sew_bits, addresses, item.window)
+    # every field in order: seq, pc, phase, scalar_before, instr, vl, sew_bits,
+    # addresses, window_id
+    record = _new_record((state.instret, item.pc, item.phase, item.scalar_before, item.instr,
+                          state.vl, state.vtype.sew_bits, addresses, item.window))
     state.instret += 1
     return record
 

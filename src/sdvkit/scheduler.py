@@ -34,7 +34,7 @@ from .errors import NotEquivalent, SdvError
 from .isa import Category
 from .timing import PIPELINES, Pipeline, TimingParams, occupancy, pipeline_of, simulate
 from .tracefile import TraceRecord
-from .vstream import ItemKind, StreamItem
+from .vstream import _INSTRUCTION, StreamItem
 
 RAW, WAR, WAW, MEM_ORDER = "RAW", "WAR", "WAW", "MEM_ORDER"
 
@@ -196,7 +196,7 @@ def schedule_stream(items: Sequence[StreamItem],
     state, records = run(config, items)
     before = simulate(records, params)[1].total_cycles
 
-    positions = [i for i, item in enumerate(items) if item.kind == ItemKind.INSTRUCTION]
+    positions = [i for i, item in enumerate(items) if item.kind is _INSTRUCTION]
     units = [list(unit) for _, unit in groupby(range(len(records)), lambda k: (
         positions[k] - k, records[k].window_id, records[k].phase))]
 

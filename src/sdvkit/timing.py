@@ -42,8 +42,8 @@ import heapq
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
-from .isa import Category
-from .records import typed_equality
+from .isa import SPEC, Category
+from .records import positional, typed_equality
 
 
 class Pipeline(enum.Enum):
@@ -119,6 +119,9 @@ class TimelineEntry(NamedTuple):
     mnemonic: str = ""
 
 
+_new_entry = positional(TimelineEntry)
+
+
 @dataclass
 class CounterSet:
     total_cycles: int = 0
@@ -145,9 +148,11 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
     """Run the cycle model over a trace; returns (timeline entries, counters)."""
     params = params or TimingParams()
     lanes = {pipe: i for i, pipe in enumerate(PIPELINES)}  # its index in the lists below
-    rows = {category: (pipe, lanes[pipe], lanes.get(PIPELINES[pipe][1]),
-                       params.rate_of(category), params.latency_of(pipe))
-            for category, (pipe, _) in CATEGORIES.items()}
+    by_category = {category: (pipe, lanes[pipe], lanes.get(PIPELINES[pipe][1]),
+                              params.rate_of(category), params.latency_of(pipe))
+                   for category, (pipe, _) in CATEGORIES.items()}
+    # each mnemonic's row: a str key hashes in C, a Category through Enum.__hash__
+    rows = {mnemonic: by_category[category] for mnemonic, (category, *_) in SPEC.items()}
     cost, chaining = params.scalar_cycles_per_instr, params.chaining
     entries: list[TimelineEntry] = []
     scalar_time = 0
@@ -163,7 +168,7 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
 
     for rec in trace:
         instr = rec.instr
-        pipe, lane, other, rate, latency = rows[instr.category]
+        pipe, lane, other, rate, latency = rows[instr.mnemonic]
         scalar_total += rec.scalar_before
         scalar_time += rec.scalar_before * cost
         issue = scalar_time if scalar_time > last_issue else last_issue + 1
@@ -189,8 +194,7 @@ def simulate(trace: Sequence, params: Optional[TimingParams] = None):
                 start = reader_complete[reg]
 
         complete = start + occ + latency
-        entries.append(TimelineEntry(rec.seq, pipe, issue, start, complete,
-                                     instr.mnemonic))
+        entries.append(_new_entry((rec.seq, pipe, issue, start, complete, instr.mnemonic)))
         # Starts only grow and a pipeline runs one instruction at a time, so
         # of the other pipeline's busy intervals only its latest can still be
         # running at `start`.
@@ -226,7 +230,7 @@ def emit_timeline(entries: Sequence[TimelineEntry]) -> str:
     """The timeline as CSV, one row per entry."""
     lines = ["seq,pipeline,issue,start,complete,mnemonic"]
     for e in entries:
-        lines.append(f"{e.seq},{e.pipeline.value},{e.issue_cycle},"
+        lines.append(f"{e.seq},{e.pipeline._value_},{e.issue_cycle},"
                      f"{e.start_cycle},{e.complete_cycle},{e.mnemonic}")
     return "\n".join(lines) + "\n"
 

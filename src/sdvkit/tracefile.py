@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import SdvError, TraceFormatError
 from .isa import Category, Instruction, disassemble, parse_instruction
-from .records import DEC, HEX, typed_equality
+from .records import DEC, HEX, positional, typed_equality
 
 HEADER = "#sdvkit-trace v1"
 
@@ -55,6 +55,9 @@ class TraceRecord(NamedTuple):
     @property
     def category(self) -> Category:
         return self.instr.category
+
+
+_new_record = positional(TraceRecord)
 
 
 def write_trace(records: Sequence[TraceRecord]) -> str:
@@ -124,5 +127,5 @@ def read_trace(text: str) -> list[TraceRecord]:
                 if not (base < 1 << 64 and length <= (1 << 64) - base):
                     raise TraceFormatError(f"address range {chunk!r} outside [0, 2^64)", line_no)
                 addresses.append((base, length))
-        records.append(TraceRecord(int(seq), pc, *parsed, tuple(addresses), int(window)))
+        records.append(_new_record((int(seq), pc, *parsed, tuple(addresses), int(window))))
     return records

@@ -43,7 +43,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 from .errors import (AsmSyntaxError, MalformedNumber, SdvError,
                      StreamSyntaxError, UnknownDirective)
 from .isa import Instruction, disassemble, parse_instruction, parse_register
-from .records import DEC, HEX, typed_equality
+from .records import DEC, HEX, positional, typed_equality
 
 
 class ItemKind(enum.Enum):
@@ -71,6 +71,12 @@ class StreamItem(NamedTuple):
     values: tuple[Union[int, float], ...] = ()
 
 
+_new_item = positional(StreamItem)
+# the kinds as module globals for the loops that test an item's kind: reading
+# a member off an Enum class goes through EnumType's `__getattr__` hook
+_INSTRUCTION, _SET_XREG, _SET_FREG, _MEM_F64, _MEM_U64 = (
+    ItemKind.INSTRUCTION, ItemKind.SET_XREG, ItemKind.SET_FREG,
+    ItemKind.INIT_MEM_F64, ItemKind.INIT_MEM_U64)
 _U64_MASK = (1 << 64) - 1
 _is_uint = re.compile(f"{DEC}|{HEX}").fullmatch
 _is_uint_run = re.compile(f"(?:{HEX}|{DEC})(?: (?:{HEX}|{DEC}))*").fullmatch
@@ -88,12 +94,12 @@ class StreamBuilder:
 
     def add(self, kind: ItemKind, target: Optional[int], *values) -> None:
         """Append one register or memory directive item."""
-        self.items.append(StreamItem(kind, self.pc, self.phase, self.window,
-                                     0, None, target, values))
+        self.items.append(_new_item((kind, self.pc, self.phase, self.window,
+                                     0, None, target, values)))
 
     def instruction(self, instr: Instruction) -> None:
-        self.items.append(StreamItem(ItemKind.INSTRUCTION, self.pc, self.phase,
-                                     self.window, self.scalar, instr))
+        self.items.append(_new_item((_INSTRUCTION, self.pc, self.phase,
+                                     self.window, self.scalar, instr, None, ())))
         self.scalar = 0
         self.pc = (self.pc + 4) & _U64_MASK
 
@@ -114,10 +120,17 @@ def _formatted(form: str) -> Callable[[Sequence], str]:
 
 
 def _uint(bits: int, form: str) -> _Operand:
+    # no canonical token of at most this many characters reaches 2^bits, so a
+    # run no longer than it needs no range check
+    short = min(len(str(1 << bits)) - 1, 2 + bits // 4)
+
     def read(tokens: list[str], line_no: int) -> list[int]:
-        if _is_uint_run(" ".join(tokens)):
-            values = [int(token, 0) for token in tokens]
-            if not max(values) >> bits:
+        text = " ".join(tokens)
+        if _is_uint_run(text):
+            values = []
+            for token in tokens:
+                values.append(int(token, 0))
+            if len(text) <= short or not max(values) >> bits:
                 return values
         bad = next(t for t in tokens if not _is_uint(t) or int(t, 0) >> bits)
         raise MalformedNumber(f"{bad!r} outside [0, 2^{bits})" if _is_uint(bad)
@@ -182,8 +195,9 @@ _DIRECTIVES = {
     ".memf64": (ItemKind.INIT_MEM_F64, _U64, _F64, True),
     ".memu64": (ItemKind.INIT_MEM_U64, _U64, _U64, True),
 }
-# the directive that writes each directive item's kind
-_PAYLOAD_DIRECTIVE = {kind: name for name, (kind, *_) in _DIRECTIVES.items()}
+# the directive that writes each directive item's kind, by the kind's value:
+# a str hashes in C, an enum member through `Enum.__hash__`
+_PAYLOAD_DIRECTIVE = {kind._value_: name for name, (kind, *_) in _DIRECTIVES.items() if kind}
 
 
 def parse_vstream(text: str) -> list[StreamItem]:
@@ -216,11 +230,18 @@ def parse_vstream(text: str) -> list[StreamItem]:
     return builder.items
 
 
-def _line(directive: str, target: Optional[int], values) -> str:
-    _, target_operand, value_operand, _ = _DIRECTIVES[directive]
-    if target_operand:
-        return f"{directive} {target_operand.write((target,))} {value_operand.write(values)}"
-    return f"{directive} {value_operand.write(values)}"
+def _writer(directive: str) -> Callable[..., str]:
+    """The function that writes one `directive` line: from its one value for
+    a directive without a kind, else from its target and values."""
+    kind, target_operand, value_operand, _ = _DIRECTIVES[directive]
+    write = value_operand.write
+    if kind is None:
+        return lambda value: f"{directive} {write((value,))}"
+    write_target = target_operand.write
+    return lambda target, values: f"{directive} {write_target((target,))} {write(values)}"
+
+
+_WRITERS = {directive: _writer(directive) for directive in _DIRECTIVES}
 
 
 def write_vstream(items: list[StreamItem]) -> str:
@@ -236,18 +257,19 @@ def write_vstream(items: list[StreamItem]) -> str:
     for item in items:
         if item.pc != pc:
             pc = item.pc
-            lines.append(_line(".pc", None, (pc,)))
+            lines.append(_WRITERS[".pc"](pc))
         if item.phase != phase:
             phase = item.phase
-            lines.append(_line(".phase", None, (phase,)))
+            lines.append(_WRITERS[".phase"](phase))
         if item.window != window:
             window = item.window
-            lines.append(_line(".window", None, (window,)))
-        if item.kind is ItemKind.INSTRUCTION:
+            lines.append(_WRITERS[".window"](window))
+        if item.kind is _INSTRUCTION:
             if item.scalar_before:
-                lines.append(_line(".scalar", None, (item.scalar_before,)))
+                lines.append(_WRITERS[".scalar"](item.scalar_before))
             lines.append(text_of(item.instr))
             pc = (item.pc + 4) & _U64_MASK
         else:
-            lines.append(_line(_PAYLOAD_DIRECTIVE[item.kind], item.target, item.values))
+            directive = _PAYLOAD_DIRECTIVE[item.kind._value_]
+            lines.append(_WRITERS[directive](item.target, item.values))
     return "\n".join(lines) + ("\n" if lines else "")

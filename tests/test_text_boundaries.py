@@ -67,19 +67,32 @@ def test_one_formatter_per_paraver_line_kind():
         assert len([c for c in constants if c.startswith(prefix)]) == 1, prefix
 
 
+def _name(node: ast.AST):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _builds_stream_item(call: ast.Call) -> bool:
+    """Whether `call` builds a `StreamItem`: by calling the class or its
+    ``_make``, or by handing the class to the positional idiom,
+    ``records.positional(StreamItem)`` or ``tuple.__new__(StreamItem, ...)``."""
+    func = _name(call.func)
+    if func == "StreamItem" or func == "_make" and _name(call.func.value) == "StreamItem":
+        return True
+    return func in ("positional", "__new__") and bool(call.args) \
+        and _name(call.args[0]) == "StreamItem"
+
+
 def test_stream_items_are_built_only_in_vstream():
-    """Only `vstream` calls `StreamItem(...)`: every other producer appends
-    through `StreamBuilder`, the one holder of the pc, phase, window and
+    """Only `vstream` builds a `StreamItem`, by calling the class or through
+    the positional idiom: every other producer appends through
+    `StreamBuilder`, the one holder of the pc, phase, window and
     pending-scalar rules."""
-    callers = set()
+    builders = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "StreamItem":
-                    callers.add(path.stem)
-    assert callers == {"vstream"}
+            if isinstance(node, ast.Call) and _builds_stream_item(node):
+                builders.add(path.stem)
+    assert builders == {"vstream"}
 
 
 # public names that neither the package nor perfbench uses, each with its reason
