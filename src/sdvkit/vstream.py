@@ -109,9 +109,11 @@ class _Operand(NamedTuple):
     text, a whole run at a time.  `read` takes a line's tokens of that kind
     and returns their values: one canonical-form check over the run, then one
     conversion pass, and only when either fails a scan that names the first
-    bad token.  `write` renders a run of values as one space-separated text."""
+    bad token.  `write` renders a run of values as one space-separated text;
+    `form`, for an integer operand, is the %-format of one value."""
     read: Callable[[list[str], int], list]
     write: Callable[[Sequence], str]
+    form: Optional[str] = None
 
 
 def _formatted(form: str) -> Callable[[Sequence], str]:
@@ -135,7 +137,7 @@ def _uint(bits: int, form: str) -> _Operand:
         bad = next(t for t in tokens if not _is_uint(t) or int(t, 0) >> bits)
         raise MalformedNumber(f"{bad!r} outside [0, 2^{bits})" if _is_uint(bad)
                               else f"bad integer {bad!r}", line_no)
-    return _Operand(read, _formatted(form))
+    return _Operand(read, _formatted(form), form)
 
 
 def _is_f64(text: str) -> bool:
@@ -177,7 +179,8 @@ def _register(prefix: str) -> _Operand:
             except AsmSyntaxError:
                 raise StreamSyntaxError(f"bad register {token!r}", line_no) from None
         return values
-    return _Operand(read, _formatted(f"{prefix}%d"))
+    form = f"{prefix}%d"
+    return _Operand(read, _formatted(form), form)
 
 
 _U32, _U64 = _uint(32, "%d"), _uint(64, "%#x")
@@ -232,13 +235,13 @@ def parse_vstream(text: str) -> list[StreamItem]:
 
 def _writer(directive: str) -> Callable[..., str]:
     """The function that writes one `directive` line: from its one value for
-    a directive without a kind, else from its target and values."""
+    a directive without a kind, else from its target and values.  That value
+    and a target are one integer each, written with their operand's `form`."""
     kind, target_operand, value_operand, _ = _DIRECTIVES[directive]
-    write = value_operand.write
     if kind is None:
-        return lambda value: f"{directive} {write((value,))}"
-    write_target = target_operand.write
-    return lambda target, values: f"{directive} {write_target((target,))} {write(values)}"
+        return f"{directive} {value_operand.form}".__mod__
+    head, write = f"{directive} {target_operand.form} ", value_operand.write
+    return lambda target, values: head % target + write(values)
 
 
 _WRITERS = {directive: _writer(directive) for directive in _DIRECTIVES}
