@@ -4,12 +4,13 @@ and the one written form of an unsigned integer in the trace, VSTREAM and
 Paraver files.  A decimal has at most 20 digits, enough for any u64, so no
 reader converts a longer one.
 
-A named tuple's own constructor is a generated Python function that fills
-defaults and checks keywords, about 0.3 us more per record than the C-level
-``tuple.__new__``.  The loops that build a record per item, instruction or
-entry (`StreamBuilder`, `emulator.step`, `read_trace`, `simulate`) therefore
-build through `positional(Cls)`, which takes one tuple of every field in
-field order, defaults included, and checks nothing.  Everywhere else records
+A named tuple's own constructor is a generated Python-level ``__new__`` that
+fills defaults and checks keywords, about 1.5 times the cost of the C-level
+``tuple.__new__`` per record.  The loops that build a record per item,
+instruction or entry (`StreamBuilder`, `emulator.step`, `read_trace`,
+`simulate`) therefore build through `positional(Cls)`, which takes one tuple
+of every field in field order, defaults included, and checks nothing: a tuple
+one field short or long makes a malformed record.  Everywhere else records
 are built by calling the class."""
 
 from functools import partial
