@@ -453,6 +453,16 @@ _PINNED_STREAMS = {
         "4bfb40d2ebf1195a3ebfb3e353400a8bf0e03ff74fc87caeaa2addf7e0f79f86",
     "axpy --n 1000":
         "8226f0151818112eaef41d007f61ad5c93d77a8fe4f7c36bed3016bdd633f72e",
+    # no stage reaches phase 3: the output pass is the only phase-3 code
+    "fft --n 64 --variant naive":
+        "877c194eb5f2c37b9b9ca2f993e29fac8dd19264e62c124967d5b6a88d4f6efb",
+    # the benchmark's stream, with every wide table
+    "fft --n 8192 --variant wide":
+        "e03e9fe56b579eba18b3ab3fabf9339ecff05dadba4bc9285eac9ef23884fece",
+    "axpy --n 256":  # no tail strip
+        "1ee944ea57d569c38fa6fe5e3303dfa833f33c80faaf24b35213cc01221c7413",
+    "axpy --n 1":  # a tail strip only
+        "0f57c8d232c118abc9d3c168341d4ec143d40b866af38e5a2a4de67167e56e38",
 }
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from sdvkit.analysis import phase_metrics
 from sdvkit.emulator import run
 from sdvkit.errors import InvalidSeed, InvalidSize
 from sdvkit.isa import Category
+from sdvkit.vstream import write_vstream
 from sdvkit.workloads import (FftPlan, gen_axpy, gen_fft, oracle_axpy,
                               oracle_dft, read_f64_array)
 
@@ -172,3 +175,23 @@ def test_oracle_dft_parseval():
     energy_in = np.sum(re ** 2 + im ** 2)
     energy_out = np.sum(out_re ** 2 + out_im ** 2) / 128
     assert abs(energy_in - energy_out) / energy_in < 1e-12
+
+
+_RAMP = np.arange(64) / 64
+
+
+@pytest.mark.parametrize("generate, digest", [
+    (lambda: gen_fft(FftPlan(n=64, variant="wide", input_re=_RAMP, input_im=-_RAMP)),
+     "f2d3cfdd6d19997bc40d9d0b19b19a8371f374f31f3388f42299d55b4099c62b"),
+    # im is the first draw from the seed
+    (lambda: gen_fft(FftPlan(n=64, variant="naive", seed=1, input_re=_RAMP)),
+     "14ad2045e6c087b338e8e9bd14abc7d096114c2fe21b3e55fe9c380475acb2ba"),
+    (lambda: gen_axpy(300, 2.0, x=np.arange(300) / 4, y=np.ones(300)),
+     "d246964b789c896977d8f647b143134cc87cee3c7f9c8ecd1a94ad0ae84c3e1c"),
+    # x is the first draw from the seed
+    (lambda: gen_axpy(300, 2.0, y=np.ones(300), seed=1),
+     "8f5fb41d066ab5e7ddeaf25d1630864a816e120fca880d9f3a95c11d09715d28"),
+], ids=["fft-re-im", "fft-re", "axpy-x-y", "axpy-y"])
+def test_given_input_stream_text_is_pinned(generate, digest):
+    items, _ = generate()
+    assert hashlib.sha256(write_vstream(items).encode()).hexdigest() == digest
