@@ -26,9 +26,11 @@ source buffer and writes results interleaved by the stage span, so:
 Both variants execute identical element arithmetic, so they agree bitwise
 with each other and match the brute-force DFT oracle to rounding error.
 
-Every stream is sized from one VLMAX, `MachineConfig().vlmax(64)`.  A
-manifest's counts are those the emitter kept while writing the stream: its
-instructions, each phase's loop-body windows and each phase's `vsetvli` vl.
+Every stream is sized from one VLMAX, `MachineConfig().vlmax(64)`.  Buffer
+addresses are module constants; `_stage_rule` gives a stage's phase and naive
+tile width, `_wide_tables` a wide stage's table addresses.  A manifest's counts
+are those the emitter kept while writing the stream: its instructions, each
+phase's loop-body windows and each phase's `vsetvli` vl.
 """
 
 from __future__ import annotations
@@ -46,27 +48,30 @@ from .vstream import ItemKind, StreamBuilder
 from .isa import parse_instruction
 
 
-@dataclass(frozen=True)
-class FftLayout:
-    """Base addresses of every buffer; all regions are disjoint by spacing."""
-    in_re: int = 0x0100_0000
-    in_im: int = 0x0120_0000
-    ping_re: int = 0x0140_0000
-    ping_im: int = 0x0160_0000
-    pong_re: int = 0x0180_0000
-    pong_im: int = 0x01A0_0000
-    out_re: int = 0x01C0_0000
-    out_im: int = 0x01E0_0000
-    w_re: int = 0x0200_0000
-    w_im: int = 0x0220_0000
-    scatter_idx: int = 0x0240_0000   # per-stage even-output byte offsets
-    rep_idx: int = 0x0300_0000       # per-stage twiddle replication patterns
-    ident_idx: int = 0x0320_0000     # identity byte offsets for the output pass
+# FFT buffer base addresses; all regions are disjoint by spacing.
+_IN_RE, _IN_IM = 0x0100_0000, 0x0120_0000
+_PING_RE, _PING_IM = 0x0140_0000, 0x0160_0000
+_PONG_RE, _PONG_IM = 0x0180_0000, 0x01A0_0000
+_OUT_RE, _OUT_IM = 0x01C0_0000, 0x01E0_0000
+_W_RE, _W_IM = 0x0200_0000, 0x0220_0000  # per-stage twiddles, one table after another
+_SCATTER_IDX = 0x0240_0000  # per-stage even-output byte offsets
+_REP_IDX = 0x0300_0000      # per-stage twiddle replication patterns
+_IDENT_IDX = 0x0320_0000    # identity byte offsets for the output pass
 
 
 def _check_seed(seed: int) -> None:
     if seed < 0:
         raise InvalidSeed(f"seed must be >= 0, got {seed}")
+
+
+def _inputs(n: int, seed: int, *arrays) -> list[np.ndarray]:
+    """`arrays` as float64, each None drawn in turn from `seed` as n values in [-1, 1)."""
+    rng = np.random.default_rng(seed)
+    arrays = [np.asarray(rng.uniform(-1.0, 1.0, n) if a is None else a, dtype=np.float64)
+              for a in arrays]
+    if any(len(a) != n for a in arrays):
+        raise InvalidSize("input arrays must have length n")
+    return arrays
 
 
 @dataclass
@@ -110,27 +115,27 @@ class _Emitter(StreamBuilder):
         self.instruction(self._parse(text))
         self.instructions += 1
 
-    def loop_body(self, phase: int, scalar: int):
-        """Start one trip of `phase`'s loop body, `scalar` instructions in."""
-        self.pc = _pro_pc(phase) + 0x100  # the loop-body range
+    def loop_body(self, scalar: int):
+        """Start one trip of the phase's loop body, `scalar` instructions in."""
+        self.pc = _pro_pc(self.phase) + 0x100  # the loop-body range
         self.scalar = scalar
-        self.trips[phase] += 1
+        self.trips[self.phase] += 1
 
 
-def _stage_phase(span: int) -> int:
+def _stage_rule(span: int) -> tuple[int, int]:
+    """The phase of a stage of this span, or of a pass over this many
+    elements, and its naive tile width: the natural run length in phase 1,
+    then the legacy 8-wide (phase 2) and 64-wide (phase 3) tiles."""
     if span < 8:
-        return 1
+        return 1, span
     if span < 64:
-        return 2
-    return 3
+        return 2, 8
+    return 3, 64
 
 
-def _naive_stage_vl(span: int, phase: int) -> int:
-    if phase == 1:
-        return span       # natural run length
-    if phase == 2:
-        return 8          # legacy 8-wide tiles
-    return 64             # legacy 64-wide tiles
+def _wide_tables(q: int, half: int) -> tuple[int, int]:
+    """Wide stage q's scatter-index table and twiddle replication slab."""
+    return _SCATTER_IDX + 8 * q * half, _REP_IDX + 8 * q * _VLMAX
 
 
 def _twiddles(n: int):
@@ -146,29 +151,29 @@ def _twiddles(n: int):
     return tables
 
 
-def _vsetvli_window(e: _Emitter, vl: int, phase: int):
+def _vsetvli_window(e: _Emitter, vl: int):
     e.window += 1
     e.add(ItemKind.SET_XREG, 28, vl)
-    e.pc = _pro_pc(phase)
+    e.pc = _pro_pc(e.phase)
     e.scalar = 2
     e.instr("vsetvli x29, x28, e64, m1")
-    e.vls[phase] = vl
+    e.vls[e.phase] = vl
 
 
-def _copy_pass(e: _Emitter, pairs, vl: int, phase: int):
+def _copy_pass(e: _Emitter, pairs, vl: int):
     """Unit-stride copy of (src, dst, elems) buffer pairs in vl-wide strips."""
     for src, dst, elems in pairs:
         for off in range(0, elems, vl):
             e.window += 1
             e.add(ItemKind.SET_XREG, 10, src + 8 * off)
             e.add(ItemKind.SET_XREG, 11, dst + 8 * off)
-            e.loop_body(phase, 4)
+            e.loop_body(4)
             e.instr("vle64.v v1, (x10)")
             e.instr("vse64.v v1, (x11)")
 
 
 def _naive_butterfly_window(e: _Emitter, units, src_re, src_im, dst_re, dst_im,
-                            span, m, wre, wim, phase):
+                            span, m, wre, wim):
     """One unrolled loop body: 1-2 butterfly strips on disjoint register banks,
     loads grouped first, stores grouped last."""
     e.window += 1
@@ -187,7 +192,7 @@ def _naive_butterfly_window(e: _Emitter, units, src_re, src_im, dst_re, dst_im,
         e.add(ItemKind.SET_XREG, x + 7, dst_im + even_off + 8 * span)
         e.add(ItemKind.SET_FREG, 1 + 2 * k, float(wre[p]))
         e.add(ItemKind.SET_FREG, 2 + 2 * k, float(wim[p]))
-    e.loop_body(phase, 8 * len(units))
+    e.loop_body(8 * len(units))
     banks = [(1 + 13 * k, 2 + 8 * k, 1 + 2 * k) for k in range(len(units))]
     for v, x, _ in banks:
         e.instr(f"vle64.v v{v + 0}, (x{x + 0})")
@@ -214,27 +219,27 @@ def _naive_butterfly_window(e: _Emitter, units, src_re, src_im, dst_re, dst_im,
         e.instr(f"vse64.v v{v + 12}, (x{x + 7})")
 
 
-def _wide_stage(e: _Emitter, q, span, n, wvl, layout, src_re, src_im,
-                dst_re, dst_im, w_off, phase):
+def _wide_stage(e: _Emitter, q, span, n, wvl, src_re, src_im, dst_re, dst_im, w_off):
     """Generic full-length kernel: contiguous loads, in-register twiddle
     replication, scattered stores through the stage's index table."""
-    _vsetvli_window(e, wvl, phase)
-    e.add(ItemKind.SET_XREG, 3, layout.rep_idx + q * _VLMAX * 8)
-    e.instr("vle64.v v3, (x3)")
     half = n // 2
+    scatter, rep = _wide_tables(q, half)
+    _vsetvli_window(e, wvl)
+    e.add(ItemKind.SET_XREG, 3, rep)
+    e.instr("vle64.v v3, (x3)")
     for off in range(0, half, wvl):
         e.window += 1
         e.add(ItemKind.SET_XREG, 4, src_re + 8 * off)
         e.add(ItemKind.SET_XREG, 5, src_im + 8 * off)
         e.add(ItemKind.SET_XREG, 6, src_re + 8 * (half + off))
         e.add(ItemKind.SET_XREG, 7, src_im + 8 * (half + off))
-        e.add(ItemKind.SET_XREG, 8, layout.w_re + 8 * (w_off + off // span))
-        e.add(ItemKind.SET_XREG, 9, layout.w_im + 8 * (w_off + off // span))
-        e.add(ItemKind.SET_XREG, 10, layout.scatter_idx + 8 * (q * half + off))
+        e.add(ItemKind.SET_XREG, 8, _W_RE + 8 * (w_off + off // span))
+        e.add(ItemKind.SET_XREG, 9, _W_IM + 8 * (w_off + off // span))
+        e.add(ItemKind.SET_XREG, 10, scatter + 8 * off)
         e.add(ItemKind.SET_XREG, 11, dst_re)
         e.add(ItemKind.SET_XREG, 12, dst_im)
         e.add(ItemKind.SET_XREG, 13, 8 * span)
-        e.loop_body(phase, 12)
+        e.loop_body(12)
         e.instr("vle64.v v1, (x10)")        # even-output byte offsets
         e.instr("vadd.vx v2, v1, x13")      # odd outputs sit one span later
         e.instr("vle64.v v4, (x4)")
@@ -269,82 +274,69 @@ def gen_fft(plan: FftPlan):
     """
     n = plan.n
     t = n.bit_length() - 1
-    layout = FftLayout()
-    rng = np.random.default_rng(plan.seed)
-    re = plan.input_re if plan.input_re is not None else rng.uniform(-1.0, 1.0, n)
-    im = plan.input_im if plan.input_im is not None else rng.uniform(-1.0, 1.0, n)
-    re = np.asarray(re, dtype=np.float64)
-    im = np.asarray(im, dtype=np.float64)
-    if len(re) != n or len(im) != n:
-        raise InvalidSize("input arrays must have length n")
+    re, im = _inputs(n, plan.seed, plan.input_re, plan.input_im)
     twiddles = _twiddles(n)
     wvl = min(_VLMAX, n // 2)
 
     e = _Emitter()
-    e.mem(ItemKind.INIT_MEM_F64, layout.in_re, re)
-    e.mem(ItemKind.INIT_MEM_F64, layout.in_im, im)
+    e.mem(ItemKind.INIT_MEM_F64, _IN_RE, re)
+    e.mem(ItemKind.INIT_MEM_F64, _IN_IM, im)
     w_offsets = []
     off = 0
     for wre, wim in twiddles:
         w_offsets.append(off)
-        e.mem(ItemKind.INIT_MEM_F64, layout.w_re + 8 * off, wre)
-        e.mem(ItemKind.INIT_MEM_F64, layout.w_im + 8 * off, wim)
+        e.mem(ItemKind.INIT_MEM_F64, _W_RE + 8 * off, wre)
+        e.mem(ItemKind.INIT_MEM_F64, _W_IM + 8 * off, wim)
         off += len(wre)
     if plan.variant == "wide":
         half = n // 2
+        j = np.arange(half)
         for q in range(t):
             span = 1 << q
-            j = np.arange(half)
-            even = 8 * (j + span * (j // span))
-            e.mem(ItemKind.INIT_MEM_U64, layout.scatter_idx + 8 * q * half, even)
-            e.mem(ItemKind.INIT_MEM_U64, layout.rep_idx + 8 * q * _VLMAX, np.arange(wvl) // span)
-        e.mem(ItemKind.INIT_MEM_U64, layout.ident_idx, 8 * np.arange(n))
+            scatter, rep = _wide_tables(q, half)
+            e.mem(ItemKind.INIT_MEM_U64, scatter, 8 * (j + span * (j // span)))
+            e.mem(ItemKind.INIT_MEM_U64, rep, np.arange(wvl) // span)
+        e.mem(ItemKind.INIT_MEM_U64, _IDENT_IDX, 8 * np.arange(n))
 
     # phase 0: copy input into the ping buffer
     vl0 = wvl if plan.variant == "wide" else min(_VLMAX, n)
-    _vsetvli_window(e, vl0, 0)
-    _copy_pass(e, [(layout.in_re, layout.ping_re, n), (layout.in_im, layout.ping_im, n)],
-               vl0, 0)
+    _vsetvli_window(e, vl0)
+    _copy_pass(e, [(_IN_RE, _PING_RE, n), (_IN_IM, _PING_IM, n)], vl0)
 
     # butterfly stages, ping-pong between working buffers
-    buffers = [(layout.ping_re, layout.ping_im), (layout.pong_re, layout.pong_im)]
+    buffers = [(_PING_RE, _PING_IM), (_PONG_RE, _PONG_IM)]
     cur = 0
     for q in range(t):
         span = 1 << q
         m = n // (2 * span)
-        phase = _stage_phase(span)
-        e.phase = phase
+        e.phase, vl = _stage_rule(span)
         src_re, src_im = buffers[cur]
         dst_re, dst_im = buffers[1 - cur]
         if plan.variant == "naive":
-            vl = _naive_stage_vl(span, phase)
-            wre, wim = twiddles[q]
-            _vsetvli_window(e, vl, phase)
+            _vsetvli_window(e, vl)
             units = [(p, j0) for p in range(m) for j0 in range(0, span, vl)]
             for i in range(0, len(units), 2):
-                pair = units[i:i + 2]
-                _naive_butterfly_window(e, pair, src_re, src_im, dst_re, dst_im,
-                                        span, m, wre, wim, phase)
+                _naive_butterfly_window(e, units[i:i + 2], src_re, src_im, dst_re, dst_im,
+                                        span, m, *twiddles[q])
         else:
-            _wide_stage(e, q, span, n, wvl, layout, src_re, src_im,
-                        dst_re, dst_im, w_offsets[q], phase)
+            _wide_stage(e, q, span, n, wvl, src_re, src_im, dst_re, dst_im, w_offsets[q])
         cur = 1 - cur
 
-    e.phase = 3  # phase 3 always ends with the output pass
+    e.phase, vl = _stage_rule(n)  # n >= 64: phase 3 always ends with the output pass
     src_re, src_im = buffers[cur]
     if plan.variant == "naive":
-        _vsetvli_window(e, 64, 3)
-        _copy_pass(e, [(src_re, layout.out_re, n), (src_im, layout.out_im, n)], 64, 3)
+        _vsetvli_window(e, vl)
+        _copy_pass(e, [(src_re, _OUT_RE, n), (src_im, _OUT_IM, n)], vl)
     else:
-        _vsetvli_window(e, wvl, 3)
+        _vsetvli_window(e, wvl)
         for off in range(0, n, wvl):
             e.window += 1
-            e.add(ItemKind.SET_XREG, 10, layout.ident_idx + 8 * off)
+            e.add(ItemKind.SET_XREG, 10, _IDENT_IDX + 8 * off)
             e.add(ItemKind.SET_XREG, 11, src_re + 8 * off)
             e.add(ItemKind.SET_XREG, 12, src_im + 8 * off)
-            e.add(ItemKind.SET_XREG, 13, layout.out_re)
-            e.add(ItemKind.SET_XREG, 14, layout.out_im)
-            e.loop_body(3, 6)
+            e.add(ItemKind.SET_XREG, 13, _OUT_RE)
+            e.add(ItemKind.SET_XREG, 14, _OUT_IM)
+            e.loop_body(6)
             e.instr("vle64.v v1, (x10)")
             e.instr("vle64.v v2, (x11)")
             e.instr("vle64.v v3, (x12)")
@@ -356,9 +348,9 @@ def gen_fft(plan: FftPlan):
         "n": n,
         "variant": plan.variant,
         "seed": plan.seed,
-        "in_re": layout.in_re, "in_im": layout.in_im,
-        "out_re": layout.out_re, "out_im": layout.out_im,
-        "w_re": layout.w_re, "w_im": layout.w_im,
+        "in_re": _IN_RE, "in_im": _IN_IM,
+        "out_re": _OUT_RE, "out_im": _OUT_IM,
+        "w_re": _W_RE, "w_im": _W_IM,
         "stages": t,
         **{f"vl_phase{phase}": e.vls[phase] for phase in (0, 2, 3)},
         **{f"phase{phase}_loop_trips": e.trips[phase] for phase in (1, 2, 3)},
@@ -378,24 +370,19 @@ def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
     if not 1 <= n <= _AXPY_MAX_N:
         raise InvalidSize(f"n must be in [1, {_AXPY_MAX_N}], got {n}")
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    x = np.asarray(x if x is not None else rng.uniform(-1.0, 1.0, n), dtype=np.float64)
-    y = np.asarray(y if y is not None else rng.uniform(-1.0, 1.0, n), dtype=np.float64)
-    if len(x) != n or len(y) != n:
-        raise InvalidSize("input arrays must have length n")
-    x_base, y_base = _AXPY_X, _AXPY_Y
+    x, y = _inputs(n, seed, x, y)
 
     e = _Emitter()
-    e.mem(ItemKind.INIT_MEM_F64, x_base, x)
-    e.mem(ItemKind.INIT_MEM_F64, y_base, y)
+    e.mem(ItemKind.INIT_MEM_F64, _AXPY_X, x)
+    e.mem(ItemKind.INIT_MEM_F64, _AXPY_Y, y)
     e.add(ItemKind.SET_FREG, 1, float(a))
     strips = [min(_VLMAX, n - offset) for offset in range(0, n, _VLMAX)]
     for offset in range(0, n, _VLMAX):
         e.window += 1
         e.add(ItemKind.SET_XREG, 1, n - offset)  # the elements that remain
-        e.add(ItemKind.SET_XREG, 10, x_base + 8 * offset)
-        e.add(ItemKind.SET_XREG, 11, y_base + 8 * offset)
-        e.loop_body(0, 5)
+        e.add(ItemKind.SET_XREG, 10, _AXPY_X + 8 * offset)
+        e.add(ItemKind.SET_XREG, 11, _AXPY_Y + 8 * offset)
+        e.loop_body(5)
         e.instr("vsetvli x2, x1, e64, m1")
         e.instr("vle64.v v1, (x10)")
         e.instr("vle64.v v2, (x11)")
@@ -404,25 +391,23 @@ def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
         e.instr("vse64.v v2, (x11)")
     manifest = {
         "kind": "axpy", "n": n, "a": a, "seed": seed,
-        "x": x_base, "y": y_base, "strips": strips,
+        "x": _AXPY_X, "y": _AXPY_Y, "strips": strips,
         "instructions": e.instructions,
     }
     return e.items, manifest
 
 
-def oracle_dft(re: np.ndarray, im: np.ndarray, block: int = 64):
-    """Brute-force O(N^2) DFT straight from the definition, row-blocked to
-    bound memory; independent of the generated instruction streams."""
+def oracle_dft(re: np.ndarray, im: np.ndarray):
+    """Brute-force O(N^2) DFT straight from the definition, 64 rows at a time
+    to bound memory; independent of the generated instruction streams."""
     re = np.asarray(re, dtype=np.float64)
     im = np.asarray(im, dtype=np.float64)
     n = len(re)
     x = re + 1j * im
     out = np.empty(n, dtype=np.complex128)
     j = np.arange(n)
-    for k0 in range(0, n, block):
-        k = np.arange(k0, min(k0 + block, n))
-        w = np.exp(-2j * np.pi * np.outer(k, j) / n)
-        out[k0:k0 + len(k)] = w @ x
+    for k in np.split(j, range(64, n, 64)):
+        out[k] = np.exp(-2j * np.pi * np.outer(k, j) / n) @ x
     return out.real.copy(), out.imag.copy()
 
 
