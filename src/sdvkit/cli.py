@@ -75,8 +75,9 @@ class _Absent(str):
 def _write_outputs(args, texts: list[tuple[str, str]], said: str, **results) -> int:
     """Write each (path, text) and ``<args.output>.manifest``, whose entries
     end with `results` (a result takes the place of an argument it restates),
-    then print `said`; or exit 2, writing nothing, if a path is another's or an
-    input's (``args.reads``), is a directory or has no directory to go in.
+    then print `said`; or exit 2, writing nothing, if a path names no file, is
+    another's or an input's (``args.reads``), is a directory or has no
+    directory to go in.
     The old manifest goes first, so a write that fails part way leaves none
     that describes another run.  Without ``-o``, only the report is printed."""
     if args.output is None:
@@ -85,6 +86,9 @@ def _write_outputs(args, texts: list[tuple[str, str]], said: str, **results) -> 
     paths = [path for path, _ in texts] + [f"{args.output}.manifest"]
     taken = {Path(p).resolve(): "an input" for p in map(vars(args).get, args.reads) if p}
     for path in paths:
+        if not Path(path).name:
+            print(f"error: the output path {path!r} names no file", file=sys.stderr)
+            return 2
         if other := taken.get(where := Path(path).resolve()):
             print(f"error: an output and {other} share the path {path}", file=sys.stderr)
             return 2
@@ -143,7 +147,8 @@ def _cmd_to_prv(args) -> int:
     trace = _trace(args.input)
     doc = to_prv(trace, _timeline(trace, args.timing))
     prv_text, pcf_text = emit_prv(doc)
-    pcf_path = str(Path(args.output).with_suffix(".pcf"))
+    prv = Path(args.output)
+    pcf_path = str(prv.with_suffix(".pcf") if prv.name else prv)  # no name: refused below
     return _write_outputs(args, [(args.output, prv_text), (pcf_path, pcf_text)],
                           f"wrote {args.output} and {pcf_path}",
                           pcf=pcf_path, events=doc.record_count)
@@ -152,7 +157,7 @@ def _cmd_to_prv(args) -> int:
 def _cmd_simulate(args) -> int:
     entries, counters = simulate(_trace(args.input), load_timing_params(args.timing))
     texts = [(args.output, emit_timeline(entries))]
-    if args.svg:
+    if args.svg is not None:
         texts.append((args.svg, emit_timeline_svg(entries)))
     return _write_outputs(args, texts, f"total_cycles={counters.total_cycles} "
                           f"vector_instrs={counters.vector_instr_count} "

@@ -242,7 +242,7 @@ class Memory:
         return {index: bytes(page) for index, page in self._pages.items()}
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity, as Memory is; see scheduler.verify_equivalence
 class MachineState:
     config: MachineConfig
     xregs: list[int]
@@ -253,9 +253,9 @@ class MachineState:
     memory: Memory
     instret: int = 0  # trace records emitted so far
     # instruction -> its `_handler`, one per distinct instruction run
-    bindings: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    bindings: dict = field(default_factory=dict, init=False, repr=False)
     # vregs viewed as float64 lanes, taken once: FP instructions work through it
-    fp_vregs: np.ndarray = field(init=False, compare=False, repr=False)
+    fp_vregs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.fp_vregs = self.vregs.view(_F64)

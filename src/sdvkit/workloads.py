@@ -64,11 +64,11 @@ def _check_seed(seed: int) -> None:
         raise InvalidSeed(f"seed must be >= 0, got {seed}")
 
 
-def _inputs(n: int, seed: int, *arrays) -> list[np.ndarray]:
-    """`arrays` as float64, each None drawn in turn from `seed` as n values in [-1, 1)."""
+def _inputs(n: int, seed: int, *given) -> list[np.ndarray]:
+    """`given` as float64, each None drawn in turn from `seed` as n values in [-1, 1)."""
     rng = np.random.default_rng(seed)
     arrays = [np.asarray(rng.uniform(-1.0, 1.0, n) if a is None else a, dtype=np.float64)
-              for a in arrays]
+              for a in given]
     if any(len(a) != n for a in arrays):
         raise InvalidSize("input arrays must have length n")
     return arrays

@@ -149,3 +149,13 @@ def test_report_renderings():
     report = compare(metrics, metrics)
     assert "overall ipc" in report.to_text()
     assert report.to_csv().count("\n") == 3
+
+
+def test_compare_without_cycles_reads_dashes():
+    trace = [_rec(0, phase=0), _rec(1, phase=1)]
+    report = compare(phase_metrics(trace), phase_metrics(trace))
+    assert report.phase_span_sum_a is None and report.overall_ipc_b is None
+    text = report.to_text()
+    assert "sum of phase spans" not in text
+    for line in text.splitlines()[1:]:
+        assert line.split()[1:4] == ["-", "-", "-"]

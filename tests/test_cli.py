@@ -591,3 +591,57 @@ def test_a_write_that_fails_part_way_leaves_no_stale_manifest(inputs, monkeypatc
     assert written == ["out.csv", "out.svg"]
     assert capsys.readouterr().err.endswith(": out.svg\n")
     assert not Path("out.csv.manifest").exists()
+
+
+# command lines with an output path that names no file, and that path
+_NAMELESS = [
+    (["gen", "fft", "--n", "64", "-o", ""], ""),
+    (["emulate", "a.vs", "-o", ""], ""),
+    (["analyze", "a.trace", "-o", ""], ""),
+    (["compare", "a.trace", "a.trace", "-o", ""], ""),
+    (["to-prv", "a.trace", "-o", ""], ""),
+    (["to-prv", "a.trace", "-o", "."], "."),
+    (["to-prv", "a.trace", "-o", "/"], "/"),
+    (["simulate", "a.trace", "-o", "t.csv", "--svg", ""], ""),
+]
+
+
+@pytest.mark.parametrize("argv, path", _NAMELESS,
+                         ids=[" ".join(a or "''" for a in argv) for argv, _ in _NAMELESS])
+def test_an_output_path_that_names_no_file_is_exit_2(inputs, capsys, argv, path):
+    assert run_cli("simulate", "a.trace", "-o", "t.csv") == 0  # an old manifest to keep
+    Path(".manifest").write_text("a bystander\n")
+    before = _files()
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: the output path {path!r} names no file\n"
+    assert _files() == before
+    assert Path(".manifest").read_text() == "a bystander\n"
+
+
+def test_to_prv_puts_the_pcf_where_with_suffix_does(inputs):
+    assert run_cli("to-prv", "a.trace", "-o", "a.") == 0
+    assert Path("a..pcf").read_text().startswith("DEFAULT_OPTIONS")
+    assert "pcf = a..pcf\n" in Path("a..manifest").read_text()
+
+
+def test_a_failed_rename_names_the_output_and_leaves_no_temp_file(inputs, monkeypatch, capsys):
+    def fail(src, dst):
+        raise OSError(errno.EIO, os.strerror(errno.EIO), src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    capsys.readouterr()
+    assert run_cli("emulate", "a.vs", "-o", "b.trace") == 2
+    assert capsys.readouterr().err == f"error: {os.strerror(errno.EIO).lower()}: b.trace\n"
+    assert not Path("b.trace").exists() and not list(Path().glob("*.tmp"))
+
+
+def test_a_negative_scalar_cost_in_a_timing_file_is_exit_1(inputs, capsys):
+    Path("neg.ini").write_text("scalar_cycles_per_instr = -1\n")
+    before = _files()
+    capsys.readouterr()
+    assert run_cli("simulate", "a.trace", "--timing", "neg.ini", "-o", "x.csv") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: neg.ini: scalar_cycles_per_instr must be >= 0\n"
+    assert _files() == before

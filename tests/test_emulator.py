@@ -762,3 +762,9 @@ def test_emulator_outputs_match_pinned_digests(stream):
     snapshot = repr((*registers, sorted(pages.items())))
     assert (hashlib.sha256(write_trace(records).encode()).hexdigest(),
             hashlib.sha256(snapshot.encode()).hexdigest()) == _PINNED_DIGESTS[stream]
+
+
+def test_machine_states_compare_by_identity():
+    a, b = MachineState.create(), MachineState.create()
+    assert a != b and not a == b
+    assert a == a

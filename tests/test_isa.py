@@ -221,3 +221,13 @@ def test_encodings_are_distinct():
     # the decoder looks rows up by (opcode, funct3, funct6)
     keys = [encoding[:3] for _, _, encoding, _ in SPEC.values()]
     assert len(set(keys)) == len(keys)
+
+
+def test_an_instruction_of_an_unknown_mnemonic_is_refused():
+    with pytest.raises(UnsupportedMnemonic):
+        Instruction("vfoo")
+
+
+def test_a_vtype_without_its_group_multiplier_is_refused():
+    with pytest.raises(AsmSyntaxError, match="missing group-multiplier token"):
+        parse_instruction("vsetvli x1, x2, e64")

@@ -363,3 +363,21 @@ def test_non_canonical_header_duration(duration):
     with pytest.raises(PrvFormatError) as excinfo:
         parse_prv(f"#Paraver (01/01/00 at 00:00):{duration}_ns:1(1):1:1(1:1)\n")
     assert excinfo.value.line == 1
+
+
+@pytest.mark.parametrize("record, message", [
+    (EventRecord(1, -1, 0), "negative event type or value -1:0"),
+    (EventRecord(1, 3000, -5), "negative event type or value 3000:-5"),
+    (StateRecord(0, 5, -1), "negative state -1"),
+    ((1, 2, 3), "unknown record (1, 2, 3)"),
+])
+def test_a_document_refuses_a_record_out_of_its_domain(record, message):
+    with pytest.raises(SdvError) as excinfo:
+        PrvDocument(duration=10, records=[record])
+    assert str(excinfo.value) == message
+
+
+def test_document_repr_lists_its_records():
+    doc = PrvDocument(duration=10, records=[StateRecord(0, 10, 1), EventRecord(7, 3000, 256)])
+    assert repr(doc) == ("PrvDocument(duration=10, records=[StateRecord(begin=0, end=10, "
+                         "state=1), EventRecord(time=7, etype=3000, value=256)])")

@@ -195,3 +195,14 @@ _RAMP = np.arange(64) / 64
 def test_given_input_stream_text_is_pinned(generate, digest):
     items, _ = generate()
     assert hashlib.sha256(write_vstream(items).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("generate", [
+    lambda: gen_fft(FftPlan(n=64, input_re=np.zeros(63))),
+    lambda: gen_fft(FftPlan(n=64, input_im=np.zeros(65))),
+    lambda: gen_axpy(10, 1.0, x=np.zeros(9)),
+    lambda: gen_axpy(10, 1.0, y=np.zeros(11)),
+], ids=["fft-re", "fft-im", "axpy-x", "axpy-y"])
+def test_an_input_array_of_the_wrong_length_is_refused(generate):
+    with pytest.raises(InvalidSize, match="input arrays must have length n"):
+        generate()
