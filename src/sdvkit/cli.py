@@ -9,8 +9,9 @@ reproduces the output byte for byte.  A manifest lists ``key = value`` lines:
 the tool, the command, every argument in the order the parser defines it (a
 flag only when set, ``true``; an absent ``--timing`` or ``--config`` by the
 label of what runs instead, ``<defaults>`` or ``<none>``), then what the run
-found, such as record counts.  When a command's outputs and manifest share a
-path with each other or with its inputs, it exits 2 and writes nothing.
+found, such as record counts.  When an output path names no file, or a
+command's outputs and manifest share a path with each other or with its
+inputs, it exits 2 and writes nothing.
 
 Exit codes: 0 success, 1 domain error (bad input data, failed equivalence),
 2 usage or I/O error.
