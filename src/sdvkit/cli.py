@@ -38,7 +38,7 @@ from .scheduler import schedule_stream
 from .timing import TimingParams, emit_timeline, emit_timeline_svg, simulate
 from .tracefile import read_trace, write_trace
 from .vstream import parse_vstream, write_vstream
-from .workloads import FftPlan, gen_axpy, gen_fft
+from .workloads import workload_kinds
 
 
 def _write_file(path: str, text: str) -> None:
@@ -122,10 +122,8 @@ def _timeline(trace, timing):
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "fft":
-        items, manifest = gen_fft(FftPlan(n=args.n, variant=args.variant, seed=args.seed))
-    else:
-        items, manifest = gen_axpy(args.n, args.a, seed=args.seed)
+    generate, _, options = workload_kinds()[args.kind]
+    items, manifest = generate(**{name: getattr(args, name) for name in options})
     return _write_outputs(args, [(args.output, write_vstream(items))],
                           f"wrote {args.output} ({manifest['instructions']} instructions)",
                           **manifest)
@@ -220,16 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     gen = sub.add_parser("gen", help="generate a workload stream").add_subparsers(
         dest="kind", required=True)
-    fft = _command(gen, "fft", _cmd_gen, "radix-2 FFT workload", {}, "output .vs path")
-    fft.add_argument("--n", type=int, required=True,
-                     help="transform size (power of two, 64..65536)")
-    fft.add_argument("--variant", choices=("naive", "wide"), default="naive",
-                     help="vectorization variant (default: naive)")
-    axpy = _command(gen, "axpy", _cmd_gen, "strip-mined y = a*x + y", {}, "output .vs path")
-    axpy.add_argument("--n", type=int, required=True, help="vector length")
-    axpy.add_argument("--a", type=float, default=2.0, help="scale factor")
-    for gen_p in (fft, axpy):
-        gen_p.add_argument("--seed", type=int, default=0, help="input data seed")
+    for kind, (_, what, options) in workload_kinds().items():
+        kind_p = _command(gen, kind, _cmd_gen, what, {}, "output .vs path")
+        for name, keywords in options.items():
+            kind_p.add_argument(f"--{name}", **keywords)
     _command(sub, "emulate", _cmd_emulate, "run a stream, write the trace",
              {"input": "input .vs stream"}, "output .trace path", "config")
     _command(sub, "analyze", _cmd_analyze, "per-phase metrics report",

@@ -16,9 +16,10 @@ open interval, so a window with R ranges costs O(R log R + E) for E conflicts,
 not the O(ra·rb) per record pair of comparing range lists.
 
 The scheduling heuristic alternates pipelines when it can, then prefers the
-longest critical path, then original order.  If the heuristic ever produces a
-slower schedule under the cycle model, the original order is returned instead,
-so rescheduling never loses cycles.
+longest critical path, then original order; with one heap of ready records
+per pipeline, R records and E edges cost O(R log R + E).  If the heuristic
+ever produces a slower schedule under the cycle model, the original order is
+returned instead, so rescheduling never loses cycles.
 """
 
 from __future__ import annotations
@@ -137,19 +138,20 @@ def reschedule_order(window: Sequence[TraceRecord],
         below = max((critical[j] for j in succs[i]), default=0)
         critical[i] = weight[i] + below
 
-    ready = [i for i in range(n) if indegree[i] == 0]
+    # per pipeline, its ready records' (-critical, index) in a min-heap (sorted at first)
+    ready = {pipe: sorted((-critical[i], i) for i in range(n) if indegree[i] == 0
+                          and pipes[i] is pipe) for pipe in PIPELINES}
     order: list[int] = []
     partner: Optional[Pipeline] = None  # the pipeline that overlaps the last pick's
-    while ready:
-        pool = [i for i in ready if pipes[i] == partner] or ready
-        pick = max(pool, key=lambda i: (critical[i], -i))
-        ready.remove(pick)
+    while heap := ready.get(partner) or min(filter(None, ready.values()), default=None,
+                                            key=lambda h: h[0]):
+        _, pick = heappop(heap)
         order.append(pick)
         _, partner = PIPELINES[pipes[pick]]
         for succ in succs[pick]:
             indegree[succ] -= 1
             if indegree[succ] == 0:
-                ready.append(succ)
+                heappush(ready[pipes[succ]], (-critical[succ], succ))
     if len(order) != n:  # pragma: no cover - graph is acyclic by construction
         raise SdvError("dependence graph is not acyclic")
 

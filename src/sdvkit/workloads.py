@@ -26,6 +26,11 @@ source buffer and writes results interleaved by the stage span, so:
 Both variants execute identical element arithmetic, so they agree bitwise
 with each other and match the brute-force DFT oracle to rounding error.
 
+A generator takes a size and parameters, optional given inputs, then a seed,
+and returns ``(items, manifest)``; `_inputs` checks the seed and the inputs.
+`workload_kinds` is the table of kinds: each one's generator, help line and
+``gen`` options, built per call so that ``gen`` runs the generator held here.
+
 Every stream is sized from one VLMAX, `MachineConfig().vlmax(64)`.  Buffer
 addresses are module constants; `_stage_rule` gives a stage's phase and naive
 tile width, `_wide_tables` a wide stage's table addresses.  A manifest's counts
@@ -37,7 +42,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,35 +63,22 @@ _REP_IDX = 0x0300_0000      # per-stage twiddle replication patterns
 _IDENT_IDX = 0x0320_0000    # identity byte offsets for the output pass
 
 
-def _check_seed(seed: int) -> None:
+def _inputs(n: int, seed: int, *given) -> list[np.ndarray]:
+    """`given` as float64, each None drawn in turn from `seed` as n values in
+    [-1, 1); a negative seed, or an input that is not n values in one
+    dimension, is refused."""
     if seed < 0:
         raise InvalidSeed(f"seed must be >= 0, got {seed}")
-
-
-def _inputs(n: int, seed: int, *given) -> list[np.ndarray]:
-    """`given` as float64, each None drawn in turn from `seed` as n values in [-1, 1)."""
     rng = np.random.default_rng(seed)
     arrays = [np.asarray(rng.uniform(-1.0, 1.0, n) if a is None else a, dtype=np.float64)
               for a in given]
-    if any(len(a) != n for a in arrays):
+    if any(a.shape != (n,) for a in arrays):
         raise InvalidSize("input arrays must have length n")
     return arrays
 
 
-@dataclass
-class FftPlan:
-    n: int
-    variant: str = "naive"
-    seed: int = 0
-    input_re: Optional[np.ndarray] = None
-    input_im: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.n < 64 or self.n > 1 << 16 or self.n & (self.n - 1):
-            raise InvalidSize(f"n must be a power of two in [64, 65536], got {self.n}")
-        if self.variant not in ("naive", "wide"):
-            raise InvalidSize(f"unknown variant {self.variant!r}")
-        _check_seed(self.seed)
+_FFT_MIN_N, _FFT_MAX_N = 64, 1 << 16
+_VARIANTS = ("naive", "wide")  # the first is the default
 
 
 # Phase code regions: a prologue range and a loop-body range per phase, so
@@ -140,15 +131,9 @@ def _wide_tables(q: int, half: int) -> tuple[int, int]:
 
 def _twiddles(n: int):
     """Per-stage twiddle tables w_p = exp(-2*pi*i * p * span / n)."""
-    tables = []
-    t = n.bit_length() - 1
-    for q in range(t):
-        span = 1 << q
-        m = n // (2 * span)
-        p = np.arange(m)
-        angle = 2.0 * np.pi * p * span / n
-        tables.append((np.cos(angle), -np.sin(angle)))
-    return tables
+    spans = [1 << q for q in range(n.bit_length() - 1)]
+    angles = [2.0 * np.pi * np.arange(n // (2 * span)) * span / n for span in spans]
+    return [(np.cos(angle), -np.sin(angle)) for angle in angles]
 
 
 def _vsetvli_window(e: _Emitter, vl: int):
@@ -265,16 +250,20 @@ def _wide_stage(e: _Emitter, q, span, n, wvl, src_re, src_im, dst_re, dst_im, w_
         e.instr("vsuxei64.v v18, (x12), v2")
 
 
-def gen_fft(plan: FftPlan):
-    """Generate one FFT VSTREAM; returns (items, manifest).
+def gen_fft(n: int, variant: str = _VARIANTS[0], re: Optional[np.ndarray] = None,
+            im: Optional[np.ndarray] = None, seed: int = 0):
+    """Generate one FFT VSTREAM of the input re + i*im; returns (items, manifest).
 
     The manifest records buffer addresses, the engineered per-phase vector
     lengths, and per-phase loop-body (window) counts, including the phase-2
     trip count that the program-counter sawtooth reproduces.
     """
-    n = plan.n
+    if not _FFT_MIN_N <= n <= _FFT_MAX_N or n & (n - 1):
+        raise InvalidSize(f"n must be a power of two in [{_FFT_MIN_N}, {_FFT_MAX_N}], got {n}")
+    if variant not in _VARIANTS:
+        raise InvalidSize(f"unknown variant {variant!r}")
     t = n.bit_length() - 1
-    re, im = _inputs(n, plan.seed, plan.input_re, plan.input_im)
+    re, im = _inputs(n, seed, re, im)
     twiddles = _twiddles(n)
     wvl = min(_VLMAX, n // 2)
 
@@ -288,7 +277,7 @@ def gen_fft(plan: FftPlan):
         e.mem(ItemKind.INIT_MEM_F64, _W_RE + 8 * off, wre)
         e.mem(ItemKind.INIT_MEM_F64, _W_IM + 8 * off, wim)
         off += len(wre)
-    if plan.variant == "wide":
+    if variant == "wide":
         half = n // 2
         j = np.arange(half)
         for q in range(t):
@@ -299,7 +288,7 @@ def gen_fft(plan: FftPlan):
         e.mem(ItemKind.INIT_MEM_U64, _IDENT_IDX, 8 * np.arange(n))
 
     # phase 0: copy input into the ping buffer
-    vl0 = wvl if plan.variant == "wide" else min(_VLMAX, n)
+    vl0 = wvl if variant == "wide" else min(_VLMAX, n)
     _vsetvli_window(e, vl0)
     _copy_pass(e, [(_IN_RE, _PING_RE, n), (_IN_IM, _PING_IM, n)], vl0)
 
@@ -312,7 +301,7 @@ def gen_fft(plan: FftPlan):
         e.phase, vl = _stage_rule(span)
         src_re, src_im = buffers[cur]
         dst_re, dst_im = buffers[1 - cur]
-        if plan.variant == "naive":
+        if variant == "naive":
             _vsetvli_window(e, vl)
             units = [(p, j0) for p in range(m) for j0 in range(0, span, vl)]
             for i in range(0, len(units), 2):
@@ -324,7 +313,7 @@ def gen_fft(plan: FftPlan):
 
     e.phase, vl = _stage_rule(n)  # n >= 64: phase 3 always ends with the output pass
     src_re, src_im = buffers[cur]
-    if plan.variant == "naive":
+    if variant == "naive":
         _vsetvli_window(e, vl)
         _copy_pass(e, [(src_re, _OUT_RE, n), (src_im, _OUT_IM, n)], vl)
     else:
@@ -344,10 +333,7 @@ def gen_fft(plan: FftPlan):
             e.instr("vsuxei64.v v3, (x14), v1")
 
     manifest = {
-        "kind": "fft",
-        "n": n,
-        "variant": plan.variant,
-        "seed": plan.seed,
+        "kind": "fft", "n": n, "variant": variant, "seed": seed,
         "in_re": _IN_RE, "in_im": _IN_IM,
         "out_re": _OUT_RE, "out_im": _OUT_IM,
         "w_re": _W_RE, "w_im": _W_IM,
@@ -369,7 +355,6 @@ def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
     (items, manifest)."""
     if not 1 <= n <= _AXPY_MAX_N:
         raise InvalidSize(f"n must be in [1, {_AXPY_MAX_N}], got {n}")
-    _check_seed(seed)
     x, y = _inputs(n, seed, x, y)
 
     e = _Emitter()
@@ -395,6 +380,25 @@ def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
         "instructions": e.instructions,
     }
     return e.items, manifest
+
+
+def workload_kinds() -> dict[str, tuple]:
+    """Each kind -> (its generator, its help line, its options): each option's
+    name is a keyword of the generator, mapped to the `add_argument` keywords
+    of ``--<name>``."""
+    seed = {"seed": dict(type=int, default=0, help="input data seed (>= 0)")}
+    return {
+        "fft": (gen_fft, "radix-2 FFT workload", {
+            "n": dict(type=int, required=True,
+                      help=f"transform size (power of two, {_FFT_MIN_N}..{_FFT_MAX_N})"),
+            "variant": dict(choices=_VARIANTS, default=_VARIANTS[0],
+                            help="vectorization variant (default: %(default)s)"),
+            **seed}),
+        "axpy": (gen_axpy, "strip-mined y = a*x + y", {
+            "n": dict(type=int, required=True, help=f"vector length (1..{_AXPY_MAX_N})"),
+            "a": dict(type=float, default=2.0, help="scale factor"),
+            **seed}),
+    }
 
 
 def oracle_dft(re: np.ndarray, im: np.ndarray):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdvkit.emulator import run
-from sdvkit.workloads import FftPlan, gen_fft
+from sdvkit.workloads import gen_fft
 
 REFERENCE_N = 1024
 REFERENCE_SEED = 1
@@ -14,8 +14,7 @@ def reference_runs():
     Emulated once per session; several test modules read from it."""
     runs = {}
     for variant in ("naive", "wide"):
-        items, manifest = gen_fft(FftPlan(n=REFERENCE_N, variant=variant,
-                                          seed=REFERENCE_SEED))
+        items, manifest = gen_fft(n=REFERENCE_N, variant=variant, seed=REFERENCE_SEED)
         state, records = run(None, items)
         runs[variant] = {
             "manifest": manifest,

@@ -22,7 +22,7 @@ from sdvkit.scheduler import reschedule_order, schedule_stream, verify_equivalen
 from sdvkit.timing import TimingParams, occupancy, simulate
 from sdvkit.tracefile import TraceRecord, read_trace, write_trace
 from sdvkit.vstream import parse_vstream
-from sdvkit.workloads import FftPlan, gen_fft, oracle_dft, read_f64_array
+from sdvkit.workloads import gen_fft, oracle_dft, read_f64_array
 
 from test_decoding import _load as load_decode_fixture
 from test_prv import _random_doc
@@ -44,7 +44,7 @@ def test_criterion_1_fft_correctness():
             exp_re, exp_im = oracle_dft(re, im)
             scale = max(np.max(np.abs(exp_re)), np.max(np.abs(exp_im)))
             for variant in ("naive", "wide"):
-                items, man = gen_fft(FftPlan(n=n, variant=variant, seed=seed))
+                items, man = gen_fft(n=n, variant=variant, seed=seed)
                 state, _ = run(None, items)
                 got_re = read_f64_array(state.memory, man["out_re"], n)
                 got_im = read_f64_array(state.memory, man["out_im"], n)

@@ -8,7 +8,7 @@ from sdvkit.isa import Category, parse_instruction
 from sdvkit.prv import TYPE_VL, EventRecord, to_prv
 from sdvkit.timing import TimingParams, simulate
 from sdvkit.tracefile import TraceRecord, read_trace, write_trace
-from sdvkit.workloads import FftPlan, gen_fft
+from sdvkit.workloads import gen_fft
 
 
 def _rec(seq, phase=0, vl=8, pc=None, scalar=0, category=Category.ARITH_FP,
@@ -56,7 +56,7 @@ def test_cycle_metrics_with_params():
 
 def test_timeline_of_another_length_is_refused():
     """As in `to_prv`: a short timeline, and a long one, name the mismatch."""
-    _, trace = run(None, gen_fft(FftPlan(n=64, variant="naive"))[0])
+    _, trace = run(None, gen_fft(n=64, variant="naive")[0])
     timeline = simulate(trace, TimingParams())[0]
     for wrong in (timeline[:-1], timeline + timeline[:1]):
         for convert in (phase_metrics, to_prv):

@@ -19,7 +19,7 @@ import pytest
 from sdvkit import emulator
 from sdvkit.isa import Category
 from sdvkit.vstream import ItemKind
-from sdvkit.workloads import FftPlan, gen_axpy, gen_fft
+from sdvkit.workloads import gen_axpy, gen_fft
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -75,7 +75,7 @@ def _hook_counts(items) -> Counter:
 @pytest.mark.parametrize("stream", ["naive", "wide", "axpy"])
 def test_emulator_hooks_are_called_once_per_instruction(stream):
     items = gen_axpy(300, 2.0)[0] if stream == "axpy" \
-        else gen_fft(FftPlan(n=64, variant=stream, seed=1))[0]
+        else gen_fft(n=64, variant=stream, seed=1)[0]
     _, records = emulator.run(None, items)
     want = Counter(write_bytes=sum(item.kind in (ItemKind.INIT_MEM_F64, ItemKind.INIT_MEM_U64)
                                    for item in items))

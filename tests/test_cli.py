@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sdvkit import __version__, cli, scheduler
+from sdvkit import __version__, cli, scheduler, workloads
 from sdvkit.cli import build_parser, main
 from sdvkit.emulator import run
 from sdvkit.tracefile import HEADER
@@ -254,13 +254,30 @@ def test_config_file_is_honored(tmp_path):
     assert ":16:64:" in body  # strips clamp to the smaller VLMAX
 
 
-def test_every_subcommand_has_help():
+def test_every_subcommand_has_help(capsys):
     parser = build_parser()
-    for cmd in ("gen", "emulate", "analyze", "to-prv", "simulate",
+    for cmd in ("gen", "gen fft", "gen axpy", "emulate", "analyze", "to-prv", "simulate",
                 "schedule", "compare"):
         with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args([cmd, "--help"])
+            parser.parse_args([*cmd.split(), "--help"])
         assert excinfo.value.code == 0
+    # each size limit, as the generator enforces it
+    helps = " ".join(capsys.readouterr().out.split())
+    assert "power of two, 64..65536" in helps
+    assert "vector length (1..262144)" in helps
+
+
+def test_gen_looks_up_each_generator_when_it_runs(tmp_path, monkeypatch):
+    """A caller that kept the generator it found at import would escape a
+    wrapper bound to the module attribute afterwards, as a span tracer does."""
+    calls = []
+    for name in ("gen_fft", "gen_axpy"):
+        original = getattr(workloads, name)
+        monkeypatch.setattr(workloads, name, lambda *args, _name=name, _original=original,
+                            **kwargs: calls.append(_name) or _original(*args, **kwargs))
+    assert run_cli("gen", "fft", "--n", 64, "-o", tmp_path / "f.vs") == 0
+    assert run_cli("gen", "axpy", "--n", 8, "-o", tmp_path / "a.vs") == 0
+    assert calls == ["gen_fft", "gen_axpy"]
 
 
 def test_determinism_of_pipeline(tmp_path):

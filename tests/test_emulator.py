@@ -20,7 +20,7 @@ from sdvkit.errors import (EmulationError, OutOfBoundsAccess,
 from sdvkit.scheduler import _snapshot
 from sdvkit.tracefile import write_trace
 from sdvkit.vstream import ItemKind, parse_vstream
-from sdvkit.workloads import FftPlan, gen_axpy, gen_fft, oracle_axpy, read_f64_array
+from sdvkit.workloads import gen_axpy, gen_fft, oracle_axpy, read_f64_array
 
 
 def _run(text, config=None):
@@ -756,7 +756,7 @@ def test_emulator_outputs_match_pinned_digests(stream):
     strip."""
     kind, n = stream.split(" n=")
     items = gen_axpy(int(n), 2.0)[0] if kind == "axpy" \
-        else gen_fft(FftPlan(n=int(n), variant=kind, seed=1))[0]
+        else gen_fft(n=int(n), variant=kind, seed=1)[0]
     state, records = run(None, items)
     *registers, pages = _snapshot(None, state)
     snapshot = repr((*registers, sorted(pages.items())))

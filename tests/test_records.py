@@ -12,7 +12,7 @@ from sdvkit.scheduler import schedule_stream
 from sdvkit.timing import Pipeline, TimelineEntry, simulate
 from sdvkit.tracefile import TraceRecord, read_trace, write_trace
 from sdvkit.vstream import ItemKind, StreamItem, parse_vstream, write_vstream
-from sdvkit.workloads import FftPlan, gen_axpy, gen_fft
+from sdvkit.workloads import gen_axpy, gen_fft
 
 _INSTR = parse_instruction("vle64.v v1, (x10)")
 
@@ -63,8 +63,8 @@ def _hot_path_records():
     """(producer, records) for every record the hot paths build: the
     generators through `StreamBuilder`, `parse_vstream`, `run`, `read_trace`,
     `simulate` and `schedule_stream`'s output."""
-    streams = {"gen_fft naive": gen_fft(FftPlan(n=64, variant="naive", seed=1))[0],
-               "gen_fft wide": gen_fft(FftPlan(n=64, variant="wide", seed=1))[0],
+    streams = {"gen_fft naive": gen_fft(n=64, variant="naive", seed=1)[0],
+               "gen_fft wide": gen_fft(n=64, variant="wide", seed=1)[0],
                "gen_axpy": gen_axpy(300, 2.0)[0]}
     for name, items in streams.items():
         yield name, items

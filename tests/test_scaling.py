@@ -267,3 +267,26 @@ def test_build_dependences_scales_linearly_over_loads_of_shared_bytes():
     ratio = (_per_record_seconds(lambda: build_dependences(many), len(many), 10)
              / _per_record_seconds(lambda: build_dependences(few), len(few), 10))
     assert ratio < 3, f"per-record time grew {ratio:.1f}x from 513 to 8,193 records"
+
+
+_STORE, _CHAIN = (parse_instruction(text) for text in
+                  ("vse64.v v1, (x10)", "vfadd.vv v2, v2, v3"))
+
+
+def _store_chain_window(pairs):
+    """`pairs` stores of v1 to bytes of their own, then a chain of `pairs`
+    adds that each reads the one before: every store is ready at once, and
+    the picks alternate between a store and the next add."""
+    return [TraceRecord(seq=k, pc=4 * k, phase=0, scalar_before=0,
+                        instr=_STORE if k < pairs else _CHAIN, vl=8, sew_bits=64,
+                        addresses=((0x10000 + 64 * k, 64),) if k < pairs else (), window_id=0)
+            for k in range(2 * pairs)]
+
+
+def test_reschedule_order_scales_linearly_over_ready_records():
+    few, many = _store_chain_window(250), _store_chain_window(4000)
+    order = scheduler.reschedule_order(many)
+    assert order[:4] == [4000, 0, 4001, 1]  # the add chain is the critical path
+    ratio = (_per_record_seconds(lambda: scheduler.reschedule_order(many), len(many), 3)
+             / _per_record_seconds(lambda: scheduler.reschedule_order(few), len(few), 5))
+    assert ratio < 3, f"per-record time grew {ratio:.1f}x from 500 to 8,000 records"

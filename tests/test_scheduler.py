@@ -18,7 +18,7 @@ from sdvkit.timing import TimingParams, simulate
 from sdvkit.tracefile import TraceRecord
 from sdvkit.vstream import ItemKind, parse_vstream
 from sdvkit.emulator import run
-from sdvkit.workloads import FftPlan, gen_fft
+from sdvkit.workloads import gen_fft
 
 
 def _rec(seq, mnemonic, category, vl=8, addresses=(), window=1):
@@ -497,7 +497,7 @@ def _unit_keys(items):
 
 
 def test_each_distinct_unit_is_ordered_once_per_call(monkeypatch):
-    items, _ = gen_fft(FftPlan(n=128, variant="naive", seed=1))
+    items, _ = gen_fft(n=128, variant="naive", seed=1)
     keys = _unit_keys(items)
     assert (len(keys), len(set(keys))) == (75, 7)
     calls, original = [], scheduler.reschedule_order

@@ -11,7 +11,7 @@ from sdvkit.errors import (MalformedNumber, StreamSyntaxError, UnknownDirective)
 from sdvkit.isa import Instruction, parse_instruction
 from sdvkit.vstream import (ItemKind, StreamBuilder, StreamItem, parse_vstream,
                             write_vstream)
-from sdvkit.workloads import FftPlan, gen_axpy, gen_fft
+from sdvkit.workloads import gen_axpy, gen_fft
 
 
 def _instructions(items):
@@ -202,8 +202,8 @@ def _bits(items):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: gen_fft(FftPlan(64, "naive")), lambda: gen_fft(FftPlan(256, "naive")),
-    lambda: gen_fft(FftPlan(64, "wide")), lambda: gen_fft(FftPlan(256, "wide")),
+    lambda: gen_fft(n=64, variant="naive"), lambda: gen_fft(n=256, variant="naive"),
+    lambda: gen_fft(n=64, variant="wide"), lambda: gen_fft(n=256, variant="wide"),
     lambda: gen_axpy(300, 2.0),
 ], ids=["fft-naive-64", "fft-naive-256", "fft-wide-64", "fft-wide-256", "axpy-300"])
 def test_generated_streams_follow_the_parser(make):
@@ -221,7 +221,7 @@ def test_generated_text_round_trips_with_one_directive_per_image(monkeypatch, ki
     images, mem = [], workloads._Emitter.mem
     monkeypatch.setattr(workloads._Emitter, "mem",
                         lambda self, *image: images.append(image) or mem(self, *image))
-    items, _ = gen_fft(FftPlan(n, variant, seed=1)) if kind == "fft" else gen_axpy(n, 2.0, seed=1)
+    items, _ = gen_fft(n=n, variant=variant, seed=1) if kind == "fft" else gen_axpy(n, 2.0, seed=1)
     text = write_vstream(items)
     assert write_vstream(parse_vstream(text)) == text
     directives = [line.split() for line in text.splitlines() if line.startswith(".mem")]

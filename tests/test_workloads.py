@@ -8,7 +8,7 @@ from sdvkit.emulator import run
 from sdvkit.errors import InvalidSeed, InvalidSize
 from sdvkit.isa import Category
 from sdvkit.vstream import write_vstream
-from sdvkit.workloads import (FftPlan, gen_axpy, gen_fft, oracle_axpy,
+from sdvkit.workloads import (gen_axpy, gen_fft, oracle_axpy,
                               oracle_dft, read_f64_array)
 
 
@@ -59,7 +59,7 @@ def test_negative_seed_is_rejected():
     with pytest.raises(InvalidSeed):
         gen_axpy(10, 1.0, seed=-3)
     with pytest.raises(InvalidSeed):
-        FftPlan(n=64, seed=-1)
+        gen_fft(n=64, seed=-1)
 
 
 @pytest.mark.parametrize("variant", ["naive", "wide"])
@@ -67,8 +67,7 @@ def test_fft_impulse(variant):
     n = 64
     impulse = np.zeros(n)
     impulse[0] = 1.0
-    plan = FftPlan(n=n, variant=variant, input_re=impulse, input_im=np.zeros(n))
-    got_re, got_im, _ = _spectrum(*gen_fft(plan))
+    got_re, got_im, _ = _spectrum(*gen_fft(n=n, variant=variant, re=impulse, im=np.zeros(n)))
     assert np.allclose(got_re, 1.0, atol=1e-12)
     assert np.allclose(got_im, 0.0, atol=1e-12)
 
@@ -76,7 +75,7 @@ def test_fft_impulse(variant):
 @pytest.mark.parametrize("variant", ["naive", "wide"])
 def test_fft_random_against_oracle(variant):
     n = 256
-    items, manifest = gen_fft(FftPlan(n=n, variant=variant, seed=42))
+    items, manifest = gen_fft(n=n, variant=variant, seed=42)
     got_re, got_im, _ = _spectrum(items, manifest)
     rng = np.random.default_rng(42)
     exp_re, exp_im = oracle_dft(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
@@ -96,7 +95,7 @@ def _first_records(records):
 @pytest.mark.parametrize("n", [64, 256, 1024])
 @pytest.mark.parametrize("variant", ["naive", "wide"])
 def test_manifest_counts_are_what_the_stream_runs(variant, n):
-    items, manifest = gen_fft(FftPlan(n=n, variant=variant, seed=0))
+    items, manifest = gen_fft(n=n, variant=variant, seed=0)
     _, records = run(None, items)
     assert manifest["instructions"] == len(records)
     starts = [r.pc for r in _first_records(records)]
@@ -110,7 +109,7 @@ def test_manifest_counts_are_what_the_stream_runs(variant, n):
 
 def test_variants_structural_contrast():
     for variant, expect_indexed in (("naive", False), ("wide", True)):
-        items, _ = gen_fft(FftPlan(n=64, variant=variant, seed=0))
+        items, _ = gen_fft(n=64, variant=variant, seed=0)
         _, records = run(None, items)
         indexed = sum(1 for r in records if r.category == Category.MEM_INDEXED)
         strided = sum(1 for r in records if r.category == Category.MEM_STRIDED)
@@ -120,19 +119,19 @@ def test_variants_structural_contrast():
 
 
 def test_wide_uses_register_gather():
-    items, _ = gen_fft(FftPlan(n=64, variant="wide", seed=0))
+    items, _ = gen_fft(n=64, variant="wide", seed=0)
     _, records = run(None, items)
     assert any(r.category == Category.PERM for r in records)
 
 
 def test_small_size_vl_signature():
     # same engineered tiling as the reference size, visible at n=64
-    items, _ = gen_fft(FftPlan(n=64, variant="naive", seed=0))
+    items, _ = gen_fft(n=64, variant="naive", seed=0)
     _, records = run(None, items)
     metrics = {m.phase: m for m in phase_metrics(records)}
     assert metrics[2].avg_vl == 8.0
     assert metrics[3].avg_vl == 64.0
-    items, _ = gen_fft(FftPlan(n=64, variant="wide", seed=0))
+    items, _ = gen_fft(n=64, variant="wide", seed=0)
     _, records = run(None, items)
     for m in phase_metrics(records):
         assert m.avg_vl == 32.0  # min(256, n/2)
@@ -140,26 +139,26 @@ def test_small_size_vl_signature():
 
 def test_four_phases_always_present():
     for variant in ("naive", "wide"):
-        items, _ = gen_fft(FftPlan(n=64, variant=variant, seed=0))
+        items, _ = gen_fft(n=64, variant=variant, seed=0)
         _, records = run(None, items)
         assert sorted({r.phase for r in records}) == [0, 1, 2, 3]
 
 
 def test_generation_is_deterministic():
-    a, _ = gen_fft(FftPlan(n=128, variant="wide", seed=9))
-    b, _ = gen_fft(FftPlan(n=128, variant="wide", seed=9))
+    a, _ = gen_fft(n=128, variant="wide", seed=9)
+    b, _ = gen_fft(n=128, variant="wide", seed=9)
     assert a == b
 
 
 def test_invalid_plans():
     with pytest.raises(InvalidSize):
-        FftPlan(n=100)
+        gen_fft(n=100)
     with pytest.raises(InvalidSize):
-        FftPlan(n=32)
+        gen_fft(n=32)
     with pytest.raises(InvalidSize):
-        FftPlan(n=1 << 17)
+        gen_fft(n=1 << 17)
     with pytest.raises(InvalidSize):
-        FftPlan(n=64, variant="fancy")
+        gen_fft(n=64, variant="fancy")
 
 
 def test_oracle_axpy_matches_definition():
@@ -181,10 +180,10 @@ _RAMP = np.arange(64) / 64
 
 
 @pytest.mark.parametrize("generate, digest", [
-    (lambda: gen_fft(FftPlan(n=64, variant="wide", input_re=_RAMP, input_im=-_RAMP)),
+    (lambda: gen_fft(n=64, variant="wide", re=_RAMP, im=-_RAMP),
      "f2d3cfdd6d19997bc40d9d0b19b19a8371f374f31f3388f42299d55b4099c62b"),
     # im is the first draw from the seed
-    (lambda: gen_fft(FftPlan(n=64, variant="naive", seed=1, input_re=_RAMP)),
+    (lambda: gen_fft(n=64, variant="naive", seed=1, re=_RAMP),
      "14ad2045e6c087b338e8e9bd14abc7d096114c2fe21b3e55fe9c380475acb2ba"),
     (lambda: gen_axpy(300, 2.0, x=np.arange(300) / 4, y=np.ones(300)),
      "d246964b789c896977d8f647b143134cc87cee3c7f9c8ecd1a94ad0ae84c3e1c"),
@@ -198,11 +197,18 @@ def test_given_input_stream_text_is_pinned(generate, digest):
 
 
 @pytest.mark.parametrize("generate", [
-    lambda: gen_fft(FftPlan(n=64, input_re=np.zeros(63))),
-    lambda: gen_fft(FftPlan(n=64, input_im=np.zeros(65))),
+    lambda: gen_fft(n=64, re=np.zeros(63)),
+    lambda: gen_fft(n=64, im=np.zeros(65)),
+    lambda: gen_fft(n=64, re=np.zeros((64, 3))),
+    lambda: gen_fft(n=64, im=np.zeros((64, 1))),
+    lambda: gen_fft(n=64, re=np.float64(1.0)),
     lambda: gen_axpy(10, 1.0, x=np.zeros(9)),
     lambda: gen_axpy(10, 1.0, y=np.zeros(11)),
-], ids=["fft-re", "fft-im", "axpy-x", "axpy-y"])
+    lambda: gen_axpy(2, 1.0, x=np.zeros((2, 3))),
+    lambda: gen_axpy(2, 1.0, y=np.zeros((2, 1))),
+    lambda: gen_axpy(2, 1.0, x=np.float64(1.0)),
+], ids=["fft-re", "fft-im", "fft-re-2d", "fft-im-column", "fft-re-scalar",
+        "axpy-x", "axpy-y", "axpy-x-2d", "axpy-y-column", "axpy-x-scalar"])
 def test_an_input_array_of_the_wrong_length_is_refused(generate):
     with pytest.raises(InvalidSize, match="input arrays must have length n"):
         generate()
