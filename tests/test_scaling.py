@@ -4,13 +4,14 @@ short input to one 16 times as long, the best per-record time of a layer may
 not grow 3 times.  `Memory.write_u64` is guarded per word, on address arrays
 that are all 8-aligned and on arrays that are not.  The emulator's `run` is
 guarded here over streams in which no two instructions are equal, so every
-record binds a new handler.  The
-scheduler has four: `schedule_stream` per record as the stream grows, once
-with every window alike and once with no two alike, and `build_dependences`
-per address range as the ranges of each record grow and per record as a
-window of loads that all read the same bytes grows.  `parse_vstream` and
-`write_vstream` are also guarded per value of one `.memf64` or `.memu64`
-line, since a generated memory image is one directive however long."""
+record binds a new handler.  The scheduler has five: `schedule_stream` per
+record as the stream grows, once with every window alike and once with no
+two alike, `build_dependences` per address range as the ranges of each
+record grow and per record as a window of loads that all read the same bytes
+grows, and `reschedule_order` per record as a window whose stores are all
+ready at once grows.  `parse_vstream` and `write_vstream` are also guarded
+per value of one `.memf64` or `.memu64` line, since a generated memory image
+is one directive however long."""
 
 import time
 
