@@ -400,11 +400,22 @@ def _handler(instr: Instruction) -> Callable[[MachineState], tuple]:
     if operation == "gather":
         readers[0] = (lambda state, lanes, vl, reg: lanes[reg], readers[0][1])  # whole source
     fp, vd = category is Category.ARITH_FP, getattr(instr, ROLES[dest][0][0])
+    count = len(readers)  # 0 to 3; the operands are read by direct calls, no list per record
+    (read_a, a), (read_b, b), (read_c, c) = readers + [(None, None)] * (3 - count)
     def compute(state: MachineState):
         vl = state.vl
         if vl:
             lanes = state.fp_vregs if fp else state.vregs
-            lanes[vd, :vl] = evaluate(vl, *[read(state, lanes, vl, r) for read, r in readers])
+            if count == 2:
+                result = evaluate(vl, read_a(state, lanes, vl, a), read_b(state, lanes, vl, b))
+            elif count == 3:
+                result = evaluate(vl, read_a(state, lanes, vl, a), read_b(state, lanes, vl, b),
+                                  read_c(state, lanes, vl, c))
+            elif count == 1:
+                result = evaluate(vl, read_a(state, lanes, vl, a))
+            else:
+                result = evaluate(vl)
+            lanes[vd, :vl] = result
         return ()
     return compute
 

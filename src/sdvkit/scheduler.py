@@ -15,11 +15,19 @@ only with the open stores and a store with both.  Each record has at most one
 open interval, so a window with R ranges costs O(R log R + E) for E conflicts,
 not the O(ra·rb) per record pair of comparing range lists.
 
-The scheduling heuristic alternates pipelines when it can, then prefers the
-longest critical path, then original order; with one heap of ready records
-per pipeline, R records and E edges cost O(R log R + E).  If the heuristic
-ever produces a slower schedule under the cycle model, the original order is
-returned instead, so rescheduling never loses cycles.
+The scheduling heuristic is list scheduling with the cycle model as its
+oracle: each step places the ready record that `timing` starts earliest after
+the order so far, ties going to the longest critical path, then to original
+order.  Each step tries only the two best ready records by critical path of
+each pipeline, each placed on a copy of one resumable `timing.ModelState`,
+and skips a record whose lower bound (`ModelState.earliest_start`) is later
+than the best start found; with one heap of ready records per pipeline, R
+records and E edges cost O(R log R + E).  A window is ordered twice: after an
+empty model, as if run once, and after one copy of itself in original order,
+as a loop body in its steady state.  Of those two orders and the original
+one, the fewest cycles in both contexts together wins, the original order
+first among equals, so by that sum a window never gets slower; and
+`schedule_stream` keeps its input when the whole stream got slower.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .config import MachineConfig
 from .emulator import MachineState, run
 from .errors import NotEquivalent, SdvError
 from .isa import Category
-from .timing import PIPELINES, Pipeline, TimingParams, occupancy, pipeline_of, simulate
+from .timing import _LANES, ModelState, TimingParams, occupancy, pipeline_of, simulate
 from .tracefile import TraceRecord
 from .vstream import _INSTRUCTION, StreamItem
 
@@ -51,6 +59,9 @@ _VL_READ, _VL_WRITE = (_VL, frozenset()), (frozenset(), _VL)
 def _disjoint_intervals(ranges) -> list[tuple[int, int]]:
     """``(base, end)`` intervals covering the same bytes as ``(base, length)``
     ranges, sorted, with no two overlapping or touching."""
+    if len(ranges) == 1:  # most memory records: one unit-stride range
+        (base, length), = ranges
+        return [(base, base + length)] if length else []
     intervals = sorted((base, base + length) for base, length in ranges if length)
     merged = intervals[:1]
     for base, end in intervals[1:]:
@@ -65,7 +76,7 @@ def _disjoint_intervals(ranges) -> list[tuple[int, int]]:
 def _memory_conflicts(window: Sequence[TraceRecord]) -> set[tuple[int, int]]:
     """Record pairs ``(i, j)``, ``i < j``, whose byte ranges overlap and at
     least one of which is a store."""
-    intervals = sorted((base, end, i) for i, record in enumerate(window)
+    intervals = sorted((base, end, i) for i, record in enumerate(window) if record.addresses
                        for base, end in _disjoint_intervals(record.addresses))
     stores = [record.instr.is_store for record in window]
     conflicts: set[tuple[int, int]] = set()
@@ -79,6 +90,19 @@ def _memory_conflicts(window: Sequence[TraceRecord]) -> set[tuple[int, int]]:
                 conflicts.add((k, i) if k < i else (i, k))
         heappush(opened[stores[i]], (end, i))
     return conflicts
+
+
+class _Unit(list):
+    """The records of one unit of `schedule_stream`, with the memory
+    conflicts swept once for its key.  They travel with the records, since
+    `reschedule_order` takes only a window and parameters, and
+    `build_dependences` reads them here instead of sweeping again."""
+
+    __slots__ = ("conflicts",)
+
+    def __init__(self, records):
+        super().__init__(records)
+        self.conflicts = frozenset(_memory_conflicts(self))
 
 
 def build_dependences(window: Sequence[TraceRecord]) -> dict[tuple[int, int], set[str]]:
@@ -111,26 +135,75 @@ def build_dependences(window: Sequence[TraceRecord]) -> dict[tuple[int, int], se
                 writer[reg] = i
                 readers[reg] = []
 
-    for i, j in _memory_conflicts(window):
+    for i, j in window.conflicts if isinstance(window, _Unit) else _memory_conflicts(window):
         add(i, j, MEM_ORDER)
     return graph
 
 
+# ready records tried per pipeline and step, the best (-critical path, index) first
+_CANDIDATES = 2
+
+
+def _earliest_start_order(window: Sequence[TraceRecord], state: ModelState,
+                          succs: list[list[int]], critical: list[int],
+                          lanes: list[int]) -> tuple[tuple[int, ...], ModelState]:
+    """List scheduling after the records placed in `state`, which is left
+    as it was: each step places the ready record that the model starts
+    earliest after the order so far, of the `_CANDIDATES` best by
+    (-critical path, index) of each pipeline; ties go to the longer critical
+    path, then the lower index.  Returns the order and the state after it."""
+    indegree = [0] * len(window)
+    for targets in succs:
+        for succ in targets:
+            indegree[succ] += 1
+    # per pipeline, its ready records' (-critical, index) in a min-heap (sorted at first)
+    ready = [sorted((-critical[i], i) for i in range(len(window))
+                    if indegree[i] == 0 and lanes[i] == lane) for lane in range(len(_LANES))]
+    order = []
+    while tried := [heappop(heap) for heap in ready for _ in range(min(_CANDIDATES, len(heap)))]:
+        # a candidate whose lower bound is later than the best start so far
+        # cannot win, so those with the lowest bounds are tried first
+        best = None  # ((start, -critical, index), the state after placing it)
+        for bound, key, i in sorted((state.earliest_start(window[i]), key, i)
+                                    for key, i in tried):
+            if best is not None and (bound, key, i) >= best[0]:
+                break
+            trial = state.copy()
+            start = trial.place((window[i],))[0].start_cycle
+            if best is None or (start, key, i) < best[0]:
+                best = (start, key, i), trial
+        (_, _, pick), state = best
+        for entry in tried:
+            if entry[1] != pick:
+                heappush(ready[lanes[entry[1]]], entry)
+        order.append(pick)
+        for succ in succs[pick]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heappush(ready[lanes[succ]], (-critical[succ], succ))
+    if len(order) != len(window):  # pragma: no cover - graph is acyclic by construction
+        raise SdvError("dependence graph is not acyclic")
+    return tuple(order), state
+
+
 def reschedule_order(window: Sequence[TraceRecord],
                      params: Optional[TimingParams] = None) -> list[int]:
-    """Topological order chosen by list scheduling; returns indices into the
-    window.  Falls back to original order if the model says it would be slower."""
+    """Topological order chosen by list scheduling with the cycle model;
+    returns indices into the window.
+
+    Two orders are made by `_earliest_start_order`: one from an empty model
+    (the window run once) and one after a copy of the window in its original
+    order (the window as a loop body in its steady state).  Of those and the
+    original order, the one with the fewest cycles in both contexts together
+    is returned, the original order winning ties."""
     n = len(window)
     if n <= 1:
         return list(range(n))
     params = params or TimingParams()
-    graph = build_dependences(window)
     pipes = [pipeline_of(r.instr.category) for r in window]
-    succs: list[list[int]] = [[] for _ in range(n)]  # each in ascending order
-    indegree = [0] * n
-    for src, dst in sorted(graph):
+    succs: list[list[int]] = [[] for _ in range(n)]
+    for src, dst in build_dependences(window):
         succs[src].append(dst)
-        indegree[dst] += 1
 
     weight = [occupancy(window[i], params) + params.latency_of(pipes[i]) for i in range(n)]
     critical = [0] * n
@@ -138,31 +211,23 @@ def reschedule_order(window: Sequence[TraceRecord],
         below = max((critical[j] for j in succs[i]), default=0)
         critical[i] = weight[i] + below
 
-    # per pipeline, its ready records' (-critical, index) in a min-heap (sorted at first)
-    ready = {pipe: sorted((-critical[i], i) for i in range(n) if indegree[i] == 0
-                          and pipes[i] is pipe) for pipe in PIPELINES}
-    order: list[int] = []
-    partner: Optional[Pipeline] = None  # the pipeline that overlaps the last pick's
-    while heap := ready.get(partner) or min(filter(None, ready.values()), default=None,
-                                            key=lambda h: h[0]):
-        _, pick = heappop(heap)
-        order.append(pick)
-        _, partner = PIPELINES[pipes[pick]]
-        for succ in succs[pick]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heappush(ready[pipes[succ]], (-critical[succ], succ))
-    if len(order) != n:  # pragma: no cover - graph is acyclic by construction
-        raise SdvError("dependence graph is not acyclic")
+    def cycles(order: tuple[int, ...], after: ModelState) -> int:
+        state = after.copy()
+        state.place([window[i] for i in order])
+        return state.counters().total_cycles
 
-    identity = list(range(n))
-    if order == identity:
-        return identity
-    base = simulate(window, params)[1].total_cycles
-    new = simulate([window[i] for i in order], params)[1].total_cycles
-    if new > base:
-        return identity
-    return order
+    cold = ModelState(params)
+    warm = cold.copy()
+    warm.place(window)
+    identity = tuple(range(n))
+    # each order's cycles from an empty model plus after the window once
+    totals = {identity: warm.counters().total_cycles + cycles(identity, warm)}
+    lanes = [_LANES[pipe] for pipe in pipes]
+    for after, other in ((cold, warm), (warm, cold)):
+        order, placed = _earliest_start_order(window, after, succs, critical, lanes)
+        if order not in totals:
+            totals[order] = placed.counters().total_cycles + cycles(order, other)
+    return list(min(totals, key=totals.get))  # the first of equals: identity, cold, warm
 
 
 def schedule_stream(items: Sequence[StreamItem],
@@ -187,6 +252,8 @@ def schedule_stream(items: Sequence[StreamItem],
     repeated loop bodies reuse an order.  The key is complete: the order reads
     only those three fields of a record, plus the overlap set, so ``seq``,
     ``pc``, ``phase``, ``sew_bits`` and the raw addresses never change it.
+    A unit's memory conflicts are swept once, for its key, and a new key's
+    dependence build reads them from the `_Unit` it is handed.
 
     Each stream is emulated once.  When anything moved, the final state of the
     scheduled stream is compared with the input's by `verify_equivalence`, and
@@ -208,9 +275,8 @@ def schedule_stream(items: Sequence[StreamItem],
     for unit in units:
         if len(unit) < 2:
             continue
-        window = [records[k] for k in unit]
-        key = (tuple((r.instr, r.vl, r.scalar_before) for r in window),
-               frozenset(_memory_conflicts(window)))
+        window = _Unit(records[k] for k in unit)
+        key = tuple((r.instr, r.vl, r.scalar_before) for r in window), window.conflicts
         order = orders.get(key)
         if order is None:
             order = orders[key] = reschedule_order(window, params)

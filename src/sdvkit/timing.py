@@ -27,10 +27,18 @@ Model rules, all deliberately simple and in-order:
 
 One table, `CATEGORIES`, maps each category to its pipeline and rate knob,
 and `PIPELINES` gives each pipeline its latency knob and the pipeline it
-overlaps with; every cost, counter and the scheduler's pairing reads them.
+overlaps with; every cost and counter reads them.
 
 The counters (busy, overlap and idle cycles per pipeline) are added up in the
 same pass that places each instruction; no second walk over the timeline.
+
+The model is resumable.  A `ModelState` holds all that placing the next record
+reads, so `ModelState.place`, the one loop of the model, places records after
+those already placed and advances the state past them: a trace placed in
+parts gives the entries and counters of one `simulate` call, which places it
+all from an empty state.  `copy` forks a state, so the scheduler can try each
+candidate record after the same prefix.
+
 Rates and latencies are configurable defaults, not calibrated hardware data.
 A `TimelineEntry` is an immutable named tuple with type-sensitive equality.
 """
@@ -71,6 +79,7 @@ PIPELINES: dict[Pipeline, tuple[Optional[str], Optional[Pipeline]]] = {
 }
 _RATE_KNOBS = {knob for _, knob in CATEGORIES.values()} - {None}
 _LATENCY_KNOBS = {knob for knob, _ in PIPELINES.values()} - {None}
+_LANES = {pipe: i for i, pipe in enumerate(PIPELINES)}  # a pipeline's index in per-lane lists
 
 
 def pipeline_of(category: Category) -> Pipeline:
@@ -144,86 +153,144 @@ def occupancy(record, params: TimingParams) -> int:
     return _occupancy(record.vl, params.rate_of(record.instr.category))
 
 
+class ModelState:
+    """Where the model stands after the records placed so far: each lane's
+    free and busy cycles, each vector register's last writer and the latest
+    completion of its readers since, the heap of the latest completions, the
+    last issue and start cycles, the scalar core's time, and the running
+    counts of overlap cycles, scalar instructions and placed records.  It also
+    holds what `place` reads of its `TimingParams`, each mnemonic's row
+    included, so placing one record after a saved state costs no table build.
+
+    `place` advances a state past the records it places; `copy` forks one,
+    so a caller can try records after the same prefix."""
+
+    __slots__ = ("rows", "cost", "chaining", "depth", "free", "busy", "writers",
+                 "reader_complete", "completes", "scalar_time", "last_issue",
+                 "last_start", "overlap", "scalar_total", "placed")
+
+    def __init__(self, params: Optional[TimingParams] = None):
+        params = params or TimingParams()
+        by_category = {category: (pipe, _LANES[pipe], _LANES.get(PIPELINES[pipe][1]),
+                                  params.rate_of(category), params.latency_of(pipe))
+                       for category, (pipe, _) in CATEGORIES.items()}
+        # each mnemonic's row: a str key hashes in C, a Category through Enum.__hash__
+        self.rows = {mnemonic: by_category[category]
+                     for mnemonic, (category, *_) in SPEC.items()}
+        self.cost, self.chaining = params.scalar_cycles_per_instr, params.chaining
+        self.depth = params.vector_queue_depth
+        self.free = [0] * len(_LANES)  # per lane: the cycle its pipeline is next free
+        self.busy = [0] * len(_LANES)
+        self.writers: dict[int, tuple] = {}  # reg -> (start + latency, occupancy, complete)
+        self.reader_complete: dict[int, int] = {}
+        # min-heap of the `depth` latest completions, padded with zeros that
+        # never delay dispatch; it grows only as far as records are placed
+        self.completes: list[int] = []
+        self.scalar_time = self.overlap = self.scalar_total = self.placed = 0
+        self.last_issue = self.last_start = -1
+
+    def copy(self) -> ModelState:
+        """An independent state at the same point; the rows are shared."""
+        other = object.__new__(ModelState)
+        other.rows, other.cost, other.chaining, other.depth = (
+            self.rows, self.cost, self.chaining, self.depth)
+        other.scalar_time, other.last_issue, other.last_start = (
+            self.scalar_time, self.last_issue, self.last_start)
+        other.overlap, other.scalar_total, other.placed = (
+            self.overlap, self.scalar_total, self.placed)
+        other.free, other.busy, other.completes = self.free[:], self.busy[:], self.completes[:]
+        other.writers, other.reader_complete = self.writers.copy(), self.reader_complete.copy()
+        return other
+
+    def earliest_start(self, record) -> int:
+        """A lower bound on the start cycle of `record` placed next: the
+        vector unit issues in order and its pipeline runs one at a time, so
+        it starts after the last start and once its pipeline is free."""
+        free = self.free[self.rows[record.instr.mnemonic][1]]
+        return free if free > self.last_start else self.last_start + 1
+
+    def place(self, trace: Sequence) -> list[TimelineEntry]:
+        """Place `trace` after the records placed so far and advance past
+        them; returns their timeline entries.  This loop is the model."""
+        rows, cost, chaining = self.rows, self.cost, self.chaining
+        free, busy, writers = self.free, self.busy, self.writers
+        reader_complete, completes = self.reader_complete, self.completes
+        scalar_time, last_issue, last_start = self.scalar_time, self.last_issue, self.last_start
+        overlap, scalar_total = self.overlap, self.scalar_total
+        if len(completes) < self.depth:  # pad only as far as records are placed
+            completes += [0] * (min(self.depth, self.placed + len(trace)) - len(completes))
+            heapq.heapify(completes)
+        entries: list[TimelineEntry] = []
+
+        for rec in trace:
+            instr = rec.instr
+            pipe, lane, other, rate, latency = rows[instr.mnemonic]
+            scalar_total += rec.scalar_before
+            scalar_time += rec.scalar_before * cost
+            issue = scalar_time if scalar_time > last_issue else last_issue + 1
+            if completes[0] > issue:  # dispatch waits for a free queue slot
+                issue = completes[0]
+
+            occ = _occupancy(rec.vl, rate)
+            start = issue if issue > last_start else last_start + 1
+            if free[lane] > start:
+                start = free[lane]
+            for reg in instr.vreg_uses:
+                producer = writers.get(reg)
+                if producer is not None:
+                    lag = producer[1] - occ
+                    bound = producer[0] + (lag if lag > 1 else 1) if chaining else producer[2]
+                    if bound > start:
+                        start = bound
+            for reg in instr.vreg_defs:
+                producer = writers.get(reg)
+                if producer is not None and producer[2] > start:
+                    start = producer[2]
+                if reader_complete.get(reg, 0) > start:
+                    start = reader_complete[reg]
+
+            complete = start + occ + latency
+            entries.append(_new_entry((rec.seq, pipe, issue, start, complete, instr.mnemonic)))
+            # Starts only grow and a pipeline runs one instruction at a time,
+            # so of the other pipeline's busy intervals only its latest can
+            # still be running at `start`.
+            busy[lane] += complete - start
+            if other is not None:
+                end = free[other] if free[other] < complete else complete
+                if end > start:
+                    overlap += end - start
+            free[lane] = complete
+            for reg in instr.vreg_uses:
+                if complete > reader_complete.get(reg, 0):
+                    reader_complete[reg] = complete
+            for reg in instr.vreg_defs:
+                writers[reg] = (start + latency, occ, complete)
+                reader_complete[reg] = 0
+            if complete > completes[0]:
+                heapq.heapreplace(completes, complete)
+            last_issue = issue
+            last_start = start
+            scalar_time = issue + 1
+
+        self.scalar_time, self.last_issue, self.last_start = scalar_time, last_issue, last_start
+        self.overlap, self.scalar_total = overlap, scalar_total
+        self.placed += len(entries)
+        return entries
+
+    def counters(self) -> CounterSet:
+        """The counters of every record placed so far."""
+        total = max(self.free)  # each pipeline completes its instructions in order
+        mem_busy = self.busy[_LANES[Pipeline.MEM]]
+        arith_busy = self.busy[_LANES[Pipeline.ARITH]]
+        return CounterSet(total, self.placed, self.scalar_total, mem_busy, arith_busy,
+                          self.overlap, total - (mem_busy + arith_busy - self.overlap))
+
+
 def simulate(trace: Sequence, params: Optional[TimingParams] = None):
-    """Run the cycle model over a trace; returns (timeline entries, counters)."""
-    params = params or TimingParams()
-    lanes = {pipe: i for i, pipe in enumerate(PIPELINES)}  # its index in the lists below
-    by_category = {category: (pipe, lanes[pipe], lanes.get(PIPELINES[pipe][1]),
-                              params.rate_of(category), params.latency_of(pipe))
-                   for category, (pipe, _) in CATEGORIES.items()}
-    # each mnemonic's row: a str key hashes in C, a Category through Enum.__hash__
-    rows = {mnemonic: by_category[category] for mnemonic, (category, *_) in SPEC.items()}
-    cost, chaining = params.scalar_cycles_per_instr, params.chaining
-    entries: list[TimelineEntry] = []
-    scalar_time = 0
-    last_issue = last_start = -1
-    free = [0] * len(lanes)  # per lane: the cycle its pipeline is next free
-    busy = [0] * len(lanes)
-    writers: dict[int, tuple] = {}  # reg -> (start + latency, occupancy, complete)
-    reader_complete: dict[int, int] = {}
-    # min-heap of the vector_queue_depth latest completions, padded with zeros
-    # that never delay dispatch; a queue deeper than the trace never fills
-    completes = [0] * min(params.vector_queue_depth, len(trace))
-    overlap = scalar_total = 0
-
-    for rec in trace:
-        instr = rec.instr
-        pipe, lane, other, rate, latency = rows[instr.mnemonic]
-        scalar_total += rec.scalar_before
-        scalar_time += rec.scalar_before * cost
-        issue = scalar_time if scalar_time > last_issue else last_issue + 1
-        if completes[0] > issue:  # dispatch waits for a free queue slot
-            issue = completes[0]
-
-        occ = _occupancy(rec.vl, rate)
-        start = issue if issue > last_start else last_start + 1
-        if free[lane] > start:
-            start = free[lane]
-        for reg in instr.vreg_uses:
-            producer = writers.get(reg)
-            if producer is not None:
-                lag = producer[1] - occ
-                bound = producer[0] + (lag if lag > 1 else 1) if chaining else producer[2]
-                if bound > start:
-                    start = bound
-        for reg in instr.vreg_defs:
-            producer = writers.get(reg)
-            if producer is not None and producer[2] > start:
-                start = producer[2]
-            if reader_complete.get(reg, 0) > start:
-                start = reader_complete[reg]
-
-        complete = start + occ + latency
-        entries.append(_new_entry((rec.seq, pipe, issue, start, complete, instr.mnemonic)))
-        # Starts only grow and a pipeline runs one instruction at a time, so
-        # of the other pipeline's busy intervals only its latest can still be
-        # running at `start`.
-        busy[lane] += complete - start
-        if other is not None:
-            end = free[other] if free[other] < complete else complete
-            if end > start:
-                overlap += end - start
-        free[lane] = complete
-        for reg in instr.vreg_uses:
-            if complete > reader_complete.get(reg, 0):
-                reader_complete[reg] = complete
-        for reg in instr.vreg_defs:
-            writers[reg] = (start + latency, occ, complete)
-            reader_complete[reg] = 0
-        if complete > completes[0]:
-            heapq.heapreplace(completes, complete)
-        last_issue = issue
-        last_start = start
-        scalar_time = issue + 1
-
-    total = max(free)  # each pipeline completes its instructions in order
-    mem_busy, arith_busy = busy[lanes[Pipeline.MEM]], busy[lanes[Pipeline.ARITH]]
-    counters = CounterSet(
-        total_cycles=total, vector_instr_count=len(entries),
-        scalar_instr_count=scalar_total, mem_busy_cycles=mem_busy,
-        arith_busy_cycles=arith_busy, overlap_cycles=overlap,
-        vpu_idle_cycles=total - (mem_busy + arith_busy - overlap))
-    return entries, counters
+    """Run the cycle model over a trace from an empty machine; returns
+    (timeline entries, counters)."""
+    state = ModelState(params)
+    return state.place(trace), state.counters()
 
 
 def emit_timeline(entries: Sequence[TimelineEntry]) -> str:

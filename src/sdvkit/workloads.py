@@ -27,7 +27,8 @@ Both variants execute identical element arithmetic, so they agree bitwise
 with each other and match the brute-force DFT oracle to rounding error.
 
 A generator takes a size and parameters, optional given inputs, then a seed,
-and returns ``(items, manifest)``; `_inputs` checks the seed and the inputs.
+and returns ``(items, manifest)``; `_integers` checks the size and the seed,
+and `_inputs` the inputs.
 `workload_kinds` is the table of kinds: each one's generator, help line and
 ``gen`` options, built per call so that ``gen`` runs the generator held here.
 
@@ -41,6 +42,7 @@ phase's loop-body windows and each phase's `vsetvli` vl.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections import Counter
 from typing import Optional
 
@@ -63,12 +65,20 @@ _REP_IDX = 0x0300_0000      # per-stage twiddle replication patterns
 _IDENT_IDX = 0x0320_0000    # identity byte offsets for the output pass
 
 
-def _inputs(n: int, seed: int, *given) -> list[np.ndarray]:
-    """`given` as float64, each None drawn in turn from `seed` as n values in
-    [-1, 1); a negative seed, or an input that is not n values in one
-    dimension, is refused."""
+def _integers(n, seed) -> tuple[int, int]:
+    """`n` and `seed` as ints; a size that is not an integer (a bool or a
+    float included) is refused, as is a seed that is not one >= 0."""
+    for value, error, name in ((n, InvalidSize, "n"), (seed, InvalidSeed, "seed")):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an integer, got {value!r}")
     if seed < 0:
         raise InvalidSeed(f"seed must be >= 0, got {seed}")
+    return int(n), int(seed)
+
+
+def _inputs(n: int, seed: int, *given) -> list[np.ndarray]:
+    """`given` as float64, each None drawn in turn from `seed` as n values in
+    [-1, 1); an input that is not n values in one dimension is refused."""
     rng = np.random.default_rng(seed)
     arrays = [np.asarray(rng.uniform(-1.0, 1.0, n) if a is None else a, dtype=np.float64)
               for a in given]
@@ -258,6 +268,7 @@ def gen_fft(n: int, variant: str = _VARIANTS[0], re: Optional[np.ndarray] = None
     lengths, and per-phase loop-body (window) counts, including the phase-2
     trip count that the program-counter sawtooth reproduces.
     """
+    n, seed = _integers(n, seed)
     if not _FFT_MIN_N <= n <= _FFT_MAX_N or n & (n - 1):
         raise InvalidSize(f"n must be a power of two in [{_FFT_MIN_N}, {_FFT_MAX_N}], got {n}")
     if variant not in _VARIANTS:
@@ -353,6 +364,7 @@ def gen_axpy(n: int, a: float, x: Optional[np.ndarray] = None,
              y: Optional[np.ndarray] = None, seed: int = 0):
     """y <- a*x + y in maximal-length strips with a short tail strip; returns
     (items, manifest)."""
+    n, seed = _integers(n, seed)
     if not 1 <= n <= _AXPY_MAX_N:
         raise InvalidSize(f"n must be in [1, {_AXPY_MAX_N}], got {n}")
     x, y = _inputs(n, seed, x, y)

@@ -398,7 +398,7 @@ def test_a_phase_change_splits_a_unit_and_a_restated_window_does_not():
     assert restated == joined
     scheduled, before, after = schedule_stream(restated)
     assert after < before
-    assert [i.instr.vd for i in scheduled[4:]] == [6, 3, 7, 4, 5]
+    assert [i.instr.vd for i in scheduled[4:]] == [6, 3, 4, 5, 7]
 
 
 def _schedule_without_reuse(items, params):
@@ -508,7 +508,7 @@ def test_each_distinct_unit_is_ordered_once_per_call(monkeypatch):
     # no order outlives its call
     assert schedule_stream(items) == first
     assert len(calls) == 14
-    assert first[1:] == (42655, 38474)
+    assert first[1:] == (42655, 34643)
 
     # under two sets of timing parameters, in either order, each call gives
     # what it gives alone
@@ -517,3 +517,25 @@ def test_each_distinct_unit_is_ordered_once_per_call(monkeypatch):
     reversed_order = [schedule_stream(items, p) for p in reversed(params)][::-1]
     assert in_order == reversed_order
     assert in_order[0] == first and in_order[1] != first
+
+
+def test_each_unit_sweeps_its_memory_conflicts_once(monkeypatch):
+    items, _ = gen_fft(n=128, variant="naive", seed=1)
+    sweeps, original = [], scheduler._memory_conflicts
+    monkeypatch.setattr(scheduler, "_memory_conflicts",
+                        lambda window: sweeps.append(len(window)) or original(window))
+    schedule_stream(items)
+    # one sweep per unit of two or more records, none again for the 7 ordered
+    assert len(sweeps) == 75 and min(sweeps) >= 2
+    # a window given directly is still swept
+    build_dependences(run(None, items)[1][:8])
+    assert len(sweeps) == 76
+
+
+@pytest.mark.parametrize("variant, n, unscheduled, at_most", [
+    ("naive", 128, 42655, 34643), ("wide", 1024, 43091, 36211)])
+def test_earliest_start_scheduling_gains_on_the_fft(variant, n, unscheduled, at_most):
+    items, _ = gen_fft(n=n, variant=variant, seed=1)
+    scheduled, before, after = schedule_stream(items)
+    assert before == unscheduled and after <= at_most
+    assert verify_equivalence(None, items, scheduled)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdvkit.isa import Category, parse_instruction
-from sdvkit.timing import (CounterSet, Pipeline, TimelineEntry, TimingParams,
+from sdvkit.timing import (CounterSet, ModelState, Pipeline, TimelineEntry, TimingParams,
                            emit_timeline, emit_timeline_svg, occupancy, pipeline_of,
                            simulate)
 from sdvkit.tracefile import TraceRecord
@@ -332,6 +332,25 @@ def test_counters_match_per_cycle_brute_force(trace, depth, chaining, mem_latenc
                           strided_elems_per_cycle=other_rate)
     entries, counters = simulate(trace, params)
     assert counters == _brute_force_counters(trace, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_traces(), st.integers(1, 16), st.booleans(), st.data())
+def test_a_trace_placed_in_two_parts_matches_one_simulate_call(trace, depth, chaining, data):
+    params = TimingParams(vector_queue_depth=depth, chaining=chaining)
+    split = data.draw(st.integers(0, len(trace)))
+    state = ModelState(params)
+    head = state.place(trace[:split])
+    fork = state.copy()
+    # each record placed next starts no earlier than the state's lower bound
+    for record in trace[split:]:
+        start = fork.copy().place((record,))[0].start_cycle
+        assert fork.earliest_start(record) <= start
+    tail = state.place(trace[split:])
+    assert (head + tail, state.counters()) == simulate(trace, params)
+    # a copy resumes from where it was taken, whatever its original did since
+    assert fork.place(trace[split:]) == tail and fork.counters() == state.counters()
+    assert fork.place(()) == []
 
 
 def _per_record_seconds(trace, repeats):

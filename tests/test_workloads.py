@@ -161,6 +161,15 @@ def test_invalid_plans():
         gen_fft(n=64, variant="fancy")
 
 
+@pytest.mark.parametrize("generate, error", [
+    (lambda: gen_axpy(2.5, 1.0), InvalidSize), (lambda: gen_axpy(True, 1.0), InvalidSize),
+    (lambda: gen_fft(64.0), InvalidSize), (lambda: gen_fft(64, seed=1.5), InvalidSeed)],
+    ids=["axpy-float-n", "axpy-bool-n", "fft-float-n", "fft-float-seed"])
+def test_a_size_or_seed_that_is_not_an_integer_is_refused(generate, error):
+    with pytest.raises(error, match="must be an integer"):
+        generate()
+
+
 def test_oracle_axpy_matches_definition():
     x = np.array([1.0, 2.0, 3.0])
     y = np.array([10.0, 20.0, 30.0])
