@@ -343,7 +343,7 @@ def test_non_equivalent_schedule_is_refused(tmp_path, capsys, monkeypatch):
     assert simulate(run(None, swapped)[1], params)[1].total_cycles <= \
         simulate(run(None, text)[1], params)[1].total_cycles
     monkeypatch.setattr(scheduler, "reschedule_order",
-                        lambda window, params=None: [1, 0, *range(2, len(window))])
+                        lambda window, params=None, **_: [1, 0, *range(2, len(window))])
     with pytest.raises(NotEquivalent):
         schedule_stream(parse_vstream(text), params)
 
@@ -496,13 +496,22 @@ def _unit_keys(items):
             for unit in units if unit.stop - unit.start > 1]
 
 
+@pytest.mark.parametrize("variant, n, follows", [("naive", 128, (66, 75)), ("wide", 1024, (20, 32))])
+def test_most_ordered_units_run_right_after_a_copy_of_themselves(variant, n, follows):
+    # the context `reschedule_order` scores each order in
+    records, _, units = _units(gen_fft(n=n, variant=variant, seed=1)[0])
+    keys = [tuple((r.instr, r.vl, r.scalar_before) for r in records[unit]) for unit in units]
+    ordered = [k for k, unit in enumerate(units) if unit.stop - unit.start > 1]
+    assert (sum(k > 0 and keys[k - 1] == keys[k] for k in ordered), len(ordered)) == follows
+
+
 def test_each_distinct_unit_is_ordered_once_per_call(monkeypatch):
     items, _ = gen_fft(n=128, variant="naive", seed=1)
     keys = _unit_keys(items)
     assert (len(keys), len(set(keys))) == (75, 7)
     calls, original = [], scheduler.reschedule_order
-    monkeypatch.setattr(scheduler, "reschedule_order",
-                        lambda window, params=None: calls.append(window) or original(window, params))
+    monkeypatch.setattr(scheduler, "reschedule_order", lambda window, params=None, **kw:
+                        calls.append(window) or original(window, params, **kw))
     first = schedule_stream(items)
     assert len(calls) == 7
     # no order outlives its call
