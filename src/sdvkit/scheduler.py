@@ -29,10 +29,11 @@ Those two orders and the original one are scored where most units run:
 right after a copy of themselves, in the same order.  In a naive FFT stream
 66 of the 75 units ordered at n=128 do (588 of 600 at n=1024), and 20 of 32
 in a wide one at n=1024, where the other 12 follow a stage's two-record
-prologue after a copy.  The order whose second copy adds the fewest cycles wins, then the one
-whose single copy after an empty model takes the fewest, then the original
-order, so a window in that steady state never gets slower; and
-`schedule_stream` keeps its input when the whole stream got slower.
+prologue after a copy.  The order whose second copy adds the fewest cycles
+wins, then the one whose single copy after an empty model takes the fewest,
+then the original order, so a window in that steady state never gets
+slower; and `schedule_stream` keeps its input when the whole stream got
+slower.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def reschedule_order(window: Sequence[TraceRecord],
     one after a copy of that first order.  Each of them and the original order
     is scored where a window runs: after a copy of itself, in the same order,
     as a loop body does.  The fewest cycles that the second copy adds wins,
-    then the fewest cycles of one copy from an empty model, then the original
-    order, then the first."""
+    then the fewest cycles of one copy from an empty model; ties go to the
+    original order, then to the first."""
     n = len(window)
     if n <= 1:
         return list(range(n))
@@ -214,6 +215,7 @@ def reschedule_order(window: Sequence[TraceRecord],
         return state
 
     def score(order: tuple[int, ...], once: ModelState) -> tuple[int, int]:
+        # once: the state after one copy of `order` from an empty model
         cycles = once.counters().total_cycles
         return after(order, once).counters().total_cycles - cycles, cycles
 

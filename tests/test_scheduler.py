@@ -496,7 +496,8 @@ def _unit_keys(items):
             for unit in units if unit.stop - unit.start > 1]
 
 
-@pytest.mark.parametrize("variant, n, follows", [("naive", 128, (66, 75)), ("wide", 1024, (20, 32))])
+@pytest.mark.parametrize("variant, n, follows",
+                         [("naive", 128, (66, 75)), ("wide", 1024, (20, 32))])
 def test_most_ordered_units_run_right_after_a_copy_of_themselves(variant, n, follows):
     # the context `reschedule_order` scores each order in
     records, _, units = _units(gen_fft(n=n, variant=variant, seed=1)[0])
