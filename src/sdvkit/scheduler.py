@@ -22,18 +22,15 @@ order.  Each step tries only the two best ready records by critical path of
 each pipeline, each placed on a copy of one resumable `timing.ModelState`,
 and skips a record whose lower bound (`ModelState.earliest_start`) is later
 than the best start found; with one heap of ready records per pipeline, R
-records and E edges cost O(R log R + E).  A window is ordered twice: after an
-empty model, and after a copy of that first order.
+records and E edges cost O(R log R + E).
 
-Those two orders and the original one are scored where most units run:
-right after a copy of themselves, in the same order.  In a naive FFT stream
-66 of the 75 units ordered at n=128 do (588 of 600 at n=1024), and 20 of 32
-in a wide one at n=1024, where the other 12 follow a stage's two-record
-prologue after a copy.  The order whose second copy adds the fewest cycles
-wins, then the one whose single copy after an empty model takes the fewest,
-then the original order, so a window in that steady state never gets
-slower; and `schedule_stream` keeps its input when the whole stream got
-slower.
+`schedule_stream` places the stream on one `ModelState` as it goes, each unit
+in the order chosen for it, so a unit is ordered after the state of what
+really runs before it, and its new order is kept only if the unit ends
+sooner there than in its original order.  A unit that ends sooner can still
+leave the model worse off for the next one, and a reused order runs in
+another unit's place, so `schedule_stream` keeps its input when the whole
+stream got slower.
 """
 
 from __future__ import annotations
@@ -183,17 +180,17 @@ def _earliest_start_order(window: Sequence[TraceRecord], state: ModelState,
 
 def reschedule_order(window: Sequence[TraceRecord],
                      params: Optional[TimingParams] = None, *,
-                     conflicts: Optional[Collection[tuple[int, int]]] = None) -> list[int]:
+                     conflicts: Optional[Collection[tuple[int, int]]] = None,
+                     context: Optional[ModelState] = None) -> list[int]:
     """Topological order chosen by list scheduling with the cycle model;
     returns indices into the window.  ``conflicts`` is passed on to
     `build_dependences`.
 
-    `_earliest_start_order` makes two orders: one after an empty model, and
-    one after a copy of that first order.  Each of them and the original order
-    is scored where a window runs: after a copy of itself, in the same order,
-    as a loop body does.  The fewest cycles that the second copy adds wins,
-    then the fewest cycles of one copy from an empty model; ties go to the
-    original order, then to the first."""
+    ``context`` is the model's state after what runs before the window,
+    placed under the same ``params``; it is left as it was.  By default the
+    window is ordered after an empty model.  The window is ordered once by
+    `_earliest_start_order` after that state, and the order is kept only if
+    it ends sooner there than the original order does."""
     n = len(window)
     if n <= 1:
         return list(range(n))
@@ -209,27 +206,14 @@ def reschedule_order(window: Sequence[TraceRecord],
         below = max((critical[j] for j in succs[i]), default=0)
         critical[i] = weight[i] + below
 
-    def after(order: tuple[int, ...], state: ModelState) -> ModelState:
-        state = state.copy()
-        state.place([window[i] for i in order])
-        return state
-
-    def score(order: tuple[int, ...], once: ModelState) -> tuple[int, int]:
-        # once: the state after one copy of `order` from an empty model
-        cycles = once.counters().total_cycles
-        return after(order, once).counters().total_cycles - cycles, cycles
-
-    empty = ModelState(params)
+    context = ModelState(params) if context is None else context
     lanes = [_LANES[pipe] for pipe in pipes]
-    identity = tuple(range(n))
-    first, once = _earliest_start_order(window, empty, succs, critical, lanes)
-    second = _earliest_start_order(window, once, succs, critical, lanes)[0]
-    scores = {identity: score(identity, after(identity, empty))}
-    if first not in scores:
-        scores[first] = score(first, once)
-    if second not in scores:
-        scores[second] = score(second, after(second, empty))
-    return list(min(scores, key=scores.get))  # the first of equals: identity, first, second
+    order, ordered = _earliest_start_order(window, context, succs, critical, lanes)
+    original = context.copy()
+    original.place(window)
+    if ordered.counters().total_cycles < original.counters().total_cycles:
+        return list(order)
+    return list(range(n))
 
 
 def schedule_stream(items: Sequence[StreamItem],
@@ -244,18 +228,21 @@ def schedule_stream(items: Sequence[StreamItem],
     reordered, and directives stay in place as barriers.
 
     Returns ``(items, cycles_before, cycles_after)``: the scheduled stream and
-    the modeled total cycles of the input and of that stream.  The counts come
-    from the emulations made here; when nothing moved, or the whole stream got
-    slower and the input is returned, ``cycles_after == cycles_before``.
+    the modeled total cycles of the input and of that stream.  The second is
+    the total of the model walked over the units, each placed in its order:
+    the model reads only the ``instr``, ``vl`` and ``scalar_before`` that a
+    legal reorder keeps with each record.  When nothing moved, or the whole
+    stream got slower and the input is returned, ``cycles_after ==
+    cycles_before``.
 
     Each unit is keyed by the ``(instr, vl, scalar_before)`` of its records and
     the set of its record pairs whose byte ranges conflict, and
-    `reschedule_order` runs only for a key not seen before in this call, so
-    repeated loop bodies reuse an order.  The key is complete: the order reads
-    only those three fields of a record, plus the overlap set, so ``seq``,
-    ``pc``, ``phase``, ``sew_bits`` and the raw addresses never change it.
-    A unit's memory conflicts are swept once, for its key, and handed to
-    `reschedule_order` with it.
+    `reschedule_order` runs only for a key not seen before in this call,
+    after the walk's state at that unit, so repeated loop bodies reuse the
+    first one's order.  The key holds all that the order reads of the unit
+    itself; ``seq``, ``pc``, ``phase``, ``sew_bits`` and the raw addresses
+    never change it.  A unit's memory conflicts are swept once, for its key,
+    and handed to `reschedule_order` with it.
 
     Each stream is emulated once.  When anything moved, the final state of the
     scheduled stream is compared with the input's by `verify_equivalence`, and
@@ -274,29 +261,31 @@ def schedule_stream(items: Sequence[StreamItem],
     new_items = list(items)
     changed = False
     orders: dict[tuple, list[int]] = {}  # unit key -> its order, for this call
+    walk = ModelState(params)  # the scheduled stream, placed up to the next unit
     for unit in units:
-        if len(unit) < 2:
-            continue
         window = [records[k] for k in unit]
-        conflicts = frozenset(_memory_conflicts(window))
-        key = tuple((r.instr, r.vl, r.scalar_before) for r in window), conflicts
-        order = orders.get(key)
-        if order is None:
-            order = orders[key] = reschedule_order(window, params, conflicts=conflicts)
-        if order == sorted(order):
-            continue
-        changed = True
-        base = positions[unit[0]]
-        for slot, source in enumerate(order):
-            new_items[base + slot] = items[base + source]
+        if len(unit) > 1:
+            conflicts = frozenset(_memory_conflicts(window))
+            key = tuple((r.instr, r.vl, r.scalar_before) for r in window), conflicts
+            order = orders.get(key)
+            if order is None:
+                order = orders[key] = reschedule_order(window, params, conflicts=conflicts,
+                                                       context=walk)
+            if order != sorted(order):
+                changed = True
+                base = positions[unit[0]]
+                for slot, source in enumerate(order):
+                    new_items[base + slot] = items[base + source]
+                window = [window[i] for i in order]
+        walk.place(window)
     if not changed:
         return new_items, before, before
-    scheduled_state, scheduled_records = run(config, new_items)
+    scheduled_state = run(config, new_items)[0]
     if not verify_equivalence(config, state, scheduled_state):
         raise NotEquivalent("rescheduled stream is not equivalent to the input")
-    # window-local gains may not compose across window boundaries; keep the
-    # original stream if the model says the whole thing got slower
-    after = simulate(scheduled_records, params)[1].total_cycles
+    # a reused order, or a unit that ends sooner but leaves the model worse
+    # off, can slow the stream down; keep the input if the whole got slower
+    after = walk.counters().total_cycles
     if after > before:
         return list(items), before, before
     return new_items, before, after

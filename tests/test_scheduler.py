@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import struct
@@ -14,7 +15,7 @@ from sdvkit.errors import NotEquivalent
 from sdvkit.isa import MNEMONICS, ROLES, SPEC, Category, Instruction, parse_instruction
 from sdvkit.scheduler import (MEM_ORDER, RAW, WAR, WAW, build_dependences,
                               reschedule_order, schedule_stream, verify_equivalence)
-from sdvkit.timing import TimingParams, simulate
+from sdvkit.timing import ModelState, TimingParams, simulate
 from sdvkit.tracefile import TraceRecord
 from sdvkit.vstream import ItemKind, parse_vstream
 from sdvkit.emulator import run
@@ -401,23 +402,6 @@ def test_a_phase_change_splits_a_unit_and_a_restated_window_does_not():
     assert [i.instr.vd for i in scheduled[4:]] == [6, 3, 4, 5, 7]
 
 
-def _schedule_without_reuse(items, params):
-    """`schedule_stream` with `reschedule_order` called on every unit: the
-    oracle for the orders `schedule_stream` reuses between equal units."""
-    records, positions, units = _units(items)
-    before = simulate(records, params)[1].total_cycles
-    scheduled, changed = list(items), False
-    for unit in units:
-        order = reschedule_order(records[unit], params)
-        changed = changed or order != sorted(order)
-        for slot, source in enumerate(order):
-            scheduled[positions[unit.start] + slot] = items[positions[unit.start] + source]
-    if not changed:
-        return scheduled, before, before
-    after = simulate(run(None, scheduled)[1], params)[1].total_cycles
-    return (scheduled, before, after) if after <= before else (list(items), before, before)
-
-
 # What the windows of a reuse test are made of: loads, a gather and stores
 # through x10 and x11, and arithmetic between them.  At vl > 8 the first two
 # bases overlap, so a base address can change a window's overlap set.
@@ -483,9 +467,40 @@ def _reuse_stream(windows):
 @example([((0, 0, 0, 1, 6), 4, 0x10000, 0x10000, (0, 0, 0, 0, 0)),
           ((0, 0, 0, 1, 6), 4, 0x10040, 0x10000, (0, 0, 0, 0, 0))])
 def test_reused_orders_match_scheduling_every_window(windows):
+    # an order also reads the model's state before the first unit of its key,
+    # so no order is recomputed here: each key is ordered once, its order is
+    # legal for each unit of the key, and each of them is permuted by it
     items = _reuse_stream(windows + windows)  # every window shape twice
     params = TimingParams()
-    assert schedule_stream(items, params) == _schedule_without_reuse(items, params)
+    orders, original = {}, scheduler.reschedule_order
+
+    def ordered(window, params=None, **kw):
+        key = tuple((r.instr, r.vl, r.scalar_before) for r in window), kw["conflicts"]
+        assert key not in orders
+        orders[key] = original(window, params, **kw)
+        return orders[key]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "reschedule_order", ordered)
+        scheduled, before, after = schedule_stream(items, params)
+    records, positions, units = _units(items)
+    units = [unit for unit in units if unit.stop - unit.start > 1]
+    keys = _unit_keys(items)
+    assert orders.keys() == set(keys)
+    expected = list(items)
+    for unit, key in zip(units, keys):
+        order = orders[key]
+        slot_of = {source: slot for slot, source in enumerate(order)}
+        assert sorted(order) == list(range(len(order)))
+        assert all(slot_of[src] < slot_of[dst] for src, dst in build_dependences(records[unit]))
+        base = positions[unit.start]
+        for slot, source in enumerate(order):
+            expected[base + slot] = items[base + source]
+    cycles = simulate(run(None, expected)[1], params)[1].total_cycles
+    if cycles > before:  # the whole stream got slower, so the input comes back
+        assert (scheduled, after) == (items, before)
+    else:
+        assert (scheduled, after) == (expected, cycles)
 
 
 def _unit_keys(items):
@@ -499,7 +514,8 @@ def _unit_keys(items):
 @pytest.mark.parametrize("variant, n, follows",
                          [("naive", 128, (66, 75)), ("wide", 1024, (20, 32))])
 def test_most_ordered_units_run_right_after_a_copy_of_themselves(variant, n, follows):
-    # the context `reschedule_order` scores each order in
+    # a unit is ordered after what runs before it, in these streams mostly a
+    # copy of itself, whose order the later copies of a loop body reuse
     records, _, units = _units(gen_fft(n=n, variant=variant, seed=1)[0])
     keys = [tuple((r.instr, r.vl, r.scalar_before) for r in records[unit]) for unit in units]
     ordered = [k for k, unit in enumerate(units) if unit.stop - unit.start > 1]
@@ -549,3 +565,72 @@ def test_earliest_start_scheduling_gains_on_the_fft(variant, n, unscheduled, at_
     scheduled, before, after = schedule_stream(items)
     assert before == unscheduled and after <= at_most
     assert verify_equivalence(None, items, scheduled)
+
+
+def _model_fields(state):
+    """What a `ModelState` holds, copied, so a later change to it shows."""
+    return {name: copy.copy(getattr(state, name)) for name in ModelState.__slots__}
+
+
+def _context_kept():
+    """`reschedule_order`, checking that it leaves its ``context`` as it was."""
+    original = scheduler.reschedule_order
+
+    def ordered(window, params=None, **kw):
+        context = _model_fields(kw["context"])
+        order = original(window, params, **kw)
+        assert _model_fields(kw["context"]) == context
+        return order
+    return ordered
+
+
+def _assert_cycles_after_simulated(items, params):
+    scheduled, before, after = schedule_stream(items, params)
+    assert before == simulate(run(None, items)[1], params)[1].total_cycles
+    assert after == simulate(run(None, scheduled)[1], params)[1].total_cycles
+    return before, after
+
+
+@pytest.mark.parametrize("depth", [1, 2, 16])
+@pytest.mark.parametrize("chaining", [False, True])
+@pytest.mark.parametrize("variant, n", [("naive", 128), ("wide", 1024)])
+def test_cycles_after_is_the_scheduled_streams_simulate(variant, n, chaining, depth,
+                                                         monkeypatch):
+    monkeypatch.setattr(scheduler, "reschedule_order", _context_kept())
+    items, _ = gen_fft(n=n, variant=variant, seed=1)
+    before, after = _assert_cycles_after_simulated(
+        items, TimingParams(chaining=chaining, vector_queue_depth=depth))
+    assert after < before
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.booleans(), st.integers(1, 16))
+def test_cycles_after_is_the_simulate_of_random_scheduled_streams(seed, streams, chaining,
+                                                                  depth):
+    # one to three random streams in a row, so units follow other units
+    rng = np.random.default_rng(seed)
+    items = parse_vstream("".join(random_window_stream(rng) for _ in range(streams)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "reschedule_order", _context_kept())
+        _assert_cycles_after_simulated(
+            items, TimingParams(chaining=chaining, vector_queue_depth=depth))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 40), st.booleans(), st.integers(1, 16))
+def test_an_order_never_ends_later_after_its_context(seed, placed, chaining, depth):
+    rng = np.random.default_rng(seed)
+    params = TimingParams(chaining=chaining, vector_queue_depth=depth)
+    prefix = run(None, random_window_stream(rng))[1][:placed]
+    window = [r for r in run(None, random_window_stream(rng))[1] if r.window_id == 1]
+    context = ModelState(params)
+    context.place(prefix)
+    fields = _model_fields(context)
+    order = reschedule_order(window, params, context=context)
+    assert _model_fields(context) == fields
+    ends = []
+    for records in ([window[i] for i in order], window):
+        state = context.copy()
+        state.place(records)
+        ends.append(state.counters().total_cycles)
+    assert ends[0] <= ends[1]
