@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from struct import pack
 from typing import Callable, Optional, Sequence, Union
 
@@ -132,14 +133,23 @@ def fused_madd(a, b, c):
     return float(result[0]) if shape == () else result.reshape(shape)
 
 
+def _rising(cells: np.ndarray) -> bool:
+    """Whether the cell addresses strictly rise: distinct, in address order."""
+    return bool((cells[1:] > cells[:-1]).all())
+
+
 def _page_runs(where: np.ndarray, unit: np.dtype):
-    """(page index, slice, in-page offsets) of each page's run in sorted
-    addresses of `unit`-sized cells, the offsets counted in cells."""
-    pages = where >> _U64(_PAGE_BITS)
+    """(page index, slice, in-page offsets) of each page's run in rising
+    addresses of `unit`-sized cells, the offsets counted in cells.  Cells
+    whose first and last share a page, as those of any one-page access do,
+    are one run, found without a page or cut per cell."""
     offsets = (where & _U64(_PAGE_SIZE - 1)).astype(np.intp) // unit.itemsize
+    first = int(where[0]) >> _PAGE_BITS
+    if first == int(where[-1]) >> _PAGE_BITS:
+        return ((first, slice(None), offsets),)
+    pages = where >> _U64(_PAGE_BITS)
     cuts = [0, *(np.flatnonzero(pages[1:] != pages[:-1]) + 1).tolist(), len(where)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        yield int(pages[lo]), slice(lo, hi), offsets[lo:hi]
+    return [(int(pages[lo]), slice(lo, hi), offsets[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _page_walk(addr: int, nbytes: int):
@@ -170,7 +180,11 @@ class Memory:
     `read_u64` and `write_u64` take a uint64 array of addresses.
     When every address is 8-aligned, whole words move through a uint64 view
     of each page; otherwise each word's bytes move through a byte view.
-    Where words overlap, the later one wins.
+    An access whose cells strictly rise skips the sort: they are distinct
+    and in address order already.  So does a read that stays in one page; it
+    indexes that page in element order, duplicates included.  An access that
+    stays in one page also skips the per-page cut.  Any other access is
+    sorted first, and where the words of a write overlap, the later one wins.
     """
 
     def __init__(self, limit: int):
@@ -208,9 +222,9 @@ class Memory:
         every word is known to fit: the words themselves when all are
         8-aligned, else each word's bytes, word by word; and the cell type."""
         # no word fits at or past this address
-        bad = addrs >= _U64(max(0, self.limit - 7))
-        if bad.any():
-            first = int(np.argmax(bad))
+        bound = _U64(max(0, self.limit - 7))
+        if addrs.max() >= bound:
+            first = int(np.argmax(addrs >= bound))
             raise OutOfBoundsAccess(int(addrs[first]), first)
         if (addrs & _U64(7)).any():
             return (addrs[:, None] + _WORD_BYTES).reshape(-1), _BYTE
@@ -219,21 +233,25 @@ class Memory:
     def read_u64(self, addrs: np.ndarray) -> np.ndarray:
         """The little-endian words at `addrs`, as a uint64 array."""
         where, unit = self._cells(addrs)
-        where, back = np.unique(where, return_inverse=True)
+        back = None  # cells that neither rise nor share a page are sorted first
+        if not (_rising(where)
+                or int(where.min()) >> _PAGE_BITS == int(where.max()) >> _PAGE_BITS):
+            where, back = np.unique(where, return_inverse=True)
         data = np.zeros(len(where), dtype=unit)
         for index, run, offsets in _page_runs(where, unit):
             page = self._pages.get(index)
             if page is not None:
                 data[run] = np.frombuffer(page, dtype=unit)[offsets]
-        return data[back].view(_WORD)
+        return (data if back is None else data[back]).view(_WORD)
 
     def write_u64(self, addrs: np.ndarray, values: np.ndarray) -> None:
         """Store the uint64 `values` as little-endian words at `addrs`."""
         where, unit = self._cells(addrs)
         data = np.ascontiguousarray(values, dtype=_WORD).view(unit)
-        # the last word written to a cell wins: keep each cell's last writer
-        where, last = np.unique(where[::-1], return_index=True)
-        data = data[::-1][last]
+        if not _rising(where):
+            # the last word written to a cell wins: keep each cell's last writer
+            where, last = np.unique(where[::-1], return_index=True)
+            data = data[::-1][last]
         for index, run, offsets in _page_runs(where, unit):
             np.frombuffer(self._page(index), dtype=unit)[offsets] = data[run]
 
@@ -315,11 +333,19 @@ def _coalesce(addrs: np.ndarray, width: int) -> tuple[tuple[int, int], ...]:
     """Merge per-element (addr, width) accesses into maximal contiguous runs,
     preserving element order."""
     step = _U64(width)
-    # an address below `width` that follows on modulo 2^64 starts a new run
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (addrs[1:] != addrs[:-1] + step) | (addrs[1:] < step))))
-    lengths = np.diff(starts, append=len(addrs)) * width
-    return tuple(zip(addrs[starts].tolist(), lengths.tolist()))
+    # a lane starts a run unless it follows on from the lane before; an
+    # address below `width` that follows on modulo 2^64 starts one too
+    starts = np.empty(len(addrs), dtype=bool)
+    starts[0] = True
+    later = starts[1:]
+    np.not_equal(addrs[1:], addrs[:-1] + step, out=later)
+    later |= addrs[1:] < step
+    if starts.all():
+        return tuple(zip(addrs.tolist(), repeat(width)))
+    first = np.flatnonzero(starts)
+    ends = np.empty_like(first)
+    ends[:-1], ends[-1] = first[1:], len(addrs)
+    return tuple(zip(addrs[first].tolist(), ((ends - first) * width).tolist()))
 
 
 # element operation (SPEC's last column) -> its numpy expression over vl and

@@ -22,6 +22,7 @@ equality.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import SdvError, TraceFormatError
@@ -70,7 +71,10 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
         if middle is None:
             middle = middles[key] = (f"{r.phase}:{r.scalar_before}:{r.vl}:{r.sew_bits}:"
                                      f"{r.instr.category.value}:{disassemble(r.instr)}")
-        ranges = ",".join(map("%#x+%#x".__mod__, r.addresses))
+        # a record's ranges rendered by one format: its pattern, k times
+        addresses = r.addresses
+        ranges = (",".join(["%#x+%#x"] * len(addresses)) % tuple(chain.from_iterable(addresses))
+                  if addresses else "")
         lines.append(f"{r.seq}:0x{r.pc:x}:{middle}:{ranges}:{r.window_id}")
     return "\n".join(lines) + "\n"
 

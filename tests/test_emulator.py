@@ -4,6 +4,7 @@ import struct
 import time
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -534,11 +535,25 @@ def _aligned_run(draw):
 
 
 @st.composite
+def _rising_run(draw):
+    """Strictly rising addresses, aligned or not, a few bytes to a few pages
+    apart, from the first page's start or across a page boundary: inside one
+    page or across pages, and past `_LIMIT` across the last boundary."""
+    unit = draw(st.sampled_from([8, 8, 1]))  # 1: unaligned words that may overlap
+    gap = draw(st.sampled_from([1, 4, 64, 600]))
+    steps = draw(st.lists(st.integers(1, gap).map(lambda k: unit * k), min_size=1, max_size=20))
+    boundary = 4096 * draw(st.integers(0, 3))
+    start = max(0, boundary - draw(st.integers(0, sum(steps))))
+    return list(accumulate(steps, initial=start + draw(st.sampled_from([0, 0, 1, 3, 7]))))
+
+
+@st.composite
 def _accesses(draw):
     ops = []
     for _ in range(draw(st.integers(1, 6))):
         addrs = draw(st.one_of(st.lists(_ADDRESS, min_size=1, max_size=12),
-                               st.lists(_ALIGNED, min_size=1, max_size=12), _aligned_run()))
+                               st.lists(_ALIGNED, min_size=1, max_size=12), _aligned_run(),
+                               _rising_run()))
         if draw(st.booleans()):  # duplicates and overlapping words
             addrs += draw(st.lists(st.sampled_from(addrs), max_size=4))
         values = draw(st.lists(st.integers(0, 2 ** 64 - 1),
@@ -547,10 +562,15 @@ def _accesses(draw):
     return ops
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_accesses())
 def test_vector_memory_matches_per_element_reference(ops):
     memory, model = Memory(_LIMIT), _ByteModel(_LIMIT)
+    # the first two pages start with distinct bytes, the third empty: a word
+    # read from the wrong page, or from no page, shows
+    image = np.random.default_rng(0).bytes(2 * 4096)
+    memory.write_bytes(0, image)
+    model.bytes.update(enumerate(image))
     for is_write, addrs, values in ops:
         address = np.array(addrs, dtype=np.uint64)
         if is_write:
@@ -569,8 +589,20 @@ def test_vector_memory_matches_per_element_reference(ops):
     assert memory.read_bytes(0, _LIMIT) == model.image()
 
 
-@given(st.lists(st.one_of(st.integers(0, 64), st.integers(2 ** 64 - 24, 2 ** 64 - 1)),
-                min_size=1, max_size=20))
+@st.composite
+def _rising_lanes(draw):
+    """Up to 256 rising lane addresses modulo 2^64, a step of 8 or 16 bytes
+    apart: one run, a run per lane, or runs of mixed lengths; some wrap."""
+    start = draw(st.one_of(st.integers(0, 1 << 20), st.integers(2 ** 64 - 4096, 2 ** 64 - 1),
+                           st.integers(1, 8).map(lambda words: 2 ** 64 - 8 * words)))
+    strides = draw(st.sampled_from([(8,), (16,), (8, 16)]))
+    steps = draw(st.lists(st.sampled_from(strides), max_size=255))
+    return [addr % 2 ** 64 for addr in accumulate(steps, initial=start)]
+
+
+@given(st.one_of(st.lists(st.one_of(st.integers(0, 64), st.integers(2 ** 64 - 24, 2 ** 64 - 1)),
+                          min_size=1, max_size=20),
+                 _rising_lanes()))
 def test_coalesced_ranges_match_element_order_runs(addrs):
     runs = []
     for addr in addrs:

@@ -1,10 +1,11 @@
 """Per-record linearity guards for the layers a trace passes through besides
 `simulate` and `run`, modelled on `test_simulate_scales_linearly`: from a
 short input to one 16 times as long, the best per-record time of a layer may
-not grow 3 times.  `Memory.write_u64` is guarded per word, on address arrays
-that are all 8-aligned and on arrays that are not.  The emulator's `run` is
-guarded here over streams in which no two instructions are equal, so every
-record binds a new handler.  The scheduler has five: `schedule_stream` per
+not grow 3 times.  `Memory.write_u64` and `Memory.read_u64` are guarded per
+word, on address arrays that are all 8-aligned, on arrays that are not, and
+on aligned arrays that rise.  The emulator's `run` is guarded here over
+streams in which no two instructions are equal, so every record binds a new
+handler.  The scheduler has five: `schedule_stream` per
 record as the stream grows, once with every window alike and once with no
 two alike, `build_dependences` per address range as the ranges of each
 record grow and per record as a window of loads that all read the same bytes
@@ -134,19 +135,36 @@ def test_vstream_scales_linearly_in_the_values_of_one_directive(kind, layer):
     assert ratio < 3, f"per-value time grew {ratio:.1f}x from 512 to 8,192 values"
 
 
-def _scattered_words(count, offset):
-    """`count` word addresses 24 bytes apart, in an order that visits the
-    pages out of turn, plus `offset` bytes, and a value for each."""
-    addrs = 0x10000 + 24 * np.random.default_rng(1).permutation(count).astype(np.uint64)
+def _scattered_words(count, offset, rising):
+    """`count` word addresses 24 bytes apart, plus `offset` bytes, in rising
+    order or in one that visits the pages out of turn, and a value for each."""
+    steps = np.arange(count) if rising else np.random.default_rng(1).permutation(count)
+    addrs = 0x10000 + 24 * steps.astype(np.uint64)
     return addrs + np.uint64(offset), np.arange(count, dtype=np.uint64)
 
 
-@pytest.mark.parametrize("offset", [0, 3], ids=["aligned", "unaligned"])
-def test_write_u64_scales_linearly_in_words(offset):
+_WORD_ORDERS = pytest.mark.parametrize("offset, rising", [(0, False), (3, False), (0, True)],
+                                       ids=["aligned", "unaligned", "rising"])
+
+
+@_WORD_ORDERS
+def test_write_u64_scales_linearly_in_words(offset, rising):
     memory = Memory(1 << 20)
-    few, many = _scattered_words(512, offset), _scattered_words(8192, offset)
+    few, many = _scattered_words(512, offset, rising), _scattered_words(8192, offset, rising)
     ratio = (_per_record_seconds(lambda: memory.write_u64(*many), 8192, 10)
              / _per_record_seconds(lambda: memory.write_u64(*few), 512, 10))
+    assert ratio < 3, f"per-word time grew {ratio:.1f}x from 512 to 8,192 words"
+
+
+@_WORD_ORDERS
+def test_read_u64_scales_linearly_in_words(offset, rising):
+    memory = Memory(1 << 20)
+    (few, _), (many, values) = (_scattered_words(512, offset, rising),
+                                _scattered_words(8192, offset, rising))
+    memory.write_u64(many, values)
+    assert memory.read_u64(many).tolist() == values.tolist()
+    ratio = (_per_record_seconds(lambda: memory.read_u64(many), 8192, 10)
+             / _per_record_seconds(lambda: memory.read_u64(few), 512, 10))
     assert ratio < 3, f"per-word time grew {ratio:.1f}x from 512 to 8,192 words"
 
 
