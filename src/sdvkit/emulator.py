@@ -335,17 +335,17 @@ def _coalesce(addrs: np.ndarray, width: int) -> tuple[tuple[int, int], ...]:
     step = _U64(width)
     # a lane starts a run unless it follows on from the lane before; an
     # address below `width` that follows on modulo 2^64 starts one too
-    starts = np.empty(len(addrs), dtype=bool)
-    starts[0] = True
-    later = starts[1:]
-    np.not_equal(addrs[1:], addrs[:-1] + step, out=later)
-    later |= addrs[1:] < step
-    if starts.all():
+    new_run = np.empty(len(addrs), dtype=bool)
+    new_run[0] = True
+    rest = new_run[1:]
+    np.not_equal(addrs[1:], addrs[:-1] + step, out=rest)
+    rest |= addrs[1:] < step
+    if new_run.all():
         return tuple(zip(addrs.tolist(), repeat(width)))
-    first = np.flatnonzero(starts)
-    ends = np.empty_like(first)
-    ends[:-1], ends[-1] = first[1:], len(addrs)
-    return tuple(zip(addrs[first].tolist(), ((ends - first) * width).tolist()))
+    starts = np.flatnonzero(new_run)
+    ends = np.empty_like(starts)
+    ends[:-1], ends[-1] = starts[1:], len(addrs)
+    return tuple(zip(addrs[starts].tolist(), ((ends - starts) * width).tolist()))
 
 
 # element operation (SPEC's last column) -> its numpy expression over vl and

@@ -71,7 +71,6 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
         if middle is None:
             middle = middles[key] = (f"{r.phase}:{r.scalar_before}:{r.vl}:{r.sew_bits}:"
                                      f"{r.instr.category.value}:{disassemble(r.instr)}")
-        # a record's ranges rendered by one format: its pattern, k times
         addresses = r.addresses
         ranges = (",".join(["%#x+%#x"] * len(addresses)) % tuple(chain.from_iterable(addresses))
                   if addresses else "")
