@@ -133,11 +133,6 @@ def fused_madd(a, b, c):
     return float(result[0]) if shape == () else result.reshape(shape)
 
 
-def _rising(cells: np.ndarray) -> bool:
-    """Whether the cell addresses strictly rise: distinct, in address order."""
-    return bool((cells[1:] > cells[:-1]).all())
-
-
 def _page_runs(where: np.ndarray, unit: np.dtype):
     """(page index, slice, in-page offsets) of each page's run in rising
     addresses of `unit`-sized cells, the offsets counted in cells.  Cells
@@ -180,11 +175,10 @@ class Memory:
     `read_u64` and `write_u64` take a uint64 array of addresses.
     When every address is 8-aligned, whole words move through a uint64 view
     of each page; otherwise each word's bytes move through a byte view.
-    An access whose cells strictly rise skips the sort: they are distinct
-    and in address order already.  So does a read that stays in one page; it
-    indexes that page in element order, duplicates included.  An access that
-    stays in one page also skips the per-page cut.  Any other access is
-    sorted first, and where the words of a write overlap, the later one wins.
+    Cells are moved in address order, one page's run at a time; an access
+    that stays in one page is one run, with no per-cell page cut.  A write
+    whose cells strictly rise is in that order already and is not sorted;
+    any other write is, and where its words overlap, the later one wins.
     """
 
     def __init__(self, limit: int):
@@ -233,23 +227,21 @@ class Memory:
     def read_u64(self, addrs: np.ndarray) -> np.ndarray:
         """The little-endian words at `addrs`, as a uint64 array."""
         where, unit = self._cells(addrs)
-        back = None  # cells that neither rise nor share a page are sorted first
-        if not (_rising(where)
-                or int(where.min()) >> _PAGE_BITS == int(where.max()) >> _PAGE_BITS):
-            where, back = np.unique(where, return_inverse=True)
+        where, back = np.unique(where, return_inverse=True)
         data = np.zeros(len(where), dtype=unit)
         for index, run, offsets in _page_runs(where, unit):
             page = self._pages.get(index)
             if page is not None:
                 data[run] = np.frombuffer(page, dtype=unit)[offsets]
-        return (data if back is None else data[back]).view(_WORD)
+        return data[back].view(_WORD)
 
     def write_u64(self, addrs: np.ndarray, values: np.ndarray) -> None:
         """Store the uint64 `values` as little-endian words at `addrs`."""
         where, unit = self._cells(addrs)
         data = np.ascontiguousarray(values, dtype=_WORD).view(unit)
-        if not _rising(where):
-            # the last word written to a cell wins: keep each cell's last writer
+        if not (where[1:] > where[:-1]).all():
+            # cells that do not strictly rise are sorted, and the last word
+            # written to a cell wins: keep each cell's last writer
             where, last = np.unique(where[::-1], return_index=True)
             data = data[::-1][last]
         for index, run, offsets in _page_runs(where, unit):

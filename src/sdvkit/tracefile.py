@@ -22,7 +22,6 @@ equality.
 from __future__ import annotations
 
 import re
-from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import SdvError, TraceFormatError
@@ -71,9 +70,7 @@ def write_trace(records: Sequence[TraceRecord]) -> str:
         if middle is None:
             middle = middles[key] = (f"{r.phase}:{r.scalar_before}:{r.vl}:{r.sew_bits}:"
                                      f"{r.instr.category.value}:{disassemble(r.instr)}")
-        addresses = r.addresses
-        ranges = (",".join(["%#x+%#x"] * len(addresses)) % tuple(chain.from_iterable(addresses))
-                  if addresses else "")
+        ranges = ",".join(map("%#x+%#x".__mod__, r.addresses))
         lines.append(f"{r.seq}:0x{r.pc:x}:{middle}:{ranges}:{r.window_id}")
     return "\n".join(lines) + "\n"
 
