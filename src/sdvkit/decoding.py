@@ -11,7 +11,7 @@ the register fields, so only the configuration forms get a branch of their own.
 from __future__ import annotations
 
 from .errors import UnsupportedInstruction
-from .isa import LMUL_CODES, OP_V, OPCFG, ROLES, SEW_CODES, SPEC, Instruction
+from .isa import OP_V, OPCFG, ROLES, SPEC, Instruction, vtype_fields
 
 # Bit offsets of the 5-bit operand slots.
 _SLOTS = {slot for _, _, slot in ROLES.values()} - {None}
@@ -36,12 +36,9 @@ def _decode_vtype(word: int) -> Instruction:
     zimm = (word >> 20) & 0x7FF
     if zimm >> 8:
         raise UnsupportedInstruction(word, "reserved vtype bits set")
-    sew = SEW_CODES.get((zimm >> 3) & 0x7)
-    lmul = LMUL_CODES.get(zimm & 0x7)
-    if sew is None:
-        raise UnsupportedInstruction(word, "reserved element width")
-    if lmul is None:
-        raise UnsupportedInstruction(word, "fractional or reserved group multiplier")
+    sew, lmul, why = vtype_fields(zimm)
+    if why:
+        raise UnsupportedInstruction(word, why)
     return Instruction("vsetvli", sew=sew, lmul=lmul,
                        **{name: (word >> offset) & 0x1F for name, offset in _VSETVLI_FIELDS})
 

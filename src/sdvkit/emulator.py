@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import MachineConfig, Vtype
 from .errors import EmulationError, OutOfBoundsAccess, SdvError, UnsupportedVtype
-from .isa import LMUL_CODES, ROLES, SEW_CODES, SPEC, Category, Instruction
+from .isa import ROLES, SPEC, Category, Instruction, vtype_fields
 from .records import positional
 from .tracefile import TraceRecord
 from .vstream import (_INSTRUCTION, _MEM_F64, _MEM_U64, _SET_FREG, _SET_XREG, _U64_MASK,
@@ -137,7 +137,9 @@ def _page_runs(where: np.ndarray, unit: np.dtype):
     """(page index, slice, in-page offsets) of each page's run in rising
     addresses of `unit`-sized cells, the offsets counted in cells.  Cells
     whose first and last share a page, as those of any one-page access do,
-    are one run, found without a page or cut per cell."""
+    are one run, found without a page or cut per cell; no cells, no run."""
+    if not len(where):
+        return ()
     offsets = (where & _U64(_PAGE_SIZE - 1)).astype(np.intp) // unit.itemsize
     first = int(where[0]) >> _PAGE_BITS
     if first == int(where[-1]) >> _PAGE_BITS:
@@ -217,7 +219,7 @@ class Memory:
         8-aligned, else each word's bytes, word by word; and the cell type."""
         # no word fits at or past this address
         bound = _U64(max(0, self.limit - 7))
-        if addrs.max() >= bound:
+        if addrs.size and addrs.max() >= bound:
             first = int(np.argmax(addrs >= bound))
             raise OutOfBoundsAccess(int(addrs[first]), first)
         if (addrs & _U64(7)).any():
@@ -300,21 +302,16 @@ def apply_vsetvli(state: MachineState, avl: int, req: Vtype) -> int:
 def _vsetvl_request(state: MachineState, bits: int) -> Vtype:
     """The type a vsetvl rs2 value requests.  Any value but e64/m1 marks the
     type ill-formed and raises, naming the raw value and why it was refused."""
-    sew = SEW_CODES.get((bits >> 3) & 0x7)
-    lmul = LMUL_CODES.get(bits & 0x7)
+    sew, lmul, why = vtype_fields(bits)
     reserved = (bits >> 8) & 0x7FFFFFFFFFFFFF
     if bits >> 63:
         why = "vill bit set"
     elif reserved:
         why = "reserved bits 8-62 set"
-    elif sew is None:
-        why = "reserved element width"
-    elif lmul is None:
-        why = "fractional or reserved group multiplier"
-    elif (sew, lmul) != (64, 1):
+    elif why is None:
+        if (sew, lmul) == (64, 1):
+            return Vtype(sew_bits=sew, lmul=lmul)
         why = f"unsupported type e{sew}/m{lmul}"
-    else:
-        return Vtype(sew_bits=sew, lmul=lmul)
     state.vtype = Vtype(sew_bits=0, lmul=0, vill=True) \
         if sew is None or lmul is None or reserved \
         else Vtype(sew_bits=sew, lmul=lmul, vill=True)

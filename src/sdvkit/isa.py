@@ -93,10 +93,23 @@ MNEMONIC_IDS: dict[str, int] = {m: i for i, m in enumerate(MNEMONICS)}
 _REGISTER_FIELD = {name: prefix is not None
                    for names, prefix, _ in ROLES.values() for name in names}
 
-# vtype vsew/vlmul field encodings; the e<sew>/m<lmul> assembly tokens, the
-# binary decoder and the emulator's vsetvl all take the legal values from here.
+# vtype vsew/vlmul field encodings; the e<sew>/m<lmul> assembly tokens take
+# the legal values from here, the binary decoder and the emulator's vsetvl
+# through `vtype_fields`.
 SEW_CODES = {0b000: 8, 0b001: 16, 0b010: 32, 0b011: 64}
 LMUL_CODES = {0b000: 1, 0b001: 2, 0b010: 4, 0b011: 8}
+
+
+def vtype_fields(vtype: int) -> tuple[Optional[int], Optional[int], Optional[str]]:
+    """``(sew, lmul, why)`` of the vsew and vlmul fields of a vtype value: a
+    reserved code decodes to None, and ``why`` names the first field refused
+    (vsew before vlmul), or is None when both are legal.  The bits above
+    vlmul and vsew are the caller's to check."""
+    sew = SEW_CODES.get((vtype >> 3) & 0x7)
+    lmul = LMUL_CODES.get(vtype & 0x7)
+    why = "reserved element width" if sew is None else \
+        "fractional or reserved group multiplier" if lmul is None else None
+    return sew, lmul, why
 
 
 def _derived():

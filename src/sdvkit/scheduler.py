@@ -17,12 +17,9 @@ not the O(ra·rb) per record pair of comparing range lists.
 
 The scheduling heuristic is list scheduling with the cycle model as its
 oracle: each step places the ready record that `timing` starts earliest after
-the order so far, ties going to the longest critical path, then to original
-order.  Each step tries only the two best ready records by critical path of
-each pipeline, each placed on a copy of one resumable `timing.ModelState`,
-and skips a record whose lower bound (`ModelState.earliest_start`) is later
-than the best start found; with one heap of ready records per pipeline, R
-records and E edges cost O(R log R + E).
+the order so far.  `reschedule_order` states which records a step tries, how
+ties break and which trials a lower bound skips; with one heap of ready
+records per pipeline, R records and E edges cost O(R log R + E).
 
 `schedule_stream` places the stream on one `ModelState` as it goes, each unit
 in the order chosen for it, so a unit is ordered after the state of what
@@ -136,25 +133,53 @@ def build_dependences(window: Sequence[TraceRecord],
 _CANDIDATES = 2
 
 
-def _earliest_start_order(window: Sequence[TraceRecord], state: ModelState,
-                          succs: list[list[int]], critical: list[int],
-                          lanes: list[int]) -> tuple[tuple[int, ...], ModelState]:
-    """List scheduling after the records placed in `state`, which is left
-    as it was: each step places the ready record that the model starts
-    earliest after the order so far, of the `_CANDIDATES` best by
-    (-critical path, index) of each pipeline; ties go to the longer critical
-    path, then the lower index.  Returns the order and the state after it."""
-    indegree = [0] * len(window)
-    for targets in succs:
-        for succ in targets:
-            indegree[succ] += 1
+def reschedule_order(window: Sequence[TraceRecord],
+                     params: Optional[TimingParams] = None, *,
+                     conflicts: Optional[Collection[tuple[int, int]]] = None,
+                     context: Optional[ModelState] = None) -> list[int]:
+    """Topological order chosen by list scheduling with the cycle model;
+    returns indices into the window.  ``conflicts`` is passed on to
+    `build_dependences`.
+
+    ``context`` is the model's state after what runs before the window,
+    placed under the same ``params``; it is left as it was.  By default the
+    window is ordered after an empty model.
+
+    A record's critical path is its occupancy plus its pipeline's latency,
+    plus the longest critical path of its successors.  Each step tries, of
+    each pipeline's ready records, the `_CANDIDATES` best by (-critical path,
+    index), each placed on a copy of the state after the order so far, and
+    places the one the model starts earliest; ties go to the longer critical
+    path, then the lower index.  A candidate whose lower bound
+    (`ModelState.earliest_start`) is later than the best start found cannot
+    win and is not placed.  The order is kept only if it ends sooner after
+    ``context`` than the original order does."""
+    n = len(window)
+    if n <= 1:
+        return list(range(n))
+    params = params or TimingParams()
+    succs: list[list[int]] = [[] for _ in range(n)]
+    indegree = [0] * n
+    for src, dst in build_dependences(window, conflicts):
+        succs[src].append(dst)
+        indegree[dst] += 1
+    pipes = [pipeline_of(r.instr.category) for r in window]
+    lanes = [_LANES[pipe] for pipe in pipes]
+    critical = [0] * n
+    for i in range(n - 1, -1, -1):
+        critical[i] = occupancy(window[i], params) + params.latency_of(pipes[i]) + max(
+            (critical[j] for j in succs[i]), default=0)
+
+    state = ModelState(params) if context is None else context
+    original = state.copy()
+    original.place(window)
     # per pipeline, its ready records' (-critical, index) in a min-heap (sorted at first)
-    ready = [sorted((-critical[i], i) for i in range(len(window))
+    ready = [sorted((-critical[i], i) for i in range(n)
                     if indegree[i] == 0 and lanes[i] == lane) for lane in range(len(_LANES))]
     order = []
     while tried := [heappop(heap) for heap in ready for _ in range(min(_CANDIDATES, len(heap)))]:
-        # a candidate whose lower bound is later than the best start so far
-        # cannot win, so those with the lowest bounds are tried first
+        # those with the lowest bounds are tried first, so the first bound
+        # later than the best start ends the step
         best = None  # ((start, -critical, index), the state after placing it)
         for bound, key, i in sorted((state.earliest_start(window[i]), key, i)
                                     for key, i in tried):
@@ -173,46 +198,10 @@ def _earliest_start_order(window: Sequence[TraceRecord], state: ModelState,
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 heappush(ready[lanes[succ]], (-critical[succ], succ))
-    if len(order) != len(window):  # pragma: no cover - graph is acyclic by construction
+    if len(order) != n:  # pragma: no cover - graph is acyclic by construction
         raise SdvError("dependence graph is not acyclic")
-    return tuple(order), state
-
-
-def reschedule_order(window: Sequence[TraceRecord],
-                     params: Optional[TimingParams] = None, *,
-                     conflicts: Optional[Collection[tuple[int, int]]] = None,
-                     context: Optional[ModelState] = None) -> list[int]:
-    """Topological order chosen by list scheduling with the cycle model;
-    returns indices into the window.  ``conflicts`` is passed on to
-    `build_dependences`.
-
-    ``context`` is the model's state after what runs before the window,
-    placed under the same ``params``; it is left as it was.  By default the
-    window is ordered after an empty model.  The window is ordered once by
-    `_earliest_start_order` after that state, and the order is kept only if
-    it ends sooner there than the original order does."""
-    n = len(window)
-    if n <= 1:
-        return list(range(n))
-    params = params or TimingParams()
-    pipes = [pipeline_of(r.instr.category) for r in window]
-    succs: list[list[int]] = [[] for _ in range(n)]
-    for src, dst in build_dependences(window, conflicts):
-        succs[src].append(dst)
-
-    weight = [occupancy(window[i], params) + params.latency_of(pipes[i]) for i in range(n)]
-    critical = [0] * n
-    for i in range(n - 1, -1, -1):
-        below = max((critical[j] for j in succs[i]), default=0)
-        critical[i] = weight[i] + below
-
-    context = ModelState(params) if context is None else context
-    lanes = [_LANES[pipe] for pipe in pipes]
-    order, ordered = _earliest_start_order(window, context, succs, critical, lanes)
-    original = context.copy()
-    original.place(window)
-    if ordered.counters().total_cycles < original.counters().total_cycles:
-        return list(order)
+    if state.counters().total_cycles < original.counters().total_cycles:
+        return order
     return list(range(n))
 
 

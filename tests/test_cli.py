@@ -3,6 +3,7 @@ import errno
 import hashlib
 import os
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,17 @@ from test_tracefile import BAD_MNEMONIC_LINES
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def test_the_readme_walk_through_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```sh\n(.*?)```", readme, re.S)[1]
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert {words[1] for words in commands} == \
+        {"gen", "emulate", "simulate", "analyze", "to-prv", "compare", "schedule"}
+    monkeypatch.chdir(tmp_path)
+    for words in commands:
+        assert words[0] == "sdvkit" and main(words[1:]) == 0, words
 
 
 def test_gen_emulate_analyze_pipeline(tmp_path, capsys):

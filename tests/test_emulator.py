@@ -589,6 +589,14 @@ def test_vector_memory_matches_per_element_reference(ops):
     assert memory.read_bytes(0, _LIMIT) == model.image()
 
 
+def test_an_empty_word_access_touches_nothing():
+    memory, none = Memory(_LIMIT), np.array([], dtype=np.uint64)
+    got = memory.read_u64(none)
+    assert (got.dtype, got.shape) == (np.uint64, (0,))
+    memory.write_u64(none, none)
+    assert memory.touched_pages() == {}
+
+
 @st.composite
 def _rising_lanes(draw):
     """Up to 256 rising lane addresses modulo 2^64, a step of 8 or 16 bytes

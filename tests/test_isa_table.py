@@ -4,7 +4,8 @@ equal to a mnemonic or a role name and pin the modules that may name one:
 for mnemonics, the table itself and the decoder's branch for the
 configuration forms; for roles, only `isa`.  The emulator takes what an
 instruction computes from SPEC's element-operation column, so its operation
-table must cover exactly the operations SPEC names."""
+table must cover exactly the operations SPEC names.  The vtype field
+codes, and the reasons a reserved code is refused, are read only in `isa`."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,15 @@ def test_operand_roles_are_named_only_in_isa():
 def test_emulator_has_one_expression_per_spec_operation():
     operations = {operation for *_, operation in SPEC.values()} - {None}
     assert operations == set(_OPERATIONS)
+
+
+def test_vtype_codes_are_read_only_in_isa():
+    reasons = {"reserved element width", "fractional or reserved group multiplier"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "isa":
+            # every name read, attribute taken or name imported
+            names = {getattr(node, field, None)
+                     for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                     for field in ("id", "attr", "name")}
+            assert not names & {"SEW_CODES", "LMUL_CODES"}, path.name
+            assert not _named(path, reasons), path.name

@@ -357,6 +357,21 @@ def test_non_equivalent_schedule_is_refused(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.vs"]
 
 
+def test_a_stream_made_slower_is_returned_as_it_was(monkeypatch):
+    items = parse_vstream(".xreg x1 256\n.xreg x10 0x1000\nvsetvli x2, x1, e64, m1\n"
+                          ".window 1\nvle64.v v1, (x10)\nvfadd.vv v2, v3, v3\n"
+                          "vfadd.vv v4, v1, v1\n")
+    assert schedule_stream(items)[1:] == (101, 101)  # already in the best order
+    # a legal order that ends later (102 cycles): the independent add delays the load
+    monkeypatch.setattr(scheduler, "reschedule_order",
+                        lambda window, params=None, **_: [1, 0, 2])
+    checked, original = [], scheduler.verify_equivalence
+    monkeypatch.setattr(scheduler, "verify_equivalence",
+                        lambda *states: checked.append(original(*states)) or checked[-1])
+    assert schedule_stream(items) == (items, 101, 101)
+    assert checked == [True]
+
+
 def test_directives_split_windows():
     # the mid-window .xreg must keep the second load after the redefinition
     text = (".xreg x1 2\nvsetvli x2, x1, e64, m1\n"
