@@ -170,9 +170,7 @@ def reschedule_order(window: Sequence[TraceRecord],
         critical[i] = occupancy(window[i], params) + params.latency_of(pipes[i]) + max(
             (critical[j] for j in succs[i]), default=0)
 
-    state = ModelState(params) if context is None else context
-    original = state.copy()
-    original.place(window)
+    state = context = ModelState(params) if context is None else context
     # per pipeline, its ready records' (-critical, index) in a min-heap (sorted at first)
     ready = [sorted((-critical[i], i) for i in range(n)
                     if indegree[i] == 0 and lanes[i] == lane) for lane in range(len(_LANES))]
@@ -200,6 +198,8 @@ def reschedule_order(window: Sequence[TraceRecord],
                 heappush(ready[lanes[succ]], (-critical[succ], succ))
     if len(order) != n:  # pragma: no cover - graph is acyclic by construction
         raise SdvError("dependence graph is not acyclic")
+    original = context.copy()
+    original.place(window)
     if state.counters().total_cycles < original.counters().total_cycles:
         return order
     return list(range(n))
