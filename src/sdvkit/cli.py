@@ -15,6 +15,17 @@ inputs, it exits 2 and writes nothing.
 
 Exit codes: 0 success, 1 domain error (bad input data, failed equivalence),
 2 usage or I/O error.
+
+Python's cyclic garbage collector is paused for the whole of a `main` call,
+argument parsing included, and switched back on afterwards only if it was on
+before, on every way out.  What a command builds (records, stream items,
+address-range tuples) holds no reference cycles and is freed by reference
+counting, so collections during a command would only rescan it.  The one
+cyclic garbage of a call is the fixed set of about 431 objects argparse's
+parser leaves, whatever the input size; it is collected by the caller's first
+collection after the call.  If a command starts building cycles that grow
+with its input, ``tests/test_cli.py::test_no_command_leaves_more_cyclic_garbage_on_a_larger_input``
+fails.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import gc
 import itertools
 import os
 import sys
@@ -241,17 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
-        return args.func(args)
-    except OSError as err:
-        reason = (err.strerror or "I/O error").lower()
-        print(f"error: {reason}: {err.filename}", file=sys.stderr)
-        return 2
-    except SdvError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except OSError as err:
+            reason = (err.strerror or "I/O error").lower()
+            print(f"error: {reason}: {err.filename}", file=sys.stderr)
+            return 2
+        except SdvError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

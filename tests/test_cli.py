@@ -1,9 +1,12 @@
 import argparse
 import errno
+import gc
 import hashlib
+import io
 import os
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from sdvkit import __version__, cli, scheduler, workloads
 from sdvkit.cli import build_parser, main
 from sdvkit.emulator import run
+from sdvkit.errors import SdvError
 from sdvkit.tracefile import HEADER
 from sdvkit.vstream import parse_vstream
 from test_tracefile import BAD_MNEMONIC_LINES
@@ -20,7 +24,7 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
-def test_the_readme_walk_through_runs(tmp_path, monkeypatch):
+def test_the_readme_walk_through_runs(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = re.search(r"```sh\n(.*?)```", readme, re.S)[1]
     commands = [shlex.split(line) for line in block.splitlines()]
@@ -29,6 +33,7 @@ def test_the_readme_walk_through_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for words in commands:
         assert words[0] == "sdvkit" and main(words[1:]) == 0, words
+        assert capsys.readouterr().err == "", words
 
 
 def test_gen_emulate_analyze_pipeline(tmp_path, capsys):
@@ -674,3 +679,93 @@ def test_a_negative_scalar_cost_in_a_timing_file_is_exit_1(inputs, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err == "error: neg.ini: scalar_cycles_per_instr must be >= 0\n"
     assert _files() == before
+
+
+@pytest.fixture(params=[True, False], ids=["caller collects", "caller paused"])
+def caller_collecting(request):
+    """The cyclic collector switched on or off for the test, as its caller had it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+_EMULATE = ["emulate", "a.vs", "-o", "a.trace"]
+# how a call ends: its command line, what the command returns or raises if it
+# runs, and what main returns or raises
+_WAYS_OUT = {
+    "exit 0": (_EMULATE, 0, 0),
+    "exit 1": (_EMULATE, SdvError("bad"), 1),
+    "exit 2": (_EMULATE, OSError(errno.EIO, "I/O error", "a.trace"), 2),
+    "--help": (["emulate", "--help"], None, SystemExit(0)),
+    "unknown option": (["emulate", "a.vs", "--bogus"], None, SystemExit(2)),
+    "escaping exception": (_EMULATE, RuntimeError("escapes"), RuntimeError("escapes")),
+}
+
+
+@pytest.mark.parametrize("argv, does, ends", _WAYS_OUT.values(), ids=_WAYS_OUT)
+def test_the_collector_is_paused_for_a_call_and_restored_on_every_way_out(
+        monkeypatch, caller_collecting, argv, does, ends):
+    """Both the command and argparse's own output (help, usage errors) run
+    with the collector off; afterwards it is on exactly when it was before."""
+    seen = []
+
+    class Noting(io.StringIO):
+        def write(self, text):
+            seen.append(gc.isenabled())
+            return super().write(text)
+
+    def command(args):
+        seen.append(gc.isenabled())
+        if isinstance(does, Exception):
+            raise does
+        return does
+
+    monkeypatch.setattr(cli, "_cmd_emulate", command)
+    monkeypatch.setattr(sys, "stdout", Noting())
+    monkeypatch.setattr(sys, "stderr", Noting())
+    if isinstance(ends, int):
+        assert main(argv) == ends
+    else:
+        with pytest.raises(type(ends)) as caught:
+            main(argv)
+        assert caught.value.args == ends.args
+    assert seen and not any(seen)
+    assert gc.isenabled() is caller_collecting
+
+
+# every subcommand once, on FFT streams of sizes `naive` and `wide` and an
+# axpy stream of `axpy` elements
+_EVERY_COMMAND = ["gen fft --variant naive --n {naive} -o n.vs",
+                  "gen fft --variant wide --n {wide} -o w.vs",
+                  "gen axpy --n {axpy} -o a.vs",
+                  "emulate n.vs -o n.trace", "emulate w.vs -o w.trace", "emulate a.vs -o a.trace",
+                  "simulate n.trace --svg n.svg -o n.csv",
+                  "analyze n.trace --timing t.ini -o n.report",
+                  "to-prv w.trace --timing t.ini -o w.prv",
+                  "compare n.trace w.trace -o compare.txt",
+                  "schedule n.vs -o s.vs"]
+
+
+def test_no_command_leaves_more_cyclic_garbage_on_a_larger_input(tmp_path, monkeypatch):
+    """`main` pauses the collector, which is sound while what a command
+    leaves for it is a fixed set (argparse's parser), not something that
+    grows with the input, as cycles built per record or item would."""
+    found = {}
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for sizes in ({"naive": 64, "wide": 256, "axpy": 1000},
+                      {"naive": 512, "wide": 2048, "axpy": 8000}):
+            directory = tmp_path / str(sizes["naive"])
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            Path("t.ini").write_text("mem_latency_cycles = 20\n")
+            for line in _EVERY_COMMAND:
+                assert main(line.format(**sizes).split()) == 0, line
+                found.setdefault(line, []).append(gc.collect())
+    finally:
+        if was:
+            gc.enable()
+    assert {line: counts for line, counts in found.items() if counts[0] != counts[1]} == {}
